@@ -31,7 +31,8 @@ from .solver import (
     exact_edge_metric_dimension,
     exact_metric_dimension,
 )
-from .structure import classify_silicate, dimension_lower_bound
+# classify_silicate stays importable here: bench/spans.py wraps it by name.
+from .structure import classify_silicate, dimension_lower_bound  # noqa: F401
 
 EXIT_OK = 0
 EXIT_NOT_RESOLVING = 1
@@ -138,7 +139,7 @@ def _cmd_solve(parser: _Parser, args) -> int:
         cert = exact_edge_metric_dimension(g, opts)
     else:
         cert = exact_metric_dimension(g, opts)
-    spec = classify_silicate(g)
+    spec = cert.spec
     family = spec.family if spec is not None else None
     n = spec.n if spec is not None else None
     report = certificate_report(cert, family=family, n=n)

@@ -47,9 +47,8 @@ class Graph:
 class DistanceMatrix:
     """All-pairs hop distances of a connected graph.
 
-    ``d`` is an ``n x n`` int16 array (silicate diameters grow linearly in
-    the tetrahedron count, far below the int16 range).  The array is
-    read-only.
+    ``d`` is a read-only ``n x n`` array of type :func:`distance_dtype`:
+    int16 while every distance (at most ``n - 1``) fits, int32 beyond.
     """
 
     n: int
@@ -57,6 +56,13 @@ class DistanceMatrix:
 
     def distance(self, u: int, v: int) -> int:
         return int(self.d[u, v])
+
+
+def distance_dtype(vertex_count: int) -> type:
+    """Smallest integer type holding every hop distance of a connected
+    graph on ``vertex_count`` vertices: int16 up to 32768 vertices (largest
+    distance 32767), int32 beyond."""
+    return np.int16 if vertex_count <= 32768 else np.int32
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -119,9 +125,10 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex, stacked into a read-only int16 matrix."""
+    """BFS from every vertex, stacked into a read-only matrix of type
+    :func:`distance_dtype`."""
     rows = [bfs_distances(g, s) for s in range(g.vertex_count)]
-    d = np.array(rows, dtype=np.int16)
+    d = np.array(rows, dtype=distance_dtype(g.vertex_count))
     d.setflags(write=False)
     return DistanceMatrix(n=g.vertex_count, d=d)
 

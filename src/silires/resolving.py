@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GraphInputError
-from .graphs import DistanceMatrix, Edge, Graph, bfs_distances
+from .graphs import DistanceMatrix, Edge, Graph, bfs_distances, distance_dtype
 
 Code = tuple[int, ...]
 
@@ -58,23 +58,25 @@ def edge_code(dist: DistanceMatrix, edge: Edge, landmarks: Sequence[int]) -> Cod
 
 
 def landmark_rows(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
-    """BFS distance rows, one per landmark, as a ``(k, n)`` int16 array."""
+    """BFS distance rows, one per landmark, as a ``(k, n)`` array of type
+    :func:`~silires.graphs.distance_dtype`."""
     rows = [bfs_distances(g, s) for s in landmarks]
-    return np.array(rows, dtype=np.int16).reshape(len(landmarks), g.vertex_count)
+    dtype = distance_dtype(g.vertex_count)
+    return np.array(rows, dtype=dtype).reshape(len(landmarks), g.vertex_count)
 
 
 def edge_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
-    """Codes of every canonical edge, one row per edge: ``(m, k)`` int16."""
+    """Codes of every canonical edge, one row per edge: ``(m, k)``."""
     rows = landmark_rows(g, landmarks)
     if not g.edges:
-        return np.zeros((0, len(landmarks)), dtype=np.int16)
+        return np.zeros((0, len(landmarks)), dtype=rows.dtype)
     eu = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=g.edge_count)
     ev = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=g.edge_count)
     return np.minimum(rows[:, eu], rows[:, ev]).T.copy()
 
 
 def vertex_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
-    """Codes of every vertex, one row per vertex: ``(n, k)`` int16."""
+    """Codes of every vertex, one row per vertex: ``(n, k)``."""
     return landmark_rows(g, landmarks).T.copy()
 
 

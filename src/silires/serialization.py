@@ -16,7 +16,7 @@ import json
 from typing import Optional, Sequence
 
 from .errors import EdgeListFormatError
-from .graphs import Graph, build_graph
+from .graphs import Graph, build_graph, canonical_edge
 from .resolving import (
     VerificationResult,
     edge_code_table,
@@ -43,11 +43,14 @@ def format_edge_list(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; blank lines and ``#`` comments are skipped.
 
-    Raises :class:`EdgeListFormatError` naming the offending line; vertex-id
+    Raises :class:`EdgeListFormatError` naming the offending line, and both
+    lines for a pair that repeats an earlier one in either orientation (the
+    graph would silently lose an edge against the header count); vertex-id
     and self-loop violations propagate from graph construction.
     """
     header: Optional[tuple[int, int]] = None
     edges: list[tuple[int, int]] = []
+    first_line: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -76,11 +79,19 @@ def parse_edge_list(text: str) -> Graph:
                 f"line {lineno}: expected 'u v', got {line!r}"
             )
         try:
-            edges.append((int(fields[0]), int(fields[1])))
+            u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise EdgeListFormatError(
                 f"line {lineno}: non-integer vertex id in {line!r}"
             ) from None
+        key = canonical_edge(u, v)
+        if key in first_line:
+            raise EdgeListFormatError(
+                f"line {lineno}: pair {line!r} repeats the edge {key} "
+                f"of line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        edges.append((u, v))
     if header is None:
         raise EdgeListFormatError("missing header line")
     vertex_count, edge_count = header

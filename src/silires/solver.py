@@ -12,8 +12,29 @@ degree-3 vertices p, q of one tetrahedron (or of two tetrahedra sharing a
 hinge v0) are both excluded, the edges (p, v0) and (q, v0) receive the same
 code from every remaining vertex, because a degree-3 vertex's whole
 neighbourhood lies inside its own K4, forcing d((p,v0), u) = d(v0, u) for
-all u outside {p, q}.  Sets failing the condition are skipped without
-evaluating codes; resolving sets are never skipped.
+all u outside {p, q}.  Each such cubic set is a *mask*: a set that leaves
+two members of one mask out is skipped without evaluating codes.
+
+Every node of the search also applies the counting argument behind the
+paper's lower bound, which packs twin tetrahedra and charges each cubic set
+all of its vertices but one.  At a node the chosen set S is fixed, F holds
+the candidates still to come, and ``need`` more members must be picked from
+F.  A mask with one member already excluded (outside S and F) has no slack
+left, so all of its members in F are *forced*.  Every mask M, excluded
+member or not, leaves at most one member of M ∩ F unpicked, so a completion
+picks all but one member of its *slice* M ∩ F minus the forced set.  Slices
+that are pairwise disjoint charge disjoint picks, none of them forced, so
+the node is cut when
+
+    |forced| + sum over packed slices s of (|s| - 1) > need.
+
+The packing is built greedily at each node: slices largest first (masks in
+ascending order among equal sizes), each taken when it misses every slice
+taken so far.  The count is a valid lower bound for any packing, so the
+bound cuts only subtrees holding no set that passes the mask check.  Such
+sets are never evaluated, so the evaluation order, ``subsets_examined``,
+budget trips, witnesses and certificates are those of the walk without the
+bound; only the number of nodes visited drops.
 """
 
 from __future__ import annotations
@@ -29,7 +50,10 @@ import numpy as np
 from .errors import StructureError, UnsupportedFamilyError
 from .graphs import Graph, all_pairs_distances
 from .resolving import is_edge_resolving, is_vertex_resolving
+from .silicates import SilicateSpec
 from .structure import (
+    Tetrahedron,
+    TwinTetrahedron,
     classify_silicate,
     dimension_lower_bound,
     find_tetrahedra,
@@ -81,7 +105,16 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Search counters.  ``subsets_examined`` counts the sets whose codes
+    were evaluated, ``nodes_visited`` the search nodes walked, and
+    ``bound_prunes`` the nodes cut by the counting bound.  All three are
+    identical for any worker count; only ``subsets_examined`` enters the
+    serialized certificate.
+    """
+
     subsets_examined: int
+    nodes_visited: int
+    bound_prunes: int
     elapsed_seconds: float
 
 
@@ -94,8 +127,11 @@ class Certificate:
     smaller size is then infeasible too.  ``status`` is ``optimal`` exactly
     when that proof reaches ``dimension - 1``; ``upper-bound-conditional``
     when a witness exists but the proof below it is incomplete; ``partial``
-    when no witness was found within budget.  ``elapsed_seconds`` and the
-    worker count are informational and excluded from serialized output.
+    when no witness was found within budget.  ``spec`` is the chain or
+    cyclic family recognized in the graph (``None`` otherwise), which seeds
+    the default start.  Elapsed time, worker count and the search counters
+    other than ``subsets_examined`` are informational and excluded from
+    serialized output.
     """
 
     target: str
@@ -108,6 +144,7 @@ class Certificate:
     start_size: int
     restrict_to_cubic: bool
     parallel_workers: int
+    spec: Optional[SilicateSpec]
     stats: SolveStats
 
 
@@ -131,17 +168,20 @@ def _columns_distinct(a: np.ndarray) -> bool:
 
 def _search_block(ctx, k: int, block: int):
     """Lexicographic search of all k-sets whose smallest member is
-    universe[block].  Returns (first resolving set or None, sets evaluated).
+    universe[block].  Returns (first resolving set or None, sets evaluated,
+    nodes visited, nodes cut by the counting bound).
     """
     universe, rows, masks, suffix = ctx
     n_u = len(universe)
     first = universe[block]
     chosen = [first]
-    state = [None, 0]  # witness, evaluated
+    state = [None, 0, 0, 0]  # witness, evaluated, nodes, bound prunes
+    bit_count = int.bit_count
 
     def walk(pos: int, smask: int, need: int) -> None:
         if state[0] is not None:
             return
+        state[2] += 1
         if need == 0:
             for m in masks:
                 if (m & ~smask).bit_count() >= 2:
@@ -152,9 +192,28 @@ def _search_block(ctx, k: int, block: int):
             return
         if n_u - pos < need:
             return
-        reachable = smask | suffix[pos]
-        for m in masks:
-            if (m & ~reachable).bit_count() >= 2:
+        if masks:  # without masks nothing is forced or packed: the bound is 0
+            fut = suffix[pos]
+            reachable = smask | fut
+            forced = 0
+            for m in masks:
+                out = m & ~reachable
+                if out:
+                    if out & (out - 1):
+                        return
+                    forced |= m & fut
+            free = fut & ~forced
+            bound = bit_count(forced)
+            packed = 0
+            for part in sorted([m & free for m in masks], key=bit_count, reverse=True):
+                size = bit_count(part)
+                if size <= 1:
+                    break
+                if not part & packed:
+                    packed |= part
+                    bound += size - 1
+            if bound > need:
+                state[3] += 1
                 return
         v = universe[pos]
         chosen.append(v)
@@ -163,7 +222,7 @@ def _search_block(ctx, k: int, block: int):
         walk(pos + 1, smask, need)
 
     walk(block + 1, 1 << first, k - 1)
-    return state[0], state[1]
+    return tuple(state)
 
 
 _WORKER_CTXS: list = []
@@ -184,26 +243,33 @@ def _search_level(
 ):
     """Search one size level block by block, in lexicographic block order.
 
-    Returns (witness, evaluated, exhausted, budget_tripped).  Results are
-    accumulated strictly in block order, and the budget is checked only at
-    block boundaries, so the outcome is identical for any worker count.
+    Returns (witness, counts, exhausted, budget_tripped), where counts sums
+    (evaluated, nodes, bound prunes) over the blocks up to the one that
+    ended the level.  Results are accumulated strictly in block order, and
+    the budget is checked only at block boundaries, so the outcome and the
+    counts are identical for any worker count.
     """
     universe = ctx[0]
     blocks = len(universe) - k + 1
+    counts = [0, 0, 0]
     if blocks <= 0:
-        return None, 0, True, False
+        return None, counts, True, False
     if remaining is not None and remaining <= 0:
-        return None, 0, False, True
-    total = 0
+        return None, counts, False, True
+
+    def add(result) -> None:
+        for i in range(3):
+            counts[i] += result[i + 1]
+
     if pool is None:
         for b in range(blocks):
-            witness, ev = _search_block(ctx, k, b)
-            total += ev
-            if witness is not None:
-                return witness, total, False, False
-            if remaining is not None and total >= remaining and b + 1 < blocks:
-                return None, total, False, True
-        return None, total, True, False
+            result = _search_block(ctx, k, b)
+            add(result)
+            if result[0] is not None:
+                return result[0], counts, False, False
+            if remaining is not None and counts[0] >= remaining and b + 1 < blocks:
+                return None, counts, False, True
+        return None, counts, True, False
     window = workers * 2
     futures: deque = deque()
     next_block = 0
@@ -212,53 +278,67 @@ def _search_level(
         next_block += 1
     done = 0
     while futures:
-        witness, ev = futures.popleft().result()
-        total += ev
+        result = futures.popleft().result()
+        add(result)
         done += 1
-        if witness is not None:
+        if result[0] is not None:
             for f in futures:
                 f.cancel()
-            return witness, total, False, False
-        if remaining is not None and total >= remaining and done < blocks:
+            return result[0], counts, False, False
+        if remaining is not None and counts[0] >= remaining and done < blocks:
             for f in futures:
                 f.cancel()
-            return None, total, False, True
+            return None, counts, False, True
         if next_block < blocks:
             futures.append(pool.submit(_block_task, (ctx_idx, k, next_block)))
             next_block += 1
-    return None, total, True, False
+    return None, counts, True, False
 
 
-def edge_infeasibility_masks(g: Graph) -> list[int]:
+def edge_infeasibility_masks(
+    g: Graph,
+    tetrahedra: Optional[Sequence[Tetrahedron]] = None,
+    twins: Optional[Sequence[TwinTetrahedron]] = None,
+) -> list[int]:
     """Bitmasks of cubic sets; any landmark set missing two or more bits of
     one mask provably fails to resolve the edges.  Empty when the graph has
-    no edge-disjoint K4 cover (no pruning applies).
+    no edge-disjoint K4 cover (no pruning applies).  ``tetrahedra`` and
+    ``twins`` reuse an earlier recovery of the same graph's cover.
     """
-    try:
-        tetrahedra = find_tetrahedra(g)
-    except StructureError:
-        return []
+    if tetrahedra is None:
+        try:
+            tetrahedra = find_tetrahedra(g)
+        except StructureError:
+            return []
+    if twins is None:
+        twins = find_twins(g, tetrahedra)
     masks: set[int] = set()
-    for tet in tetrahedra:
-        if len(tet.cubic_vertices) >= 2:
+    cubic_sets = [t.cubic_vertices for t in tetrahedra] + [t.cubic_set for t in twins]
+    for cubic in cubic_sets:
+        if len(cubic) >= 2:
             mask = 0
-            for v in tet.cubic_vertices:
-                mask |= 1 << v
-            masks.add(mask)
-    for twin in find_twins(g, tetrahedra):
-        if len(twin.cubic_set) >= 2:
-            mask = 0
-            for v in twin.cubic_set:
+            for v in cubic:
                 mask |= 1 << v
             masks.add(mask)
     return sorted(masks)
 
 
-def _default_start(g: Graph, target: str) -> int:
+def _recover_structure(g: Graph, target: str):
+    """The recognized family and the pruning masks, from one recovery of
+    the tetrahedron cover."""
+    try:
+        tetrahedra = find_tetrahedra(g)
+    except StructureError:
+        return None, []
+    twins = find_twins(g, tetrahedra)
+    spec = classify_silicate(g, tetrahedra, twins)
     if target != EDGE:
-        return 1
-    spec = classify_silicate(g)
-    if spec is None:
+        return spec, []
+    return spec, edge_infeasibility_masks(g, tetrahedra, twins)
+
+
+def _default_start(spec: Optional[SilicateSpec], target: str) -> int:
+    if target != EDGE or spec is None:
         return 1
     try:
         return dimension_lower_bound(spec)
@@ -276,12 +356,11 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
             ev = np.fromiter((e[1] for e in g.edges), dtype=np.intp, count=item_count)
             rows = np.ascontiguousarray(np.minimum(dist[:, eu], dist[:, ev]))
         else:
-            rows = np.zeros((g.vertex_count, 0), dtype=np.int16)
-        masks = edge_infeasibility_masks(g)
+            rows = np.zeros((g.vertex_count, 0), dtype=dist.dtype)
     else:
         item_count = g.vertex_count
         rows = np.ascontiguousarray(dist)
-        masks = []
+    spec, masks = _recover_structure(g, target)
 
     def build(dimension, witness, infeasible, status, start, counted):
         return Certificate(
@@ -295,14 +374,17 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
             start_size=start,
             restrict_to_cubic=opts.restrict_to_cubic,
             parallel_workers=opts.parallel_workers,
+            spec=spec,
             stats=SolveStats(
-                subsets_examined=counted,
+                subsets_examined=counted[0],
+                nodes_visited=counted[1],
+                bound_prunes=counted[2],
                 elapsed_seconds=time.perf_counter() - t0,
             ),
         )
 
     if item_count <= 1:
-        return build(0, (), -1, STATUS_OPTIMAL, 0, 0)
+        return build(0, (), -1, STATUS_OPTIMAL, 0, [0, 0, 0])
 
     full_universe = tuple(range(g.vertex_count))
     if opts.restrict_to_cubic:
@@ -313,7 +395,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     if opts.start_size is not None:
         start = opts.start_size
     else:
-        start = min(_default_start(g, target), cap)
+        start = min(_default_start(spec, target), cap)
 
     ctx_main = (universe, rows, masks, _suffix_masks(universe))
     ctx_full = (full_universe, rows, masks, _suffix_masks(full_universe))
@@ -324,18 +406,18 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
             initializer=_init_worker,
             initargs=([ctx_main, ctx_full],),
         )
-    counted = 0
+    counted = [0, 0, 0]  # evaluated, nodes, bound prunes
     proven_infeasible = 0  # size 0 always fails with >= 2 items
     try:
         budget = opts.budget_subsets
 
         def level(ctx, ctx_idx, k):
-            nonlocal counted
-            remaining = None if budget is None else budget - counted
-            witness, ev, exhausted, tripped = _search_level(
+            remaining = None if budget is None else budget - counted[0]
+            witness, counts, exhausted, tripped = _search_level(
                 ctx, ctx_idx, k, pool, opts.parallel_workers, remaining
             )
-            counted += ev
+            for i, c in enumerate(counts):
+                counted[i] += c
             return witness, exhausted, tripped
 
         hit: Optional[tuple[int, tuple[int, ...]]] = None

@@ -230,22 +230,30 @@ def dimension_lower_bound(spec: SilicateSpec) -> int:
     )
 
 
-def classify_silicate(g: Graph) -> Optional[SilicateSpec]:
+def classify_silicate(
+    g: Graph,
+    tetrahedra: Optional[Sequence[Tetrahedron]] = None,
+    twins: Optional[Sequence[TwinTetrahedron]] = None,
+) -> Optional[SilicateSpec]:
     """Recognize chain / cyclic silicates from their tetrahedron cover.
 
     Returns ``None`` when the graph has no edge-disjoint K4 cover or its
     hinge structure is neither a path nor a cycle of distinct hinges.
+    ``tetrahedra`` and ``twins`` reuse an earlier :func:`find_tetrahedra` /
+    :func:`find_twins` result for ``g`` instead of recovering it again.
     """
-    try:
-        tetrahedra = find_tetrahedra(g)
-    except StructureError:
-        return None
+    if tetrahedra is None:
+        try:
+            tetrahedra = find_tetrahedra(g)
+        except StructureError:
+            return None
     count = len(tetrahedra)
     if 6 * count != g.edge_count:
         return None
     if count == 1:
         return SilicateSpec(family=CHAIN, n=1)
-    twins = find_twins(g, tetrahedra)
+    if twins is None:
+        twins = find_twins(g, tetrahedra)
     degree: dict[int, int] = {i: 0 for i in range(count)}
     index = {t.vertices: i for i, t in enumerate(tetrahedra)}
     hinges = []

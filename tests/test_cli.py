@@ -1,9 +1,13 @@
 """Command-line interface: commands, formats, exit codes."""
 
+import collections
 import json
 
 import pytest
 
+import silires.cli
+import silires.solver
+import silires.structure
 from silires import canonical_json_bytes, parse_edge_list
 from silires.cli import EXIT_NOT_OPTIMAL, EXIT_NOT_RESOLVING, EXIT_OK, EXIT_USAGE, main
 
@@ -123,6 +127,23 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", str(chain2_file), "--set", "0,x")
         assert code == EXIT_USAGE
 
+    def test_repeated_pair_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "repeat.txt"
+        path.write_text("p 2 2\n0 1\n1 0\n")
+        code, _, err = run(capsys, "verify", str(path), "--set", "0")
+        assert code == EXIT_USAGE
+        assert "line 3" in err and "line 2" in err
+
+    def test_distances_beyond_int16(self, tmp_path, capsys):
+        # The far end of a 40000-vertex path is 39999 hops from landmark 0.
+        count = 40000
+        lines = [f"p {count} {count - 1}"] + [f"{v} {v + 1}" for v in range(count - 1)]
+        path = tmp_path / "path40000.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "verify", str(path), "--set", "0")
+        assert code == EXIT_OK
+        assert out.startswith("resolving")
+
 
 class TestSolve:
     def test_optimal_exit_zero(self, chain2_file, capsys):
@@ -145,6 +166,27 @@ class TestSolve:
             capsys, "solve", str(chain2_file), "--budget-subsets", "0"
         )
         assert code == EXIT_NOT_OPTIMAL
+
+    @pytest.mark.parametrize("target", ["edge", "vertex"])
+    def test_structure_recovered_once(self, chain2_file, capsys, monkeypatch, target):
+        calls = collections.Counter()
+        for module in (silires.cli, silires.solver, silires.structure):
+            for name in ("find_tetrahedra", "find_twins", "classify_silicate"):
+                fn = getattr(module, name, None)
+                if fn is None:
+                    continue
+
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        code, out, _ = run(
+            capsys, "solve", str(chain2_file), "--target", target, "--json", "-"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["family"] == "chain"
+        assert calls == {"find_tetrahedra": 1, "find_twins": 1, "classify_silicate": 1}
 
     def test_vertex_target(self, chain2_file, capsys):
         code, out, _ = run(

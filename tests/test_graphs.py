@@ -16,6 +16,7 @@ from silires import (
     edge_vertex_distance,
     is_connected,
 )
+from silires.graphs import distance_dtype
 from silires.silicates import SilicateSpec
 
 from conftest import (
@@ -121,6 +122,12 @@ class TestBfsDistances:
     def test_cyclic_3_diameter_is_two(self):
         dist = all_pairs_distances(family_graph("cyclic", 3))
         assert int(np.max(dist.d)) == 2
+
+    def test_distance_type_widens_past_int16(self):
+        # Distances reach vertex_count - 1, so int16 holds up to 32768 vertices.
+        assert distance_dtype(32768) is np.int16
+        assert distance_dtype(32769) is np.int32
+        assert all_pairs_distances(path_graph(5)).d.dtype == np.int16
 
 
 class TestDistanceMatrixInvariants:

@@ -11,6 +11,7 @@ from silires import (
     is_edge_resolving,
     is_vertex_resolving,
     vertex_code,
+    vertex_code_table,
 )
 
 from conftest import (
@@ -133,6 +134,13 @@ class TestVertexResolving:
     def test_path_resolved_by_one_end(self):
         assert is_vertex_resolving(path_graph(6), [0]).resolving
         assert not is_vertex_resolving(path_graph(6), [2]).resolving
+
+    def test_distances_beyond_int16(self):
+        g = path_graph(40000)
+        table = vertex_code_table(g, [0])
+        assert table[-1, 0] == 39999
+        assert is_vertex_resolving(g, [0]).resolving
+        assert is_edge_resolving(g, [0]).resolving
 
     def test_witness_is_lex_first_vertex_pair(self):
         g = complete_graph(4)

@@ -65,6 +65,21 @@ class TestEdgeListFormat:
             parse_edge_list("p 3 2\n0 1\n1 2 3\n")
         assert "line 3" in str(excinfo.value)
 
+    @pytest.mark.parametrize("repeat", ["1 0", "0 1"])
+    def test_repeated_pair_rejected_naming_both_lines(self, repeat):
+        # Collapsing the repeat would build one edge against a header of two
+        # and re-emit as "p 2 1", breaking the byte round trip.
+        with pytest.raises(EdgeListFormatError) as excinfo:
+            parse_edge_list(f"p 2 2\n0 1\n{repeat}\n")
+        message = str(excinfo.value)
+        assert "line 3" in message and "line 2" in message
+
+    def test_repeat_found_past_comments(self):
+        with pytest.raises(EdgeListFormatError) as excinfo:
+            parse_edge_list("p 3 3\n0 1\n# note\n1 2\n\n2 1\n")
+        message = str(excinfo.value)
+        assert "line 6" in message and "line 4" in message
+
 
 class TestReports:
     def test_structure_report_fields(self):
