@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (verify: resolving; solve: optimal), 1 verified set is
 not resolving, 2 solver stopped before proving optimality, 64 malformed
-input or bad usage.
+input or bad usage, 70 internal error (the solver's witness failed the
+independent resolving check).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .construction import construct_for_spec, predicted_dimension
+from .errors import SolverInternalError
 from .resolving import is_edge_resolving, is_vertex_resolving
 from .serialization import (
     canonical_json_bytes,
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_NOT_RESOLVING = 1
 EXIT_NOT_OPTIMAL = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 STDOUT = "-"
 
@@ -287,6 +290,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"silires: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SolverInternalError as exc:
+        print(f"silires: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry_point() -> None:

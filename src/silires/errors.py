@@ -23,3 +23,8 @@ class ConstructionError(ValueError):
 
 class UnsupportedFamilyError(ValueError):
     """Raised when a family-specific formula is asked for an unsupported family."""
+
+
+class SolverInternalError(RuntimeError):
+    """Raised when the exact search returns a witness that fails the
+    independent resolving check: a defect in the solver, not in its input."""

@@ -5,7 +5,9 @@ vertex (or edge) is its vector of distances to the landmarks in that order.
 A set resolves the vertices (edges) when all codes are pairwise distinct.
 
 Verification packs each code into bytes and runs a sort-based duplicate
-scan, which keeps it cheap enough to sit in the exact solver's inner loop.
+scan that also names the lexicographically first colliding pair.  The exact
+solver does not call it per candidate set: it checks whole batches of sets
+with integer keys, and runs the check here once, on its final witness.
 """
 
 from __future__ import annotations

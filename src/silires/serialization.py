@@ -45,12 +45,16 @@ def parse_edge_list(text: str) -> Graph:
 
     Raises :class:`EdgeListFormatError` naming the offending line, and both
     lines for a pair that repeats an earlier one in either orientation (the
-    graph would silently lose an edge against the header count); vertex-id
-    and self-loop violations propagate from graph construction.
+    graph would silently lose an edge against the header count).  A pair
+    with u > v, or one that does not sort after the pair before it, is
+    rejected too: re-emitting it would reorder the text and break the byte
+    round trip.  Vertex-id and self-loop violations propagate from graph
+    construction.
     """
     header: Optional[tuple[int, int]] = None
     edges: list[tuple[int, int]] = []
     first_line: dict[tuple[int, int], int] = {}
+    previous: Optional[tuple[int, int]] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -90,7 +94,17 @@ def parse_edge_list(text: str) -> Graph:
                 f"line {lineno}: pair {line!r} repeats the edge {key} "
                 f"of line {first_line[key]}"
             )
+        if u > v:
+            raise EdgeListFormatError(
+                f"line {lineno}: pair {line!r} must list the smaller id first"
+            )
+        if previous is not None and (u, v) < previous:
+            raise EdgeListFormatError(
+                f"line {lineno}: pair {line!r} does not sort after "
+                f"the previous pair {previous[0]} {previous[1]}"
+            )
         first_line[key] = lineno
+        previous = (u, v)
         edges.append((u, v))
     if header is None:
         raise EdgeListFormatError("missing header line")

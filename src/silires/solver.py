@@ -35,6 +35,25 @@ bound cuts only subtrees holding no set that passes the mask check.  Such
 sets are never evaluated, so the evaluation order, ``subsets_examined``,
 budget trips, witnesses and certificates are those of the walk without the
 bound; only the number of nodes visited drops.
+
+The last level of the walk is one batch.  A node with one member left to
+pick checks every completion S + {v}, v among the candidates still to
+come, at once.  The leaf mask check becomes bit operations: a mask missing
+three or more members of S fails every candidate, and one missing exactly
+two admits only candidates among those two.  The codes of S become one
+integer label per item, and the candidates' keys ``label * base + code``
+form a (candidates x items) array whose rows are sorted; the first row
+without equal neighbours is the witness, and every row up to it counts as
+evaluated, exactly as when the leaves were checked one by one.
+
+The keys are exact.  ``base`` exceeds every distance, so ``label * base +
+code`` is injective on (label, code) pairs, and equal labels mark exactly
+the items whose codes on S agree.  Labels grow one landmark at a time, as
+the walk picks it, and a bound on them grows by a factor of ``base`` with
+each; before a step would take that bound past 2**62, the labels are
+replaced by their ranks among the distinct labels (fewer than the number of
+items).  Keys are computed in int64 whatever the dtype of the distance
+rows (int16 for most graphs), so no product ever wraps.
 """
 
 from __future__ import annotations
@@ -47,7 +66,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import StructureError, UnsupportedFamilyError
+from .errors import SolverInternalError, StructureError, UnsupportedFamilyError
 from .graphs import Graph, all_pairs_distances
 from .resolving import is_edge_resolving, is_vertex_resolving
 from .silicates import SilicateSpec
@@ -106,10 +125,12 @@ class SolveOptions:
 @dataclass(frozen=True)
 class SolveStats:
     """Search counters.  ``subsets_examined`` counts the sets whose codes
-    were evaluated, ``nodes_visited`` the search nodes walked, and
-    ``bound_prunes`` the nodes cut by the counting bound.  All three are
-    identical for any worker count; only ``subsets_examined`` enters the
-    serialized certificate.
+    were evaluated; ``nodes_visited`` counts the search nodes walked (each
+    fixes a prefix of the set; a node picking the last member checks all of
+    its candidates as one batch) plus one per evaluated set, so it is never
+    below ``subsets_examined``; ``bound_prunes`` counts the nodes cut by the
+    counting bound.  All three are identical for any worker count; only
+    ``subsets_examined`` enters the serialized certificate.
     """
 
     subsets_examined: int
@@ -156,14 +177,41 @@ def _suffix_masks(universe: Sequence[int]) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _columns_distinct(a: np.ndarray) -> bool:
-    """True when no two columns of the (k, items) code matrix coincide."""
-    items = a.shape[1]
-    if items <= 1:
-        return True
-    order = np.lexsort(a[::-1])
-    s = a.T[order]
-    return not bool(np.any(np.all(s[1:] == s[:-1], axis=1)))
+# Keys of the batched last level stay below this, so int64 never wraps.
+_KEY_LIMIT = 2**62
+
+
+def _extend_labels(labels: np.ndarray, span: int, row: np.ndarray, base: int):
+    """Exact labels of the columns of a code matrix extended by ``row``.
+
+    ``labels`` numbers the columns of the matrix so far, equal labels
+    exactly for equal columns, all below ``span``; every entry of ``row``
+    (one row or a stack of rows) lies in ``[0, base)``.  Returns the labels
+    ``labels * base + row`` and their span, computed in int64 whatever the
+    dtypes of ``labels`` and ``row``.  When that span would pass
+    ``_KEY_LIMIT``, the labels are first replaced by their ranks, which
+    keeps them exact and their span at most the number of columns (times
+    ``base``, far below the limit for any graph that fits in memory; past
+    it, ``OverflowError`` is raised rather than a key wrapped).
+    """
+    if span * base > _KEY_LIMIT:
+        distinct, labels = np.unique(labels, return_inverse=True)
+        span = len(distinct)
+        if span * base > _KEY_LIMIT:
+            raise OverflowError("column labels do not fit in int64")
+    keys = np.multiply(labels, base, dtype=np.int64)
+    return np.add(keys, row, dtype=np.int64), span * base
+
+
+def _context(universe: Sequence[int], rows: np.ndarray, masks: Sequence[int]):
+    """Search context of one universe: (universe, its code rows in universe
+    order, masks, suffix masks, base).  Every code entry lies below base.
+    The rows are shared, not copied, when the universe is every vertex."""
+    universe = tuple(universe)
+    base = int(rows.max()) + 1
+    if universe != tuple(range(len(rows))):
+        rows = rows[list(universe)]
+    return universe, rows, tuple(masks), _suffix_masks(universe), base
 
 
 def _search_block(ctx, k: int, block: int):
@@ -171,25 +219,48 @@ def _search_block(ctx, k: int, block: int):
     universe[block].  Returns (first resolving set or None, sets evaluated,
     nodes visited, nodes cut by the counting bound).
     """
-    universe, rows, masks, suffix = ctx
+    universe, urows, masks, suffix, base = ctx
     n_u = len(universe)
-    first = universe[block]
-    chosen = [first]
+    chosen: list[int] = []  # positions in universe
+    # labels[i] = (exact column labels of urows[chosen[:i]], their span)
+    labels = [(np.zeros(urows.shape[1], dtype=np.int64), 1)]
     state = [None, 0, 0, 0]  # witness, evaluated, nodes, bound prunes
     bit_count = int.bit_count
+
+    def last_level(lo: int, hi: int, smask: int) -> None:
+        """Evaluate chosen + [p] for every position p in range(lo, hi), in
+        order, as one batch."""
+        picks = range(lo, hi)
+        cand_rows = urows[lo:hi]
+        if masks:
+            allowed = every = suffix[lo] & ~suffix[hi]
+            for m in masks:
+                miss = m & ~smask
+                if miss & (miss - 1):  # two or more members of m are missing
+                    if bit_count(miss) > 2:
+                        return
+                    allowed &= miss
+            if allowed != every:
+                picks = [p for p in picks if allowed >> universe[p] & 1]
+                if not picks:
+                    return
+                cand_rows = urows[picks]
+        keys = _extend_labels(*labels[-1], cand_rows, base)[0]
+        keys.sort(axis=1)
+        collide = (keys[:, 1:] == keys[:, :-1]).any(axis=1).tolist()
+        if False in collide:
+            i = collide.index(False)
+            state[0] = tuple(universe[p] for p in chosen) + (universe[picks[i]],)
+            state[1] += i + 1
+            state[2] += i + 1
+        else:
+            state[1] += len(collide)
+            state[2] += len(collide)
 
     def walk(pos: int, smask: int, need: int) -> None:
         if state[0] is not None:
             return
         state[2] += 1
-        if need == 0:
-            for m in masks:
-                if (m & ~smask).bit_count() >= 2:
-                    return
-            state[1] += 1
-            if _columns_distinct(rows[chosen]):
-                state[0] = tuple(chosen)
-            return
         if n_u - pos < need:
             return
         if masks:  # without masks nothing is forced or packed: the bound is 0
@@ -215,13 +286,23 @@ def _search_block(ctx, k: int, block: int):
             if bound > need:
                 state[3] += 1
                 return
-        v = universe[pos]
-        chosen.append(v)
-        walk(pos + 1, smask | (1 << v), need - 1)
+        if need == 1:
+            last_level(pos, n_u, smask)
+            return
+        chosen.append(pos)
+        labels.append(_extend_labels(*labels[-1], urows[pos], base))
+        walk(pos + 1, smask | (1 << universe[pos]), need - 1)
         chosen.pop()
+        labels.pop()
         walk(pos + 1, smask, need)
 
-    walk(block + 1, 1 << first, k - 1)
+    if k == 1:
+        state[2] += 1
+        last_level(block, block + 1, 0)
+    else:
+        chosen.append(block)
+        labels.append(_extend_labels(*labels[-1], urows[block], base))
+        walk(block + 1, 1 << universe[block], k - 1)
     return tuple(state)
 
 
@@ -397,8 +478,8 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     else:
         start = min(_default_start(spec, target), cap)
 
-    ctx_main = (universe, rows, masks, _suffix_masks(universe))
-    ctx_full = (full_universe, rows, masks, _suffix_masks(full_universe))
+    ctx_full = _context(full_universe, rows, masks)
+    ctx_main = ctx_full if universe == full_universe else _context(universe, rows, masks)
     pool = None
     if opts.parallel_workers > 1:
         pool = ProcessPoolExecutor(
@@ -458,7 +539,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
 
     checker = is_edge_resolving if target == EDGE else is_vertex_resolving
     if not checker(g, best_witness).resolving:
-        raise RuntimeError(
+        raise SolverInternalError(
             "internal error: search returned a non-resolving witness "
             f"{best_witness!r}"
         )

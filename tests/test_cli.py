@@ -9,7 +9,15 @@ import silires.cli
 import silires.solver
 import silires.structure
 from silires import canonical_json_bytes, parse_edge_list
-from silires.cli import EXIT_NOT_OPTIMAL, EXIT_NOT_RESOLVING, EXIT_OK, EXIT_USAGE, main
+from silires.cli import (
+    EXIT_INTERNAL,
+    EXIT_NOT_OPTIMAL,
+    EXIT_NOT_RESOLVING,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
+from silires.resolving import VerificationResult
 
 
 def run(capsys, *argv):
@@ -134,6 +142,13 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "line 3" in err and "line 2" in err
 
+    def test_reversed_pair_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "reversed.txt"
+        path.write_text("p 2 1\n1 0\n")
+        code, _, err = run(capsys, "verify", str(path), "--set", "0")
+        assert code == EXIT_USAGE
+        assert "line 2" in err
+
     def test_distances_beyond_int16(self, tmp_path, capsys):
         # The far end of a 40000-vertex path is 39999 hops from landmark 0.
         count = 40000
@@ -166,6 +181,20 @@ class TestSolve:
             capsys, "solve", str(chain2_file), "--budget-subsets", "0"
         )
         assert code == EXIT_NOT_OPTIMAL
+
+    def test_failed_witness_check_exits_seventy(self, chain2_file, capsys, monkeypatch):
+        # A witness the independent check rejects is a solver defect: one
+        # line on stderr and its own exit code, not a traceback.
+        monkeypatch.setattr(
+            silires.solver,
+            "is_edge_resolving",
+            lambda g, landmarks: VerificationResult(resolving=False, witness=None),
+        )
+        code, out, err = run(capsys, "solve", str(chain2_file))
+        assert code == EXIT_INTERNAL == 70
+        assert out == ""
+        assert err.count("\n") == 1 and "non-resolving witness" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("target", ["edge", "vertex"])
     def test_structure_recovered_once(self, chain2_file, capsys, monkeypatch, target):

@@ -74,6 +74,17 @@ class TestEdgeListFormat:
         message = str(excinfo.value)
         assert "line 3" in message and "line 2" in message
 
+    def test_reversed_pair_rejected(self):
+        # Accepting it would re-emit "p 2 1\n0 1\n", not the input bytes.
+        with pytest.raises(EdgeListFormatError) as excinfo:
+            parse_edge_list("p 2 1\n1 0\n")
+        assert "line 2" in str(excinfo.value)
+
+    def test_unsorted_pairs_rejected(self):
+        with pytest.raises(EdgeListFormatError) as excinfo:
+            parse_edge_list("p 3 2\n1 2\n0 1\n")
+        assert "line 3" in str(excinfo.value)
+
     def test_repeat_found_past_comments(self):
         with pytest.raises(EdgeListFormatError) as excinfo:
             parse_edge_list("p 3 3\n0 1\n# note\n1 2\n\n2 1\n")

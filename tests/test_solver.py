@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,10 +25,17 @@ from silires import (
     is_minimal,
     is_vertex_resolving,
 )
+from silires.construction import predicted_dimension
 from silires.solver import (
+    EDGE,
     STATUS_CONDITIONAL,
     STATUS_OPTIMAL,
     STATUS_PARTIAL,
+    VERTEX,
+    _KEY_LIMIT,
+    _context,
+    _extend_labels,
+    _search_block,
     edge_infeasibility_masks,
 )
 
@@ -35,6 +43,7 @@ from conftest import (
     complete_graph,
     family_graph,
     naive_minimum_resolving,
+    oracle_is_edge_resolving,
     path_graph,
     random_connected_graph,
 )
@@ -46,12 +55,13 @@ def _relabeled(g, rng):
     return build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def _reference_level(g, masks, universe, k, remaining):
+def _reference_level(checker, masks, universe, k, remaining):
     """One level by ``itertools.combinations`` in lexicographic order.
 
-    Counts the k-sets passing every mask up to the first resolving one and
-    applies the solver's budget at its block boundaries (a block holds the
-    sets sharing a smallest member).  Returns (witness, evaluated, tripped).
+    Counts the k-sets passing every mask up to the first one ``checker``
+    accepts and applies the solver's budget at its block boundaries (a block
+    holds the sets sharing a smallest member).  Returns (witness, evaluated,
+    tripped).
     """
     if len(universe) < k:
         return None, 0, False
@@ -68,17 +78,24 @@ def _reference_level(g, masks, universe, k, remaining):
         if any((m & ~bits).bit_count() >= 2 for m in masks):
             continue
         evaluated += 1
-        if is_edge_resolving(g, combo).resolving:
+        if checker(combo):
             return combo, evaluated, False
     return None, evaluated, False
 
 
-def _reference_solve(g, opts):
+def _reference_solve(g, opts, target=EDGE):
     """The solver's level schedule over :func:`_reference_level`: an upward
     sweep from the start size, then downward confirmation over every vertex.
-    Returns the certificate fields compared by :func:`_outcome`.
+    The edge target skips sets failing a mask and starts at the family lower
+    bound; the vertex target has neither.  Returns the certificate fields
+    compared by :func:`_outcome`.
     """
-    masks = edge_infeasibility_masks(g)
+    if target == EDGE:
+        masks = edge_infeasibility_masks(g)
+        checker = lambda combo: is_edge_resolving(g, combo).resolving
+    else:
+        masks = []
+        checker = lambda combo: is_vertex_resolving(g, combo).resolving
     full = tuple(range(g.vertex_count))
     universe = full
     if opts.restrict_to_cubic:
@@ -86,7 +103,7 @@ def _reference_solve(g, opts):
     cap = opts.max_size or g.vertex_count
     start = opts.start_size
     if start is None:
-        spec = classify_silicate(g)
+        spec = classify_silicate(g) if target == EDGE else None
         start = min(dimension_lower_bound(spec) if spec else 1, cap)
     evaluated = 0
     proven = 0
@@ -95,7 +112,9 @@ def _reference_solve(g, opts):
         nonlocal evaluated
         budget = opts.budget_subsets
         remaining = None if budget is None else budget - evaluated
-        witness, count, tripped = _reference_level(g, masks, candidates, k, remaining)
+        witness, count, tripped = _reference_level(
+            checker, masks, candidates, k, remaining
+        )
         evaluated += count
         return witness, tripped
 
@@ -153,6 +172,25 @@ def relabeled_instances(draw):
         start_size=start,
         restrict_to_cubic=draw(st.booleans()),
         budget_subsets=draw(st.one_of(st.none(), st.integers(0, 8))),
+    )
+    return g, opts
+
+
+@st.composite
+def vertex_instances(draw):
+    """Chain / cyclic n <= 4 under a random relabeling, or a random connected
+    graph on 2-9 vertices, with random start, restriction and budget."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from([CHAIN, CYCLIC, None]))
+    if kind is None:
+        g = random_connected_graph(rng, draw(st.integers(2, 9)))
+    else:
+        n = draw(st.integers(1 if kind == CHAIN else 3, 4))
+        g = _relabeled(build_silicate(SilicateSpec(family=kind, n=n)).graph, rng)
+    opts = SolveOptions(
+        start_size=draw(st.one_of(st.none(), st.integers(1, 5))),
+        restrict_to_cubic=draw(st.booleans()),
+        budget_subsets=draw(st.one_of(st.none(), st.integers(0, 60))),
     )
     return g, opts
 
@@ -350,6 +388,153 @@ class TestPruningMasks:
         assert _outcome(exact_edge_metric_dimension(g, opts)) == _reference_solve(g, opts)
 
 
+class TestVertexTarget:
+    @settings(max_examples=40, deadline=None)
+    @given(vertex_instances())
+    def test_matches_plain_enumeration(self, case):
+        # Without masks every k-set of the level is evaluated, in
+        # lexicographic order, until the first resolving one.
+        g, opts = case
+        assert _outcome(exact_metric_dimension(g, opts)) == _reference_solve(
+            g, opts, VERTEX
+        )
+
+
+def _column_classes(matrix):
+    """Partition of column indices by their column tuples."""
+    classes = {}
+    for j, column in enumerate(zip(*matrix.tolist())):
+        classes.setdefault(column, []).append(j)
+    return sorted(classes.values())
+
+
+def _label_classes(labels):
+    classes = {}
+    for j, label in enumerate(labels.tolist()):
+        classes.setdefault(label, []).append(j)
+    return sorted(classes.values())
+
+
+class TestExactKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        height=st.integers(1, 40),
+        width=st.integers(1, 30),
+        log_base=st.integers(1, 60),
+        alphabet=st.integers(1, 4),
+    )
+    def test_labels_match_column_tuples(self, seed, height, width, log_base, alphabet):
+        # Entries come from a few values below base, so columns collide
+        # often; base ** height runs far past 2**63 for most draws.  The
+        # helper needs width * base <= 2**62, which real codes meet (base
+        # is at most the vertex count).
+        rng = random.Random(seed)
+        base = rng.randint(2 ** (log_base - 1) + 1, 2**log_base)
+        base = min(base, _KEY_LIMIT // width)
+        values = [rng.randrange(base) for _ in range(alphabet)]
+        matrix = np.array(
+            [[rng.choice(values) for _ in range(width)] for _ in range(height)],
+            dtype=np.int64,
+        )
+        labels, span = np.zeros(width, dtype=np.int64), 1
+        for i, row in enumerate(matrix):
+            labels, span = _extend_labels(labels, span, row, base)
+            assert span <= _KEY_LIMIT
+            assert 0 <= labels.min() and labels.max() < span
+            assert _label_classes(labels) == _column_classes(matrix[: i + 1])
+
+    @pytest.mark.parametrize("label_dtype", [np.int16, np.int64])
+    def test_small_code_dtypes_give_int64_keys(self, label_dtype):
+        # Distance rows are int16 below 32768 vertices: keys must still be
+        # computed in int64, or base ** (prefix length) wraps past 32767.
+        rng = np.random.default_rng(5)
+        matrix = rng.integers(0, 3, size=(8, 20)).astype(np.int16)
+        base = 1000
+        labels, span = np.zeros(20, dtype=label_dtype), 1
+        for i, row in enumerate(matrix):
+            labels, span = _extend_labels(labels, span, row, base)
+            assert labels.dtype == np.int64
+            assert _label_classes(labels) == _column_classes(matrix[: i + 1])
+        keys = _extend_labels(labels, span, matrix, base)[0]
+        assert keys.dtype == np.int64 and keys.shape == matrix.shape
+
+    def test_full_universe_shares_rows(self):
+        rows = np.arange(12, dtype=np.int16).reshape(3, 4)
+        assert _context(range(3), rows, [])[1] is rows
+        assert _context([0, 2], rows, [])[1].tolist() == rows[[0, 2]].tolist()
+        assert _context([0, 2], rows, [])[4] == 12
+
+    def test_labels_that_cannot_fit_raise(self):
+        labels = np.arange(5, dtype=np.int64)
+        with pytest.raises(OverflowError):
+            _extend_labels(labels, 5, labels, 2**61)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vertices=st.integers(1, 10),
+        items=st.integers(2, 12),
+        k=st.integers(1, 5),
+        mask_count=st.integers(0, 3),
+        small=st.booleans(),
+    )
+    def test_block_search_matches_per_set_check(
+        self, seed, vertices, items, k, mask_count, small
+    ):
+        # Random code rows with huge entries from a tiny alphabet, random
+        # masks: every block's witness and counts against one set at a time.
+        # ``small`` stores the rows as int16, the distance dtype of most
+        # graphs, with entries up to 32767.
+        rng = random.Random(seed)
+        base = 2**rng.randint(1, 15 if small else 40)
+        values = rng.sample(range(base), min(base, 3))
+        rows = np.array(
+            [[rng.choice(values) for _ in range(items)] for _ in range(vertices)],
+            dtype=np.int16 if small else np.int64,
+        )
+        universe = sorted(rng.sample(range(vertices), rng.randint(1, vertices)))
+        masks = [
+            sum(1 << v for v in rng.sample(range(vertices), min(vertices, 3)))
+            for _ in range(mask_count)
+        ]
+        ctx = _context(universe, rows, masks)
+        for block in range(len(universe) - k + 1):
+            witness, evaluated = None, 0
+            for combo in itertools.combinations(universe[block + 1 :], k - 1):
+                combo = (universe[block],) + combo
+                bits = sum(1 << v for v in combo)
+                if any((m & ~bits).bit_count() >= 2 for m in masks):
+                    continue
+                evaluated += 1
+                if len(set(zip(*rows[list(combo)].tolist()))) == items:
+                    witness = combo
+                    break
+            found, count, nodes, _ = _search_block(ctx, k, block)
+            assert (found, count) == (witness, evaluated)
+            assert nodes >= count
+
+    def test_vertex_solve_with_ranked_prefix(self):
+        # Base 100: the keys of a 12-set would reach 100**12 > 2**63, so
+        # the labels of its prefix are ranked on the way.
+        g = path_graph(100)
+        opts = SolveOptions(start_size=12)
+        cert = exact_metric_dimension(g, opts)
+        assert _outcome(cert) == _reference_solve(g, opts, VERTEX)
+        assert cert.dimension == 1
+
+    def test_edge_solve_with_ranked_prefix(self):
+        # Chain 13 evaluates one 21-set whose keys pass 2**63 many times over.
+        g = family_graph(CHAIN, 13)
+        cert = exact_edge_metric_dimension(g)
+        assert cert.status == STATUS_OPTIMAL
+        assert cert.dimension == predicted_dimension(SilicateSpec(family=CHAIN, n=13))
+        assert cert.stats.subsets_examined == 1
+        assert oracle_is_edge_resolving(g, cert.witness)
+        smaller = [v for v in cert.witness if v != cert.witness[-1]]
+        assert not oracle_is_edge_resolving(g, smaller)
+
+
 class TestSearchCounters:
     # With the counting bound these solves visited 78 (chain 13) and 82
     # (cyclic 13) nodes; the pins leave 2x headroom.  Without the bound the
@@ -359,6 +544,20 @@ class TestSearchCounters:
         cert = exact_edge_metric_dimension(family_graph(family, n))
         assert cert.status == STATUS_OPTIMAL
         assert cert.stats.nodes_visited <= pin
+
+    def test_vertex_solve_guard(self):
+        # The benchmark's canonical vertex chain 5 pins: a change in the
+        # evaluation order moves these.  Each evaluated set counts as a node.
+        g = family_graph(CHAIN, 5)
+        counters = []
+        for workers in (1, 2):
+            cert = exact_metric_dimension(g, SolveOptions(parallel_workers=workers))
+            assert cert.status == STATUS_OPTIMAL
+            assert cert.witness == (0, 1, 4, 7, 10, 13, 14)
+            assert cert.stats.subsets_examined == 16350
+            assert cert.stats.nodes_visited >= cert.stats.subsets_examined
+            counters.append((cert.stats.nodes_visited, cert.stats.bound_prunes))
+        assert counters[0] == counters[1]
 
     def test_vertex_target_has_no_bound_prunes(self):
         cert = exact_metric_dimension(family_graph(CHAIN, 2))
