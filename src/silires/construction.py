@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ConstructionError, UnsupportedFamilyError
 from .silicates import CHAIN, CYCLIC, LabeledSilicate, SilicateSpec, build_silicate
+from .structure import dimension_lower_bound
 
 
 @dataclass(frozen=True)
@@ -80,21 +81,14 @@ def labeling_for(spec: SilicateSpec) -> Labeling:
 
 
 def predicted_dimension(spec: SilicateSpec) -> int:
-    """Closed-form dimension value for the family (= labeling total).
+    """The paper's dimension value for the family: the closed form of
+    :func:`~silires.structure.dimension_lower_bound`, which the labeling
+    totals meet.
 
     Matches the exact edge metric dimension except for cyclic n = 3, where
-    the closed form undershoots (see module docstring).
+    it undershoots (see module docstring).
     """
-    n = spec.n
-    if spec.family == CHAIN:
-        if n == 1:
-            return 3
-        return 3 * n // 2 + 2 if n % 2 == 0 else 3 * (n + 1) // 2
-    if spec.family == CYCLIC:
-        return 3 * n // 2 if n % 2 == 0 else 3 * (n + 1) // 2 - 1
-    raise UnsupportedFamilyError(
-        f"no predicted dimension for family {spec.family!r}"
-    )
+    return dimension_lower_bound(spec)
 
 
 def construct_ers(

@@ -14,7 +14,8 @@ class EdgeListFormatError(ValueError):
 
 
 class StructureError(ValueError):
-    """Raised when a graph has no edge-disjoint tetrahedron cover."""
+    """Raised when the greedy cover pass finds no edge-disjoint tetrahedron
+    cover (it may miss one that exists; see ``find_tetrahedra``)."""
 
 
 class ConstructionError(ValueError):

@@ -67,14 +67,28 @@ def landmark_rows(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
     return np.array(rows, dtype=dtype).reshape(len(landmarks), g.vertex_count)
 
 
-def edge_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
-    """Codes of every canonical edge, one row per edge: ``(m, k)``."""
-    rows = landmark_rows(g, landmarks)
+def _matrix_rows(g: Graph, dist: DistanceMatrix, lm: tuple[int, ...]) -> np.ndarray:
+    """The landmark rows sliced from ``dist``, which must be ``g``'s matrix
+    (only its size can be checked here)."""
+    if dist.d.shape != (g.vertex_count, g.vertex_count):
+        raise GraphInputError(
+            f"distance matrix of shape {dist.d.shape} given for a graph of "
+            f"{g.vertex_count} vertices"
+        )
+    return dist.d[list(lm)]
+
+
+def _edge_codes(g: Graph, rows: np.ndarray) -> np.ndarray:
     if not g.edges:
-        return np.zeros((0, len(landmarks)), dtype=rows.dtype)
+        return np.zeros((0, rows.shape[0]), dtype=rows.dtype)
     eu = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=g.edge_count)
     ev = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=g.edge_count)
     return np.minimum(rows[:, eu], rows[:, ev]).T.copy()
+
+
+def edge_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
+    """Codes of every canonical edge, one row per edge: ``(m, k)``."""
+    return _edge_codes(g, landmark_rows(g, landmarks))
 
 
 def vertex_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
@@ -107,19 +121,26 @@ def first_duplicate_rows(table: np.ndarray) -> Optional[tuple[int, int]]:
     return best
 
 
-def is_edge_resolving(g: Graph, landmarks: Sequence[int]) -> VerificationResult:
+def is_edge_resolving(
+    g: Graph, landmarks: Sequence[int], *, dist: Optional[DistanceMatrix] = None
+) -> VerificationResult:
     """Check whether ``landmarks`` distinguishes every pair of edges.
 
     On failure the witness is the lexicographically first colliding pair of
     canonical edges.  An empty landmark set fails on any graph with two or
-    more edges, with the first two edges as witness.
+    more edges, with the first two edges as witness.  ``dist``, the
+    all-pairs matrix of ``g``, replaces the BFS from each landmark; a
+    matrix of another size raises :class:`~silires.errors.GraphInputError`.
     """
     lm = validate_landmarks(g, landmarks)
     if g.edge_count <= 1:
         return VerificationResult(resolving=True, witness=None)
     if not lm:
         return VerificationResult(resolving=False, witness=(g.edges[0], g.edges[1]))
-    table = edge_code_table(g, lm)
+    if dist is None:
+        table = edge_code_table(g, lm)
+    else:
+        table = _edge_codes(g, _matrix_rows(g, dist, lm))
     dup = first_duplicate_rows(table)
     if dup is None:
         return VerificationResult(resolving=True, witness=None)
@@ -127,14 +148,20 @@ def is_edge_resolving(g: Graph, landmarks: Sequence[int]) -> VerificationResult:
     return VerificationResult(resolving=False, witness=(g.edges[i], g.edges[j]))
 
 
-def is_vertex_resolving(g: Graph, landmarks: Sequence[int]) -> VerificationResult:
-    """Check whether ``landmarks`` distinguishes every pair of vertices."""
+def is_vertex_resolving(
+    g: Graph, landmarks: Sequence[int], *, dist: Optional[DistanceMatrix] = None
+) -> VerificationResult:
+    """Check whether ``landmarks`` distinguishes every pair of vertices;
+    ``dist`` as for :func:`is_edge_resolving`."""
     lm = validate_landmarks(g, landmarks)
     if g.vertex_count <= 1:
         return VerificationResult(resolving=True, witness=None)
     if not lm:
         return VerificationResult(resolving=False, witness=(0, 1))
-    table = vertex_code_table(g, lm)
+    if dist is None:
+        table = vertex_code_table(g, lm)
+    else:
+        table = _matrix_rows(g, dist, lm).T.copy()
     dup = first_duplicate_rows(table)
     if dup is None:
         return VerificationResult(resolving=True, witness=None)

@@ -7,13 +7,18 @@ downward confirmation pass re-establishes exhaustive infeasibility at
 ``dimension - 1`` whenever the seed (or a cubic-only restriction) leaves it
 unproven, so certificates stay exact.
 
-Pruning for the edge target uses a proven necessary condition: if two
-degree-3 vertices p, q of one tetrahedron (or of two tetrahedra sharing a
-hinge v0) are both excluded, the edges (p, v0) and (q, v0) receive the same
-code from every remaining vertex, because a degree-3 vertex's whole
+Pruning for the edge target uses a proven necessary condition on graphs
+with an edge-disjoint K4 cover: if two degree-3 vertices p, q with a common
+neighbour v0 are both excluded, the edges (p, v0) and (q, v0) receive the
+same code from every remaining vertex, because a degree-3 vertex's whole
 neighbourhood lies inside its own K4, forcing d((p,v0), u) = d(v0, u) for
-all u outside {p, q}.  Each such cubic set is a *mask*: a set that leaves
-two members of one mask out is skipped without evaluating codes.
+all u outside {p, q}.  Two degree-3 vertices have a common neighbour
+exactly when they lie in one tetrahedron or in a twin (two tetrahedra
+through one hinge v0), so the cubic set of each tetrahedron and of each
+twin is a *mask*: a set that leaves two members of one mask out is skipped
+without evaluating codes.  Cover tetrahedra share at most one vertex, so
+the twins are the pairs of tetrahedra through each vertex, and the masks
+are read off a per-vertex index of the cover without enumerating twins.
 
 Every node of the search also applies the counting argument behind the
 paper's lower bound, which packs twin tetrahedra and charges each cubic set
@@ -62,6 +67,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,11 +78,9 @@ from .resolving import is_edge_resolving, is_vertex_resolving
 from .silicates import SilicateSpec
 from .structure import (
     Tetrahedron,
-    TwinTetrahedron,
     classify_silicate,
     dimension_lower_bound,
     find_tetrahedra,
-    find_twins,
 )
 
 EDGE = "edge"
@@ -377,31 +381,29 @@ def _search_level(
 
 
 def edge_infeasibility_masks(
-    g: Graph,
-    tetrahedra: Optional[Sequence[Tetrahedron]] = None,
-    twins: Optional[Sequence[TwinTetrahedron]] = None,
+    g: Graph, tetrahedra: Optional[Sequence[Tetrahedron]] = None
 ) -> list[int]:
-    """Bitmasks of cubic sets; any landmark set missing two or more bits of
-    one mask provably fails to resolve the edges.  Empty when the graph has
-    no edge-disjoint K4 cover (no pruning applies).  ``tetrahedra`` and
-    ``twins`` reuse an earlier recovery of the same graph's cover.
+    """Sorted distinct bitmasks of the cubic sets of every cover tetrahedron
+    and of every twin, with two or more members.  Any landmark set missing
+    two or more bits of one mask provably fails to resolve the edges.
+    Empty when :func:`find_tetrahedra` finds no cover (no pruning applies).
+    ``tetrahedra`` reuses an earlier recovery of the cover.
     """
     if tetrahedra is None:
         try:
             tetrahedra = find_tetrahedra(g)
         except StructureError:
             return []
-    if twins is None:
-        twins = find_twins(g, tetrahedra)
     masks: set[int] = set()
-    cubic_sets = [t.cubic_vertices for t in tetrahedra] + [t.cubic_set for t in twins]
-    for cubic in cubic_sets:
-        if len(cubic) >= 2:
-            mask = 0
-            for v in cubic:
-                mask |= 1 << v
-            masks.add(mask)
-    return sorted(masks)
+    through: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for t in tetrahedra:
+        cubic = sum(1 << v for v in t.cubic_vertices)
+        masks.add(cubic)
+        for v in t.vertices:
+            through[v].append(cubic)
+    for cubics in through:  # pairs through one vertex are its twins
+        masks.update(a | b for a, b in combinations(cubics, 2))
+    return sorted(m for m in masks if m & (m - 1))
 
 
 def _recover_structure(g: Graph, target: str):
@@ -411,11 +413,10 @@ def _recover_structure(g: Graph, target: str):
         tetrahedra = find_tetrahedra(g)
     except StructureError:
         return None, []
-    twins = find_twins(g, tetrahedra)
-    spec = classify_silicate(g, tetrahedra, twins)
+    spec = classify_silicate(g, tetrahedra)
     if target != EDGE:
         return spec, []
-    return spec, edge_infeasibility_masks(g, tetrahedra, twins)
+    return spec, edge_infeasibility_masks(g, tetrahedra)
 
 
 def _default_start(spec: Optional[SilicateSpec], target: str) -> int:
@@ -429,7 +430,8 @@ def _default_start(spec: Optional[SilicateSpec], target: str) -> int:
 
 def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     t0 = time.perf_counter()
-    dist = all_pairs_distances(g).d
+    apsp = all_pairs_distances(g)
+    dist = apsp.d
     if target == EDGE:
         item_count = g.edge_count
         if item_count > 0:
@@ -538,7 +540,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
             pool.shutdown(wait=False, cancel_futures=True)
 
     checker = is_edge_resolving if target == EDGE else is_vertex_resolving
-    if not checker(g, best_witness).resolving:
+    if not checker(g, best_witness, dist=apsp).resolving:
         raise SolverInternalError(
             "internal error: search returned a non-resolving witness "
             f"{best_witness!r}"

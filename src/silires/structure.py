@@ -8,7 +8,11 @@ metric dimension:
 
 * necessary: an edge resolving set may omit at most one degree-3 vertex of
   any twin, because two omitted ones p, q make the hinge edges to p and q
-  indistinguishable from everywhere else;
+  indistinguishable from everywhere else (two omitted degree-3 vertices
+  of one tetrahedron fail the same way).  Cover tetrahedra share at most
+  one vertex, so the twins are the pairs of tetrahedra through each
+  vertex: the solver reads its masks off a per-vertex index of the cover
+  and never calls :func:`find_twins`, which serves the condition checks;
 * sufficient (validated empirically on the generated families): at most one
   cubic vertex missing per twin, at least two chosen per three-cubic
   tetrahedron, at least one per two-cubic tetrahedron.
@@ -95,11 +99,14 @@ def _classify(g: Graph, vertices: tuple[int, ...]) -> Tetrahedron:
 
 
 def find_tetrahedra(g: Graph) -> list[Tetrahedron]:
-    """Recover the edge-disjoint tetrahedron cover of a silicate network.
+    """Recover an edge-disjoint tetrahedron cover by one greedy pass.
 
     Edges are processed in canonical order; each uncovered edge is completed
-    to the unique K4 whose six edges are all still uncovered.  Raises
-    :class:`StructureError` naming the first edge that cannot be covered.
+    to the first K4 (its other two vertices taken in ascending order) whose
+    six edges are all still uncovered.  The pass never backtracks, so it can
+    fail where a cover exists: on the skeleton expansion of K4 it takes the
+    base K4 {0, 1, 2, 3} first and then cannot cover edge (0, 4).  Raises
+    :class:`StructureError` naming the first edge the pass cannot cover.
     The result is sorted by vertex tuple.
     """
     adj = [set(ns) for ns in g.adjacency]
@@ -128,7 +135,7 @@ def find_tetrahedra(g: Graph) -> list[Tetrahedron]:
         if completion is None:
             raise StructureError(
                 f"edge ({u}, {v}) cannot be covered by an unused tetrahedron; "
-                "no edge-disjoint K4 cover exists"
+                "the greedy pass found no edge-disjoint K4 cover"
             )
         a, b, cell = completion
         covered.update(cell)
@@ -231,16 +238,19 @@ def dimension_lower_bound(spec: SilicateSpec) -> int:
 
 
 def classify_silicate(
-    g: Graph,
-    tetrahedra: Optional[Sequence[Tetrahedron]] = None,
-    twins: Optional[Sequence[TwinTetrahedron]] = None,
+    g: Graph, tetrahedra: Optional[Sequence[Tetrahedron]] = None
 ) -> Optional[SilicateSpec]:
     """Recognize chain / cyclic silicates from their tetrahedron cover.
 
-    Returns ``None`` when the graph has no edge-disjoint K4 cover or its
+    Returns ``None`` when :func:`find_tetrahedra` finds no cover or the
     hinge structure is neither a path nor a cycle of distinct hinges.
-    ``tetrahedra`` and ``twins`` reuse an earlier :func:`find_tetrahedra` /
-    :func:`find_twins` result for ``g`` instead of recovering it again.
+    Cover tetrahedra share at most one vertex, so a tetrahedron has one
+    twin per other tetrahedron through each of its vertices.  Those counts
+    sum to twice the number of vertices in two tetrahedra only when none
+    lies in three, so the counts of a path (1, 1, 2, ...) or a cycle
+    (2, 2, ...) with n - 1 or n such hinges leave each hinge one twin.
+    ``tetrahedra`` reuses an earlier :func:`find_tetrahedra` result for
+    ``g`` instead of recovering it again.
     """
     if tetrahedra is None:
         try:
@@ -252,24 +262,14 @@ def classify_silicate(
         return None
     if count == 1:
         return SilicateSpec(family=CHAIN, n=1)
-    if twins is None:
-        twins = find_twins(g, tetrahedra)
-    degree: dict[int, int] = {i: 0 for i in range(count)}
-    index = {t.vertices: i for i, t in enumerate(tetrahedra)}
-    hinges = []
-    for twin in twins:
-        degree[index[twin.left.vertices]] += 1
-        degree[index[twin.right.vertices]] += 1
-        hinges.append(twin.hinge)
-    counts = sorted(degree.values())
-    if len(twins) == count - 1 and len(set(hinges)) == count - 1:
-        if counts[:2] == [1, 1] and all(c == 2 for c in counts[2:]):
-            return SilicateSpec(family=CHAIN, n=count)
-    if (
-        count >= 3
-        and len(twins) == count
-        and len(set(hinges)) == count
-        and all(c == 2 for c in counts)
-    ):
+    through = [0] * g.vertex_count
+    for t in tetrahedra:
+        for v in t.vertices:
+            through[v] += 1
+    hinges = through.count(2)
+    twins = sorted(sum(through[v] - 1 for v in t.vertices) for t in tetrahedra)
+    if hinges == count - 1 and twins[:2] == [1, 1] and all(c == 2 for c in twins[2:]):
+        return SilicateSpec(family=CHAIN, n=count)
+    if count >= 3 and hinges == count and all(c == 2 for c in twins):
         return SilicateSpec(family=CYCLIC, n=count)
     return None

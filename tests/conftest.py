@@ -3,7 +3,10 @@
 The oracles deliberately avoid the library's BFS and search code: distances
 come from boolean adjacency-matrix powers, and the naive solvers enumerate
 every subset in lexicographic order with no pruning.  Library results are
-checked against these throughout the suite.
+checked against these throughout the suite.  The structure references
+recover the pruning masks and the family by the twin rule (every pair of
+tetrahedra sharing a hinge, from ``find_twins``), which the library reads
+off the tetrahedron cover vertex by vertex instead.
 """
 
 from __future__ import annotations
@@ -14,14 +17,19 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from silires import (
     CHAIN,
     CYCLIC,
+    SKELETON,
     Graph,
     SilicateSpec,
+    StructureError,
     build_graph,
     build_silicate,
+    find_tetrahedra,
+    find_twins,
 )
 
 
@@ -82,6 +90,49 @@ def oracle_is_edge_resolving(g: Graph, landmarks) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# structure references: the twin rule
+
+
+def twin_rule_masks(g: Graph) -> list[int]:
+    """Bitmasks of the cubic sets, with two or more members, of every cover
+    tetrahedron and of every twin; ``[]`` when no cover is found."""
+    try:
+        tets = find_tetrahedra(g)
+    except StructureError:
+        return []
+    cubic_sets = [t.cubic_vertices for t in tets]
+    cubic_sets += [t.cubic_set for t in find_twins(g, tets)]
+    return sorted({sum(1 << v for v in c) for c in cubic_sets if len(c) >= 2})
+
+
+def twin_classify_silicate(g: Graph):
+    """Chain / cyclic recognition from the twin graph: tetrahedra as nodes,
+    one edge per twin, each hinge used by one twin; ``None`` otherwise."""
+    try:
+        tets = find_tetrahedra(g)
+    except StructureError:
+        return None
+    count = len(tets)
+    if 6 * count != g.edge_count:
+        return None
+    if count == 1:
+        return SilicateSpec(family=CHAIN, n=1)
+    twins = find_twins(g, tets)
+    degree = {t.vertices: 0 for t in tets}
+    for twin in twins:
+        degree[twin.left.vertices] += 1
+        degree[twin.right.vertices] += 1
+    counts = sorted(degree.values())
+    hinges = len({twin.hinge for twin in twins})
+    if len(twins) == count - 1 == hinges:
+        if counts[:2] == [1, 1] and all(c == 2 for c in counts[2:]):
+            return SilicateSpec(family=CHAIN, n=count)
+    if count >= 3 and len(twins) == count == hinges and all(c == 2 for c in counts):
+        return SilicateSpec(family=CYCLIC, n=count)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # graph builders
 
 
@@ -121,6 +172,29 @@ def star_graph(leaves: int) -> Graph:
 
 def family_graph(family: str, n: int) -> Graph:
     return build_silicate(SilicateSpec(family=family, n=n)).graph
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@st.composite
+def structure_cases(draw):
+    """(kind, graph) under a random relabeling: the skeleton expansion of a
+    random connected base on 2-7 vertices, a random connected graph on
+    4-12 vertices, or a chain / cyclic silicate with n <= 12."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from([SKELETON, "random", CHAIN, CYCLIC]))
+    if kind == SKELETON:
+        base = random_connected_graph(rng, draw(st.integers(2, 7)))
+        g = build_silicate(SilicateSpec(family=SKELETON, skeleton=base)).graph
+    elif kind == "random":
+        g = random_connected_graph(rng, draw(st.integers(4, 12)))
+    else:
+        g = family_graph(kind, draw(st.integers(1 if kind == CHAIN else 3, 12)))
+    return kind, relabeled(g, rng)
 
 
 @pytest.fixture(scope="session")

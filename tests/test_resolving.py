@@ -152,3 +152,20 @@ class TestVertexResolving:
         result = is_vertex_resolving(path_graph(3), [])
         assert not result.resolving
         assert result.witness == (0, 1)
+
+
+class TestGivenDistanceMatrix:
+    @pytest.mark.parametrize("check", [is_edge_resolving, is_vertex_resolving])
+    def test_same_verdict_and_witness_as_bfs(self, check):
+        g = family_graph("cyclic", 4)
+        dist = all_pairs_distances(g)
+        for landmarks in itertools.combinations(range(0, g.vertex_count, 2), 3):
+            assert check(g, landmarks, dist=dist) == check(g, landmarks)
+        full = tuple(range(g.vertex_count))
+        assert check(g, full, dist=dist) == check(g, full)
+
+    @pytest.mark.parametrize("check", [is_edge_resolving, is_vertex_resolving])
+    def test_matrix_of_another_graph_rejected(self, check):
+        other = all_pairs_distances(path_graph(5))
+        with pytest.raises(GraphInputError, match="distance matrix"):
+            check(path_graph(6), [0], dist=other)

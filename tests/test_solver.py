@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import silires.graphs
+import silires.resolving
 from silires import (
     CHAIN,
     CYCLIC,
     SKELETON,
     SilicateSpec,
     SolveOptions,
-    build_graph,
     build_silicate,
     classify_silicate,
     construct_for_spec,
@@ -46,13 +47,10 @@ from conftest import (
     oracle_is_edge_resolving,
     path_graph,
     random_connected_graph,
+    relabeled,
+    structure_cases,
+    twin_rule_masks,
 )
-
-
-def _relabeled(g, rng):
-    perm = list(range(g.vertex_count))
-    rng.shuffle(perm)
-    return build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def _reference_level(checker, masks, universe, k, remaining):
@@ -86,12 +84,12 @@ def _reference_level(checker, masks, universe, k, remaining):
 def _reference_solve(g, opts, target=EDGE):
     """The solver's level schedule over :func:`_reference_level`: an upward
     sweep from the start size, then downward confirmation over every vertex.
-    The edge target skips sets failing a mask and starts at the family lower
-    bound; the vertex target has neither.  Returns the certificate fields
-    compared by :func:`_outcome`.
+    The edge target skips sets failing a twin-rule mask and starts at the
+    family lower bound; the vertex target has neither.  Returns the
+    certificate fields compared by :func:`_outcome`.
     """
     if target == EDGE:
-        masks = edge_infeasibility_masks(g)
+        masks = twin_rule_masks(g)
         checker = lambda combo: is_edge_resolving(g, combo).resolving
     else:
         masks = []
@@ -167,7 +165,7 @@ def relabeled_instances(draw):
         spec = SilicateSpec(family=kind, n=n)
         lower = dimension_lower_bound(spec)
         start = draw(st.one_of(st.none(), st.integers(max(1, lower - 1), lower + 1)))
-    g = _relabeled(build_silicate(spec).graph, rng)
+    g = relabeled(build_silicate(spec).graph, rng)
     opts = SolveOptions(
         start_size=start,
         restrict_to_cubic=draw(st.booleans()),
@@ -186,7 +184,7 @@ def vertex_instances(draw):
         g = random_connected_graph(rng, draw(st.integers(2, 9)))
     else:
         n = draw(st.integers(1 if kind == CHAIN else 3, 4))
-        g = _relabeled(build_silicate(SilicateSpec(family=kind, n=n)).graph, rng)
+        g = relabeled(build_silicate(SilicateSpec(family=kind, n=n)).graph, rng)
     opts = SolveOptions(
         start_size=draw(st.one_of(st.none(), st.integers(1, 5))),
         restrict_to_cubic=draw(st.booleans()),
@@ -214,6 +212,24 @@ class TestOptimalCertificates:
         cert = exact_edge_metric_dimension(family_graph(CHAIN, 3))
         assert cert.dimension == 6
         assert cert.infeasible_size_checked == 5
+
+    @pytest.mark.parametrize("solve", [exact_edge_metric_dimension, exact_metric_dimension])
+    def test_witness_check_reuses_the_distance_matrix(self, solve, monkeypatch):
+        # One BFS per vertex builds the distance matrix; the final witness
+        # check slices its rows instead of searching from each landmark.
+        calls = []
+        bfs = silires.graphs.bfs_distances
+
+        def counted(g, source):
+            calls.append(source)
+            return bfs(g, source)
+
+        monkeypatch.setattr(silires.graphs, "bfs_distances", counted)
+        monkeypatch.setattr(silires.resolving, "bfs_distances", counted)
+        g = family_graph(CHAIN, 3)
+        cert = solve(g)
+        assert cert.status == STATUS_OPTIMAL and cert.witness
+        assert sorted(calls) == list(range(g.vertex_count))
 
     def test_path_dimension_one(self):
         cert = exact_edge_metric_dimension(path_graph(7))
@@ -370,9 +386,23 @@ class TestPruningMasks:
     def test_masks_absent_on_plain_graphs(self):
         assert edge_infeasibility_masks(path_graph(5)) == []
 
+    @pytest.mark.parametrize("family,first", [(CHAIN, 1), (CYCLIC, 3)])
+    def test_family_masks_equal_the_twin_rule(self, family, first):
+        for n in range(first, 61):
+            g = family_graph(family, n)
+            assert edge_infeasibility_masks(g) == twin_rule_masks(g), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(structure_cases())
+    def test_masks_equal_the_twin_rule(self, case):
+        # Relabeled skeletons of random bases put a vertex in three or more
+        # tetrahedra, where each pair through it is a twin.
+        _, g = case
+        assert edge_infeasibility_masks(g) == twin_rule_masks(g)
+
     def test_masks_never_change_the_answer(self):
-        # Pruned and unpruned searches must agree; the unpruned run is
-        # forced by seeding from size one on a graph without tetrahedra.
+        # The mask-pruned search must find the naive oracle's dimension
+        # and lex-first witness.
         g = family_graph(CYCLIC, 4)
         dim, witness = naive_minimum_resolving(g, "edge")
         cert = exact_edge_metric_dimension(g)

@@ -10,6 +10,7 @@ from silires import (
     StructureError,
     TetrahedronKind,
     UnsupportedFamilyError,
+    build_graph,
     build_silicate,
     check_necessary,
     check_sufficient,
@@ -22,7 +23,19 @@ from silires import (
     silicate_of_skeleton,
 )
 
-from conftest import cycle_graph, family_graph, path_graph, star_graph
+from hypothesis import given, settings
+
+from silires.solver import edge_infeasibility_masks
+
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    family_graph,
+    path_graph,
+    star_graph,
+    structure_cases,
+    twin_classify_silicate,
+)
 
 
 def decompose(family, n):
@@ -75,6 +88,18 @@ class TestFindTetrahedra:
     def test_cycle_graph_not_coverable(self):
         with pytest.raises(StructureError):
             find_tetrahedra(cycle_graph(6))
+
+    def test_greedy_pass_misses_the_k4_skeleton_cover(self):
+        # The expansion's own tetrahedra, one per base edge, cover it; the
+        # greedy pass takes the base K4 {0, 1, 2, 3} first and then cannot
+        # cover edge (0, 4), so the graph gets no masks and no family.
+        sil = silicate_of_skeleton(complete_graph(4))
+        g = sil.graph
+        assert 6 * len(sil.tetrahedra) == g.edge_count
+        with pytest.raises(StructureError, match=r"edge \(0, 4\)"):
+            find_tetrahedra(g)
+        assert edge_infeasibility_masks(g) == []
+        assert classify_silicate(g) is None
 
 
 class TestFindTwins:
@@ -228,3 +253,22 @@ class TestClassifySilicate:
     def test_star_skeleton_not_a_family_member(self):
         g = silicate_of_skeleton(star_graph(3)).graph
         assert classify_silicate(g) is None
+
+    def test_path_beside_a_three_tetrahedra_hinge_rejected(self):
+        # Twin counts 1, 1, 2, 2, 2 as in chain 5, but one hinge of three
+        # tetrahedra stands for three twins.
+        chain = family_graph(CHAIN, 2)
+        star = silicate_of_skeleton(star_graph(3)).graph
+        shift = chain.vertex_count
+        g = build_graph(
+            shift + star.vertex_count,
+            list(chain.edges) + [(u + shift, v + shift) for u, v in star.edges],
+        )
+        assert classify_silicate(g) is None
+        assert twin_classify_silicate(g) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(structure_cases())
+    def test_matches_the_twin_graph_reference(self, case):
+        _, g = case
+        assert classify_silicate(g) == twin_classify_silicate(g)
