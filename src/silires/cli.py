@@ -33,8 +33,7 @@ from .solver import (
     exact_edge_metric_dimension,
     exact_metric_dimension,
 )
-# classify_silicate stays importable here: bench/spans.py wraps it by name.
-from .structure import classify_silicate, dimension_lower_bound  # noqa: F401
+from .structure import dimension_lower_bound
 
 EXIT_OK = 0
 EXIT_NOT_RESOLVING = 1

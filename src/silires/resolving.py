@@ -78,12 +78,18 @@ def _matrix_rows(g: Graph, dist: DistanceMatrix, lm: tuple[int, ...]) -> np.ndar
     return dist.d[list(lm)]
 
 
+def edge_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """Edge distances from the vertex distance ``rows`` (one row per source,
+    one column per vertex of ``g``): ``min(d(u, .), d(v, .))`` for every
+    canonical edge (u, v), as a ``(len(rows), m)`` array of the same dtype,
+    one column per edge (``m`` may be 0)."""
+    eu = np.fromiter((e[0] for e in g.edges), dtype=np.intp, count=g.edge_count)
+    ev = np.fromiter((e[1] for e in g.edges), dtype=np.intp, count=g.edge_count)
+    return np.minimum(rows[:, eu], rows[:, ev])
+
+
 def _edge_codes(g: Graph, rows: np.ndarray) -> np.ndarray:
-    if not g.edges:
-        return np.zeros((0, rows.shape[0]), dtype=rows.dtype)
-    eu = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=g.edge_count)
-    ev = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=g.edge_count)
-    return np.minimum(rows[:, eu], rows[:, ev]).T.copy()
+    return edge_rows(g, rows).T.copy()
 
 
 def edge_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:

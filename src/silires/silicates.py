@@ -88,31 +88,15 @@ def _assemble(vertex_count: int, tetrahedra: list[tuple[int, ...]]) -> LabeledSi
 def chain_silicate(n: int) -> LabeledSilicate:
     """Chain of ``n`` tetrahedra, consecutive ones glued at a single corner.
 
-    The graph has ``3n + 1`` vertices and ``6n`` edges.  Ids: tetrahedron 1
-    takes privates 0,1,2 and hinge 3; interior tetrahedron i takes privates
-    3i-2, 3i-1 and hinge 3i; the last takes privates 3n-2, 3n-1, 3n.
+    The graph has ``3n + 1`` vertices and ``6n`` edges.  Ids: tetrahedron i
+    is (3i-3, 3i-2, 3i-1, 3i), so consecutive tetrahedra i and i+1 share
+    the hinge 3i and every other id is a private (degree-3) vertex.
     """
     if n < 1:
         raise GraphInputError(f"chain silicate needs n >= 1, got {n}")
-    if n == 1:
-        return _assemble(4, [(0, 1, 2, 3)])
-    tetrahedra: list[tuple[int, ...]] = []
-    next_id = 0
-    prev_hinge = None
-    for i in range(1, n + 1):
-        members = []
-        if prev_hinge is not None:
-            members.append(prev_hinge)
-        fresh = 3 if i in (1, n) else 2
-        for _ in range(fresh):
-            members.append(next_id)
-            next_id += 1
-        if i < n:
-            members.append(next_id)
-            prev_hinge = next_id
-            next_id += 1
-        tetrahedra.append(tuple(members))
-    return _assemble(3 * n + 1, tetrahedra)
+    return _assemble(
+        3 * n + 1, [(3 * i - 3, 3 * i - 2, 3 * i - 1, 3 * i) for i in range(1, n + 1)]
+    )
 
 
 def cyclic_silicate(n: int) -> LabeledSilicate:

@@ -64,7 +64,6 @@ rows (int16 for most graphs), so no product ever wraps.
 from __future__ import annotations
 
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -74,7 +73,7 @@ import numpy as np
 
 from .errors import SolverInternalError, StructureError, UnsupportedFamilyError
 from .graphs import Graph, all_pairs_distances
-from .resolving import is_edge_resolving, is_vertex_resolving
+from .resolving import edge_rows, is_edge_resolving, is_vertex_resolving
 from .silicates import SilicateSpec
 from .structure import (
     Tetrahedron,
@@ -101,6 +100,11 @@ class SolveOptions:
     vertices (optimality is then re-established by an unrestricted pass);
     ``budget_subsets`` bounds the number of candidate sets evaluated, at
     block granularity, after which a non-optimal certificate is returned.
+    ``parallel_workers`` above 1 runs the blocks of each level (the k-sets
+    sharing a smallest member) in a pool of that many processes.  The
+    certificate and counters are those of one worker, the solve returns or
+    raises only after every worker has exited, and a worker that dies
+    makes it raise ``BrokenProcessPool``.
     """
 
     start_size: Optional[int] = None
@@ -323,61 +327,44 @@ def _block_task(args):
     return _search_block(_WORKER_CTXS[ctx_idx], k, block)
 
 
-def _search_level(
-    ctx, ctx_idx: int, k: int, pool, workers: int, remaining: Optional[int]
-):
+def _search_level(ctx, ctx_idx: int, k: int, pool, remaining: Optional[int]):
     """Search one size level block by block, in lexicographic block order.
 
-    Returns (witness, counts, exhausted, budget_tripped), where counts sums
+    Returns (witness, counts, budget_tripped), where counts sums
     (evaluated, nodes, bound prunes) over the blocks up to the one that
-    ended the level.  Results are accumulated strictly in block order, and
-    the budget is checked only at block boundaries, so the outcome and the
-    counts are identical for any worker count.
+    ended the level.  One loop consumes the block results in block order:
+    without a pool they are computed one by one as the loop asks; with a
+    pool every block of the level is submitted at once.  The budget is
+    checked only at block boundaries, so the outcome and the counts are
+    identical for any worker count.  However the level ends (a witness, a
+    budget trip, exhaustion or an exception), every future not yet started
+    is cancelled; blocks a worker has already taken run to completion and
+    their results are dropped.
     """
-    universe = ctx[0]
-    blocks = len(universe) - k + 1
+    blocks = len(ctx[0]) - k + 1
     counts = [0, 0, 0]
     if blocks <= 0:
-        return None, counts, True, False
+        return None, counts, False
     if remaining is not None and remaining <= 0:
-        return None, counts, False, True
-
-    def add(result) -> None:
-        for i in range(3):
-            counts[i] += result[i + 1]
-
+        return None, counts, True
+    futures = []
     if pool is None:
-        for b in range(blocks):
-            result = _search_block(ctx, k, b)
-            add(result)
-            if result[0] is not None:
-                return result[0], counts, False, False
-            if remaining is not None and counts[0] >= remaining and b + 1 < blocks:
-                return None, counts, False, True
-        return None, counts, True, False
-    window = workers * 2
-    futures: deque = deque()
-    next_block = 0
-    while next_block < min(blocks, window):
-        futures.append(pool.submit(_block_task, (ctx_idx, k, next_block)))
-        next_block += 1
-    done = 0
-    while futures:
-        result = futures.popleft().result()
-        add(result)
-        done += 1
-        if result[0] is not None:
-            for f in futures:
-                f.cancel()
-            return result[0], counts, False, False
-        if remaining is not None and counts[0] >= remaining and done < blocks:
-            for f in futures:
-                f.cancel()
-            return None, counts, False, True
-        if next_block < blocks:
-            futures.append(pool.submit(_block_task, (ctx_idx, k, next_block)))
-            next_block += 1
-    return None, counts, True, False
+        results = (_search_block(ctx, k, b) for b in range(blocks))
+    else:
+        futures = [pool.submit(_block_task, (ctx_idx, k, b)) for b in range(blocks)]
+        results = (f.result() for f in futures)
+    try:
+        for done, (witness, *result) in enumerate(results, 1):
+            for i in range(3):
+                counts[i] += result[i]
+            if witness is not None:
+                return witness, counts, False
+            if remaining is not None and counts[0] >= remaining and done < blocks:
+                return None, counts, True
+        return None, counts, False
+    finally:
+        for f in futures:
+            f.cancel()
 
 
 def edge_infeasibility_masks(
@@ -434,12 +421,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     dist = apsp.d
     if target == EDGE:
         item_count = g.edge_count
-        if item_count > 0:
-            eu = np.fromiter((e[0] for e in g.edges), dtype=np.intp, count=item_count)
-            ev = np.fromiter((e[1] for e in g.edges), dtype=np.intp, count=item_count)
-            rows = np.ascontiguousarray(np.minimum(dist[:, eu], dist[:, ev]))
-        else:
-            rows = np.zeros((g.vertex_count, 0), dtype=dist.dtype)
+        rows = edge_rows(g, dist)
     else:
         item_count = g.vertex_count
         rows = np.ascontiguousarray(dist)
@@ -496,17 +478,15 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
 
         def level(ctx, ctx_idx, k):
             remaining = None if budget is None else budget - counted[0]
-            witness, counts, exhausted, tripped = _search_level(
-                ctx, ctx_idx, k, pool, opts.parallel_workers, remaining
-            )
+            witness, counts, tripped = _search_level(ctx, ctx_idx, k, pool, remaining)
             for i, c in enumerate(counts):
                 counted[i] += c
-            return witness, exhausted, tripped
+            return witness, tripped
 
         hit: Optional[tuple[int, tuple[int, ...]]] = None
         k = start
         while k <= cap:
-            witness, exhausted, tripped = level(ctx_main, 0, k)
+            witness, tripped = level(ctx_main, 0, k)
             if witness is not None:
                 hit = (k, witness)
                 break
@@ -525,7 +505,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
             if below <= 0 or proven_infeasible >= below:
                 status = STATUS_OPTIMAL
                 break
-            witness, exhausted, tripped = level(ctx_full, 1, below)
+            witness, tripped = level(ctx_full, 1, below)
             if witness is not None:
                 best_k, best_witness = below, witness
                 continue
@@ -537,7 +517,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
             break
     finally:
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(cancel_futures=True)
 
     checker = is_edge_resolving if target == EDGE else is_vertex_resolving
     if not checker(g, best_witness, dist=apsp).resolving:

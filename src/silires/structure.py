@@ -242,8 +242,10 @@ def classify_silicate(
 ) -> Optional[SilicateSpec]:
     """Recognize chain / cyclic silicates from their tetrahedron cover.
 
-    Returns ``None`` when :func:`find_tetrahedra` finds no cover or the
-    hinge structure is neither a path nor a cycle of distinct hinges.
+    Returns ``None`` when :func:`find_tetrahedra` finds no cover, when the
+    graph is disconnected (a vertex lies in no tetrahedron, or shared
+    vertices do not join the tetrahedra into one piece), or when the hinge
+    structure is neither a path nor a cycle of distinct hinges.
     Cover tetrahedra share at most one vertex, so a tetrahedron has one
     twin per other tetrahedron through each of its vertices.  Those counts
     sum to twice the number of vertices in two tetrahedra only when none
@@ -258,16 +260,23 @@ def classify_silicate(
         except StructureError:
             return None
     count = len(tetrahedra)
-    if 6 * count != g.edge_count:
+    if count == 0 or 6 * count != g.edge_count:
+        return None
+    through: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for i, t in enumerate(tetrahedra):
+        for v in t.vertices:
+            through[v].append(i)
+    reached, stack = {0}, [0]  # tetrahedra joined to the first by shared vertices
+    while stack:
+        for v in tetrahedra[stack.pop()].vertices:
+            stack.extend(j for j in through[v] if j not in reached)
+            reached.update(through[v])
+    if len(reached) < count or not all(through):  # disconnected
         return None
     if count == 1:
         return SilicateSpec(family=CHAIN, n=1)
-    through = [0] * g.vertex_count
-    for t in tetrahedra:
-        for v in t.vertices:
-            through[v] += 1
-    hinges = through.count(2)
-    twins = sorted(sum(through[v] - 1 for v in t.vertices) for t in tetrahedra)
+    hinges = sum(len(ts) == 2 for ts in through)
+    twins = sorted(sum(len(through[v]) - 1 for v in t.vertices) for t in tetrahedra)
     if hinges == count - 1 and twins[:2] == [1, 1] and all(c == 2 for c in twins[2:]):
         return SilicateSpec(family=CHAIN, n=count)
     if count >= 3 and hinges == count and all(c == 2 for c in twins):

@@ -2,7 +2,10 @@
 
 import dataclasses
 import itertools
+import multiprocessing
+import os
 import random
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import silires.graphs
 import silires.resolving
+import silires.solver
 from silires import (
     CHAIN,
     CYCLIC,
@@ -355,20 +359,34 @@ class TestDeterminism:
             (CHAIN, 7, SolveOptions()),
             (CYCLIC, 7, SolveOptions()),
             (CYCLIC, 3, SolveOptions(start_size=1)),
+            # Budget trips mid-level: level 6 of the sweep (partial), and
+            # level 6 of the confirmation below the witness at 7 (conditional).
+            (CYCLIC, 3, SolveOptions(start_size=1, budget_subsets=10)),
+            (CYCLIC, 3, SolveOptions(start_size=8, budget_subsets=5)),
         ],
     )
     def test_search_counters_identical_for_one_and_two_workers(self, family, n, opts):
+        # Four workers too: more blocks are in flight when a level ends.
         g = family_graph(family, n)
-        counters = []
-        for workers in (1, 2):
-            stats = exact_edge_metric_dimension(
+        results = []
+        for workers in (1, 2, 4):
+            cert = exact_edge_metric_dimension(
                 g, dataclasses.replace(opts, parallel_workers=workers)
-            ).stats
-            counters.append(
-                (stats.subsets_examined, stats.nodes_visited, stats.bound_prunes)
             )
-        assert counters[0] == counters[1]
-        assert counters[0][2] > 0
+            stats = cert.stats
+            results.append(
+                (
+                    cert.status,
+                    cert.infeasible_size_checked,
+                    stats.subsets_examined,
+                    stats.nodes_visited,
+                    stats.bound_prunes,
+                )
+            )
+        assert results[1:] == results[:1] * 2
+        assert results[0][4] > 0
+        if opts.budget_subsets is not None:
+            assert results[0][0] in (STATUS_PARTIAL, STATUS_CONDITIONAL)
 
     def test_repeat_runs_identical(self):
         g = family_graph(CYCLIC, 4)
@@ -376,6 +394,54 @@ class TestDeterminism:
         b = exact_edge_metric_dimension(g)
         assert a.witness == b.witness
         assert a.stats.subsets_examined == b.stats.subsets_examined
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched block search reaches the workers only by fork",
+)
+
+
+def _failing_block(ctx, k, block):
+    raise RuntimeError(f"block {block} failed")
+
+
+def _dying_block(ctx, k, block):
+    os._exit(3)  # the worker dies without a word to the pool
+
+
+class TestWorkerPool:
+    """A solve with a pool returns or raises only after its workers exit."""
+
+    @pytest.mark.parametrize(
+        "opts,status",
+        [
+            (SolveOptions(), STATUS_OPTIMAL),  # ends on a witness
+            (SolveOptions(budget_subsets=2000), STATUS_PARTIAL),  # trips at size 4
+            (SolveOptions(max_size=2), STATUS_PARTIAL),  # runs out of sizes
+        ],
+    )
+    def test_no_worker_outlives_the_solve(self, opts, status):
+        g = family_graph(CYCLIC, 7)
+        cert = exact_metric_dimension(g, dataclasses.replace(opts, parallel_workers=2))
+        assert cert.status == status
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    @pytest.mark.parametrize(
+        "block_search,error",
+        [(_failing_block, RuntimeError), (_dying_block, BrokenProcessPool)],
+    )
+    def test_worker_failure_is_raised_after_the_workers_exit(
+        self, block_search, error, monkeypatch
+    ):
+        # Patched before the pool forks, so only the workers run it.
+        monkeypatch.setattr(silires.solver, "_search_block", block_search)
+        with pytest.raises(error):
+            exact_metric_dimension(
+                family_graph(CYCLIC, 7), SolveOptions(parallel_workers=2)
+            )
+        assert multiprocessing.active_children() == []
 
 
 class TestPruningMasks:

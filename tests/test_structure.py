@@ -38,6 +38,14 @@ from conftest import (
 )
 
 
+def disjoint_union(*graphs):
+    edges, shift = [], 0
+    for g in graphs:
+        edges += [(u + shift, v + shift) for u, v in g.edges]
+        shift += g.vertex_count
+    return build_graph(shift, edges)
+
+
 def decompose(family, n):
     g = family_graph(family, n)
     tets = find_tetrahedra(g)
@@ -257,15 +265,28 @@ class TestClassifySilicate:
     def test_path_beside_a_three_tetrahedra_hinge_rejected(self):
         # Twin counts 1, 1, 2, 2, 2 as in chain 5, but one hinge of three
         # tetrahedra stands for three twins.
-        chain = family_graph(CHAIN, 2)
-        star = silicate_of_skeleton(star_graph(3)).graph
-        shift = chain.vertex_count
-        g = build_graph(
-            shift + star.vertex_count,
-            list(chain.edges) + [(u + shift, v + shift) for u, v in star.edges],
+        g = disjoint_union(
+            family_graph(CHAIN, 2), silicate_of_skeleton(star_graph(3)).graph
         )
         assert classify_silicate(g) is None
         assert twin_classify_silicate(g) is None
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [(CYCLIC, 3), (CYCLIC, 3)],  # hinge and twin counts of cyclic 6
+            [(CHAIN, 2), (CYCLIC, 3)],  # those of chain 5
+            [(CYCLIC, 4), (CYCLIC, 5)],  # those of cyclic 9
+        ],
+    )
+    def test_disjoint_unions_rejected(self, parts):
+        g = disjoint_union(*(family_graph(family, n) for family, n in parts))
+        assert classify_silicate(g) is None
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_isolated_vertex_beside_a_chain_rejected(self, n):
+        g = disjoint_union(family_graph(CHAIN, n), build_graph(1, []))
+        assert classify_silicate(g) is None
 
     @settings(max_examples=60, deadline=None)
     @given(structure_cases())
