@@ -184,6 +184,10 @@ def _table_row(spec: SilicateSpec, budget_subsets: int, workers: int) -> dict:
 def _cmd_table(parser: _Parser, args) -> int:
     if args.n_from > args.n_to:
         parser.error("--n-from must not exceed --n-to")
+    if args.budget_subsets < 0:
+        parser.error("--budget-subsets must be non-negative")
+    if args.workers < 1:
+        parser.error("--workers must be positive")
     rows = [
         _table_row(
             SilicateSpec(family=args.family, n=n),

@@ -7,18 +7,24 @@ downward confirmation pass re-establishes exhaustive infeasibility at
 ``dimension - 1`` whenever the seed (or a cubic-only restriction) leaves it
 unproven, so certificates stay exact.
 
-Pruning for the edge target uses a proven necessary condition on graphs
-with an edge-disjoint K4 cover: if two degree-3 vertices p, q with a common
-neighbour v0 are both excluded, the edges (p, v0) and (q, v0) receive the
-same code from every remaining vertex, because a degree-3 vertex's whole
-neighbourhood lies inside its own K4, forcing d((p,v0), u) = d(v0, u) for
-all u outside {p, q}.  Two degree-3 vertices have a common neighbour
-exactly when they lie in one tetrahedron or in a twin (two tetrahedra
-through one hinge v0), so the cubic set of each tetrahedron and of each
-twin is a *mask*: a set that leaves two members of one mask out is skipped
-without evaluating codes.  Cover tetrahedra share at most one vertex, so
-the twins are the pairs of tetrahedra through each vertex, and the masks
-are read off a per-vertex index of the cover without enumerating twins.
+Pruning rests on *masks*: vertex sets such that a landmark set leaving out
+two members of one mask cannot resolve, so it is skipped unevaluated.  Each
+target reads its masks off the neighbourhoods by one local lemma.
+
+* Edges: each closed neighbourhood N[v] gives its *simplicial* members,
+  those p whose N[p] is a clique.  Lemma: for such p and v0 in N(p),
+  d(v0, u) <= d(p, u) for all u != p, since a shortest path from p leaves
+  through a member of N[p], which is v0 or adjacent to it.  So (p, v0) has
+  the code of v0 at every landmark but p, and leaving out p, q of one N[v]
+  gives (p, v) and (q, v) one code (if p = v: (p, w) and (q, w) for a
+  third member w of N[v], which a connected graph with two edges has).  On
+  chain and cyclic silicates these are the cubic vertices of one
+  tetrahedron or of the two tetrahedra through one hinge.
+* Vertices: each class of true twins (N[u] = N[v]) or false twins
+  (N(u) = N(v)).  Lemma: d(u, w) = d(v, w) for all w outside {u, v}.  A
+  shortest path from u to w runs through v or, its first step landing in
+  N(u) - v, which lies in N(v), gives one as short from v once u is
+  swapped for v; so d(v, w) <= d(u, w), and symmetrically.
 
 Every node of the search also applies the counting argument behind the
 paper's lower bound, which packs twin tetrahedra and charges each cubic set
@@ -66,21 +72,15 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SolverInternalError, StructureError, UnsupportedFamilyError
+from .errors import SolverInternalError, UnsupportedFamilyError
 from .graphs import Graph, all_pairs_distances
 from .resolving import edge_rows, is_edge_resolving, is_vertex_resolving
 from .silicates import SilicateSpec
-from .structure import (
-    Tetrahedron,
-    classify_silicate,
-    dimension_lower_bound,
-    find_tetrahedra,
-)
+from .structure import classify_silicate, dimension_lower_bound
 
 EDGE = "edge"
 VERTEX = "vertex"
@@ -96,8 +96,9 @@ class SolveOptions:
 
     ``start_size`` seeds the first level (default: the family lower bound
     when the graph is recognized, else 1); ``max_size`` caps the largest
-    level searched; ``restrict_to_cubic`` limits the sweep to degree-3
-    vertices (optimality is then re-established by an unrestricted pass);
+    level searched; the vertex count caps both.  ``restrict_to_cubic``
+    limits the sweep to degree-3 vertices (optimality is then
+    re-established by an unrestricted pass);
     ``budget_subsets`` bounds the number of candidate sets evaluated, at
     block granularity, after which a non-optimal certificate is returned.
     ``parallel_workers`` above 1 runs the blocks of each level (the k-sets
@@ -367,43 +368,34 @@ def _search_level(ctx, ctx_idx: int, k: int, pool, remaining: Optional[int]):
             f.cancel()
 
 
-def edge_infeasibility_masks(
-    g: Graph, tetrahedra: Optional[Sequence[Tetrahedron]] = None
-) -> list[int]:
-    """Sorted distinct bitmasks of the cubic sets of every cover tetrahedron
-    and of every twin, with two or more members.  Any landmark set missing
-    two or more bits of one mask provably fails to resolve the edges.
-    Empty when :func:`find_tetrahedra` finds no cover (no pruning applies).
-    ``tetrahedra`` reuses an earlier recovery of the cover.
-    """
-    if tetrahedra is None:
-        try:
-            tetrahedra = find_tetrahedra(g)
-        except StructureError:
-            return []
-    masks: set[int] = set()
-    through: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for t in tetrahedra:
-        cubic = sum(1 << v for v in t.cubic_vertices)
-        masks.add(cubic)
-        for v in t.vertices:
-            through[v].append(cubic)
-    for cubics in through:  # pairs through one vertex are its twins
-        masks.update(a | b for a, b in combinations(cubics, 2))
-    return sorted(m for m in masks if m & (m - 1))
+def _mask_list(masks) -> list[int]:
+    """Sorted distinct masks with two or more members."""
+    return sorted({m for m in masks if m & (m - 1)})
 
 
-def _recover_structure(g: Graph, target: str):
-    """The recognized family and the pruning masks, from one recovery of
-    the tetrahedron cover."""
-    try:
-        tetrahedra = find_tetrahedra(g)
-    except StructureError:
-        return None, []
-    spec = classify_silicate(g, tetrahedra)
-    if target != EDGE:
-        return spec, []
-    return spec, edge_infeasibility_masks(g, tetrahedra)
+def edge_infeasibility_masks(g: Graph) -> list[int]:
+    """Bitmasks of the simplicial members of every closed neighbourhood
+    (module docstring), sorted and distinct, with two or more members."""
+    closed = [sum(1 << w for w in ns) | 1 << v for v, ns in enumerate(g.adjacency)]
+    simplicial = sum(
+        1 << v
+        for v, c in enumerate(closed)
+        if all(closed[w] & c == c for w in g.adjacency[v])
+    )
+    return _mask_list(c & simplicial for c in closed)
+
+
+def vertex_infeasibility_masks(g: Graph) -> list[int]:
+    """Bitmasks of every class of false twins (equal open neighbourhoods)
+    and of true twins (equal closed ones), sorted and distinct, with two or
+    more members.  No open neighbourhood equals a closed one (N(u) = N[v]
+    would put u in N(u)), so one dictionary holds both kinds of class."""
+    classes: dict[int, int] = {}
+    for v, ns in enumerate(g.adjacency):
+        opened = sum(1 << w for w in ns)
+        for key in (opened, opened | 1 << v):
+            classes[key] = classes.get(key, 0) | 1 << v
+    return _mask_list(classes.values())
 
 
 def _default_start(spec: Optional[SilicateSpec], target: str) -> int:
@@ -422,10 +414,12 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     if target == EDGE:
         item_count = g.edge_count
         rows = edge_rows(g, dist)
+        masks = edge_infeasibility_masks(g)
     else:
         item_count = g.vertex_count
         rows = np.ascontiguousarray(dist)
-    spec, masks = _recover_structure(g, target)
+        masks = vertex_infeasibility_masks(g)
+    spec = classify_silicate(g)
 
     def build(dimension, witness, infeasible, status, start, counted):
         return Certificate(
@@ -456,11 +450,10 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
         universe = tuple(v for v in full_universe if g.degree(v) == 3)
     else:
         universe = full_universe
-    cap = opts.max_size if opts.max_size is not None else g.vertex_count
-    if opts.start_size is not None:
-        start = opts.start_size
-    else:
-        start = min(_default_start(spec, target), cap)
+    # Every vertex together resolves a connected graph, so no level above
+    # the vertex count is searched (it has no sets to refute).
+    cap = min(opts.max_size or g.vertex_count, g.vertex_count)
+    start = min(opts.start_size or _default_start(spec, target), cap)
 
     ctx_full = _context(full_universe, rows, masks)
     ctx_main = ctx_full if universe == full_universe else _context(universe, rows, masks)

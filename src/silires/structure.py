@@ -9,10 +9,10 @@ metric dimension:
 * necessary: an edge resolving set may omit at most one degree-3 vertex of
   any twin, because two omitted ones p, q make the hinge edges to p and q
   indistinguishable from everywhere else (two omitted degree-3 vertices
-  of one tetrahedron fail the same way).  Cover tetrahedra share at most
-  one vertex, so the twins are the pairs of tetrahedra through each
-  vertex: the solver reads its masks off a per-vertex index of the cover
-  and never calls :func:`find_twins`, which serves the condition checks;
+  of one tetrahedron fail the same way).  The solver prunes by the general
+  form of this lemma, read off the graph's neighbourhoods without a cover
+  (see :mod:`silires.solver`); :func:`find_twins` serves the condition
+  checks here;
 * sufficient (validated empirically on the generated families): at most one
   cubic vertex missing per twin, at least two chosen per three-cubic
   tetrahedron, at least one per two-cubic tetrahedron.
@@ -237,9 +237,7 @@ def dimension_lower_bound(spec: SilicateSpec) -> int:
     )
 
 
-def classify_silicate(
-    g: Graph, tetrahedra: Optional[Sequence[Tetrahedron]] = None
-) -> Optional[SilicateSpec]:
+def classify_silicate(g: Graph) -> Optional[SilicateSpec]:
     """Recognize chain / cyclic silicates from their tetrahedron cover.
 
     Returns ``None`` when :func:`find_tetrahedra` finds no cover, when the
@@ -251,14 +249,11 @@ def classify_silicate(
     sum to twice the number of vertices in two tetrahedra only when none
     lies in three, so the counts of a path (1, 1, 2, ...) or a cycle
     (2, 2, ...) with n - 1 or n such hinges leave each hinge one twin.
-    ``tetrahedra`` reuses an earlier :func:`find_tetrahedra` result for
-    ``g`` instead of recovering it again.
     """
-    if tetrahedra is None:
-        try:
-            tetrahedra = find_tetrahedra(g)
-        except StructureError:
-            return None
+    try:
+        tetrahedra = find_tetrahedra(g)
+    except StructureError:
+        return None
     count = len(tetrahedra)
     if count == 0 or 6 * count != g.edge_count:
         return None

@@ -3,10 +3,14 @@
 The oracles deliberately avoid the library's BFS and search code: distances
 come from boolean adjacency-matrix powers, and the naive solvers enumerate
 every subset in lexicographic order with no pruning.  Library results are
-checked against these throughout the suite.  The structure references
-recover the pruning masks and the family by the twin rule (every pair of
-tetrahedra sharing a hinge, from ``find_twins``), which the library reads
-off the tetrahedron cover vertex by vertex instead.
+checked against these throughout the suite.  The pruning masks have a
+reference built from their definitions on a boolean adjacency matrix
+(cliques, twin classes), and a lemma-free check: the distinguishing sets
+of every pair of items, from the oracle distances.  The structure
+references recover the twin rule's masks and the family from the
+tetrahedron cover and every pair of tetrahedra sharing a hinge (from
+``find_twins``); the library reads the family off the cover vertex by
+vertex and its masks off the neighbourhoods instead.
 """
 
 from __future__ import annotations
@@ -37,12 +41,17 @@ from silires import (
 # oracles
 
 
+def _adjacency_matrix(g: Graph) -> np.ndarray:
+    adj = np.zeros((g.vertex_count, g.vertex_count), dtype=bool)
+    for u, v in g.edges:
+        adj[u, v] = adj[v, u] = True
+    return adj
+
+
 def oracle_distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs hop distances via repeated boolean matrix multiplication."""
     n = g.vertex_count
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v in g.edges:
-        adj[u, v] = adj[v, u] = True
+    adj = _adjacency_matrix(g)
     dist = np.full((n, n), -1, dtype=np.int64)
     np.fill_diagonal(dist, 0)
     reach = np.eye(n, dtype=bool)
@@ -87,6 +96,52 @@ def naive_minimum_resolving(g: Graph, target: str):
 
 def oracle_is_edge_resolving(g: Graph, landmarks) -> bool:
     return _codes_distinct(oracle_edge_codes(g, oracle_distance_matrix(g), landmarks))
+
+
+def distinguishing_sets(g: Graph, target: str) -> set[int]:
+    """Bitmask of D(x, y) = {u : the codes of x and y differ at u} for every
+    pair of distinct edges or vertices x, y.  A landmark set resolves
+    exactly when it meets every one of them."""
+    dist = oracle_distance_matrix(g)
+    if target == "edge":
+        codes = np.array([np.minimum(dist[u], dist[v]) for u, v in g.edges])
+    else:
+        codes = dist
+    weights = [1 << u for u in range(g.vertex_count)]
+    return {
+        sum(w for w, differs in zip(weights, codes[x] != codes[y]) if differs)
+        for x, y in itertools.combinations(range(len(codes)), 2)
+    }
+
+
+def reference_masks(g: Graph, target: str) -> list[int]:
+    """The solver's pruning masks from their definitions, as sorted distinct
+    bitmasks with two or more members.  Edges: for every vertex v, the
+    members of N[v] whose own closed neighbourhood is a clique.  Vertices:
+    every class of vertices with equal adjacency rows (false twins) and of
+    vertices with equal adjacency-plus-identity rows (true twins)."""
+    adj = _adjacency_matrix(g)
+    closed = adj | np.eye(g.vertex_count, dtype=bool)
+    if target == "edge":
+        simplicial = [closed[np.ix_(row, row)].all() for row in closed]
+        groups = [[u for u in np.flatnonzero(row) if simplicial[u]] for row in closed]
+    else:
+        groups = []
+        for rows in (adj, closed):
+            classes: dict[bytes, list[int]] = {}
+            for v, row in enumerate(rows):
+                classes.setdefault(row.tobytes(), []).append(v)
+            groups += classes.values()
+    return sorted({sum(1 << int(v) for v in grp) for grp in groups if len(grp) >= 2})
+
+
+def mask_pairs(masks) -> set[int]:
+    """Every pair of members of one mask, as a two-bit mask."""
+    pairs = set()
+    for m in masks:
+        members = [1 << v for v in range(m.bit_length()) if m >> v & 1]
+        pairs.update(a | b for a, b in itertools.combinations(members, 2))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +207,12 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
         a, b = rng.sample(range(n), 2)
         edges.add((min(a, b), max(a, b)))
     return build_graph(n, sorted(edges))
+
+
+def hypercube_graph(d: int) -> Graph:
+    """The d-dimensional hypercube; for d >= 3 no two vertices are twins."""
+    n = 1 << d
+    return build_graph(n, [(v, v ^ 1 << i) for v in range(n) for i in range(d)])
 
 
 def complete_graph(n: int) -> Graph:

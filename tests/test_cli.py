@@ -182,6 +182,15 @@ class TestSolve:
         )
         assert code == EXIT_NOT_OPTIMAL
 
+    @pytest.mark.parametrize("start", ["8", "20"])
+    def test_start_above_the_vertex_count(self, chain2_file, capsys, start):
+        code, out, _ = run(
+            capsys, "solve", str(chain2_file), "--start-size", start, "--json", "-"
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert (report["status"], report["dimension"]) == ("optimal", 5)
+
     def test_failed_witness_check_exits_seventy(self, chain2_file, capsys, monkeypatch):
         # A witness the independent check rejects is a solver defect: one
         # line on stderr and its own exit code, not a traceback.
@@ -280,6 +289,22 @@ class TestTable:
             capsys, "table", "--family", "chain", "--n-from", "5", "--n-to", "2"
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--budget-subsets", "-1", "--budget-subsets must be non-negative"),
+            ("--workers", "0", "--workers must be positive"),
+        ],
+    )
+    def test_bad_solve_options_are_usage_errors(self, capsys, option, value, message):
+        code, out, err = run(
+            capsys,
+            "table", "--family", "chain", "--n-from", "1", "--n-to", "2",
+            option, value,
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and message in err
 
 
 class TestTopLevel:

@@ -9,7 +9,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import silires.graphs
 import silires.resolving
@@ -20,12 +20,14 @@ from silires import (
     SKELETON,
     SilicateSpec,
     SolveOptions,
+    StructureError,
     build_silicate,
     classify_silicate,
     construct_for_spec,
     dimension_lower_bound,
     exact_edge_metric_dimension,
     exact_metric_dimension,
+    find_tetrahedra,
     is_edge_resolving,
     is_minimal,
     is_vertex_resolving,
@@ -42,15 +44,20 @@ from silires.solver import (
     _extend_labels,
     _search_block,
     edge_infeasibility_masks,
+    vertex_infeasibility_masks,
 )
 
 from conftest import (
     complete_graph,
+    distinguishing_sets,
     family_graph,
+    hypercube_graph,
+    mask_pairs,
     naive_minimum_resolving,
     oracle_is_edge_resolving,
     path_graph,
     random_connected_graph,
+    reference_masks,
     relabeled,
     structure_cases,
     twin_rule_masks,
@@ -88,25 +95,25 @@ def _reference_level(checker, masks, universe, k, remaining):
 def _reference_solve(g, opts, target=EDGE):
     """The solver's level schedule over :func:`_reference_level`: an upward
     sweep from the start size, then downward confirmation over every vertex.
-    The edge target skips sets failing a twin-rule mask and starts at the
-    family lower bound; the vertex target has neither.  Returns the
-    certificate fields compared by :func:`_outcome`.
+    Sets failing a mask of :func:`reference_masks` are skipped; the edge
+    target starts at the family lower bound, the vertex target at 1.
+    Returns the certificate fields compared by :func:`_outcome`.
     """
+    masks = reference_masks(g, target)
     if target == EDGE:
-        masks = twin_rule_masks(g)
         checker = lambda combo: is_edge_resolving(g, combo).resolving
     else:
-        masks = []
         checker = lambda combo: is_vertex_resolving(g, combo).resolving
     full = tuple(range(g.vertex_count))
     universe = full
     if opts.restrict_to_cubic:
         universe = tuple(v for v in full if g.degree(v) == 3)
-    cap = opts.max_size or g.vertex_count
+    cap = min(opts.max_size or g.vertex_count, g.vertex_count)
     start = opts.start_size
     if start is None:
         spec = classify_silicate(g) if target == EDGE else None
-        start = min(dimension_lower_bound(spec) if spec else 1, cap)
+        start = dimension_lower_bound(spec) if spec else 1
+    start = min(start, cap)
     evaluated = 0
     proven = 0
 
@@ -266,6 +273,24 @@ class TestOptimalCertificates:
         assert cert.dimension == 5
         assert cert.infeasible_size_checked == 4
 
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            SolveOptions(start_size=8),
+            SolveOptions(start_size=20),
+            SolveOptions(start_size=8, max_size=10),
+            SolveOptions(max_size=10),
+        ],
+    )
+    def test_sizes_above_the_vertex_count_are_clamped(self, opts):
+        # Chain 2 has 7 vertices, and all 7 resolve its edges; an empty
+        # level above 7 must not count as refuted.
+        g = family_graph(CHAIN, 2)
+        cert = exact_edge_metric_dimension(g, opts)
+        assert cert.status == STATUS_OPTIMAL
+        assert (cert.dimension, cert.infeasible_size_checked) == (5, 4)
+        assert cert.start_size == min(opts.start_size or 5, g.vertex_count)
+
     def test_seeding_below_sweeps_up(self):
         g = family_graph(CYCLIC, 3)
         cert = exact_edge_metric_dimension(g, SolveOptions(start_size=1))
@@ -417,12 +442,15 @@ class TestWorkerPool:
         "opts,status",
         [
             (SolveOptions(), STATUS_OPTIMAL),  # ends on a witness
-            (SolveOptions(budget_subsets=2000), STATUS_PARTIAL),  # trips at size 4
+            (SolveOptions(budget_subsets=2000), STATUS_PARTIAL),  # trips mid-level
             (SolveOptions(max_size=2), STATUS_PARTIAL),  # runs out of sizes
         ],
     )
     def test_no_worker_outlives_the_solve(self, opts, status):
-        g = family_graph(CYCLIC, 7)
+        # The budget runs on the twin-free 5-cube, where no mask prunes: 528
+        # sets of sizes 1 and 2, then it trips after the first 4 of the 30
+        # blocks of size 3 (2212 sets).  Vertex cyclic 7 evaluates one set.
+        g = hypercube_graph(5) if opts.budget_subsets else family_graph(CYCLIC, 7)
         cert = exact_metric_dimension(g, dataclasses.replace(opts, parallel_workers=2))
         assert cert.status == status
         assert multiprocessing.active_children() == []
@@ -445,6 +473,8 @@ class TestWorkerPool:
 
 
 class TestPruningMasks:
+    masks_of = {EDGE: edge_infeasibility_masks, VERTEX: vertex_infeasibility_masks}
+
     def test_masks_present_on_silicates(self):
         g = family_graph(CHAIN, 4)
         assert edge_infeasibility_masks(g)
@@ -460,11 +490,46 @@ class TestPruningMasks:
 
     @settings(max_examples=60, deadline=None)
     @given(structure_cases())
-    def test_masks_equal_the_twin_rule(self, case):
-        # Relabeled skeletons of random bases put a vertex in three or more
-        # tetrahedra, where each pair through it is a twin.
+    def test_forbidden_pairs_equal_the_twin_rule_on_covered_graphs(self, case):
+        # Where the greedy pass finds a cover, the simplicial members of
+        # N[v] are the cubic vertices of the tetrahedra through v, so the
+        # masks forbid the twin rule's vertex pairs and the solver evaluates
+        # the same sets.  Where a vertex lies in three or more tetrahedra the
+        # lists differ: one mask replaces the pairwise twin masks.
         _, g = case
-        assert edge_infeasibility_masks(g) == twin_rule_masks(g)
+        try:
+            find_tetrahedra(g)
+        except StructureError:
+            assume(False)
+        assert mask_pairs(edge_infeasibility_masks(g)) == mask_pairs(twin_rule_masks(g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=structure_cases(),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 10),
+        target=st.sampled_from([EDGE, VERTEX]),
+    )
+    def test_every_mask_pair_holds_a_distinguishing_set(self, case, seed, n, target):
+        # Lemma-free: a landmark set leaving out both members of a pair
+        # cannot resolve when some pair of items is told apart only there.
+        for g in (case[1], random_connected_graph(random.Random(seed), n)):
+            small = [d for d in distinguishing_sets(g, target) if d.bit_count() <= 2]
+            for pair in mask_pairs(self.masks_of[target](g)):
+                assert any(d & ~pair == 0 for d in small), bin(pair)
+
+    @settings(max_examples=60, deadline=None)
+    @given(structure_cases(), st.sampled_from([EDGE, VERTEX]))
+    def test_masks_match_their_definitions(self, case, target):
+        _, g = case
+        assert self.masks_of[target](g) == reference_masks(g, target)
+
+    def test_vertex_masks_are_twin_classes(self):
+        # Chain 2: each tetrahedron's cubic vertices are true twins, and
+        # the two ends of a path with a middle vertex are false twins.
+        assert vertex_infeasibility_masks(family_graph(CHAIN, 2)) == [0b111, 0b1110000]
+        assert vertex_infeasibility_masks(path_graph(3)) == [0b101]
+        assert vertex_infeasibility_masks(path_graph(5)) == []
 
     def test_masks_never_change_the_answer(self):
         # The mask-pruned search must find the naive oracle's dimension
@@ -488,7 +553,7 @@ class TestVertexTarget:
     @settings(max_examples=40, deadline=None)
     @given(vertex_instances())
     def test_matches_plain_enumeration(self, case):
-        # Without masks every k-set of the level is evaluated, in
+        # Every k-set of the level passing the twin masks is evaluated, in
         # lexicographic order, until the first resolving one.
         g, opts = case
         assert _outcome(exact_metric_dimension(g, opts)) == _reference_solve(
@@ -642,23 +707,27 @@ class TestSearchCounters:
         assert cert.stats.nodes_visited <= pin
 
     def test_vertex_solve_guard(self):
-        # The benchmark's canonical vertex chain 5 pins: a change in the
-        # evaluation order moves these.  Each evaluated set counts as a node.
+        # The benchmark's canonical vertex chain 5: the twin masks and the
+        # bound leave one set to evaluate (16350 without them), the witness
+        # is the same.  Each evaluated set counts as a node.
         g = family_graph(CHAIN, 5)
         counters = []
         for workers in (1, 2):
             cert = exact_metric_dimension(g, SolveOptions(parallel_workers=workers))
             assert cert.status == STATUS_OPTIMAL
             assert cert.witness == (0, 1, 4, 7, 10, 13, 14)
-            assert cert.stats.subsets_examined == 16350
+            assert cert.stats.subsets_examined == 1
             assert cert.stats.nodes_visited >= cert.stats.subsets_examined
             counters.append((cert.stats.nodes_visited, cert.stats.bound_prunes))
         assert counters[0] == counters[1]
 
-    def test_vertex_target_has_no_bound_prunes(self):
+    def test_vertex_target_prunes(self):
+        # The twin masks {0, 1, 2} and {4, 5, 6} need 4 landmarks, so the
+        # bound cuts the smaller levels and only the witness is evaluated.
         cert = exact_metric_dimension(family_graph(CHAIN, 2))
-        assert cert.stats.bound_prunes == 0
-        assert cert.stats.nodes_visited >= cert.stats.subsets_examined
+        assert cert.dimension == 4
+        assert cert.stats.bound_prunes > 0
+        assert cert.stats.subsets_examined == 1
 
 
 class TestSolveOptionsValidation:

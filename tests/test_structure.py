@@ -100,13 +100,20 @@ class TestFindTetrahedra:
     def test_greedy_pass_misses_the_k4_skeleton_cover(self):
         # The expansion's own tetrahedra, one per base edge, cover it; the
         # greedy pass takes the base K4 {0, 1, 2, 3} first and then cannot
-        # cover edge (0, 4), so the graph gets no masks and no family.
+        # cover edge (0, 4), so the graph gets no family.  The masks need no
+        # cover: the cubic pair of each tetrahedron, and the six cubic
+        # vertices of the three tetrahedra through each base vertex.
         sil = silicate_of_skeleton(complete_graph(4))
         g = sil.graph
         assert 6 * len(sil.tetrahedra) == g.edge_count
         with pytest.raises(StructureError, match=r"edge \(0, 4\)"):
             find_tetrahedra(g)
-        assert edge_infeasibility_masks(g) == []
+        cubic = [sum(1 << v for v in t if g.degree(v) == 3) for t in sil.tetrahedra]
+        through = [
+            sum(c for c, t in zip(cubic, sil.tetrahedra) if base in t)
+            for base in range(4)
+        ]
+        assert edge_infeasibility_masks(g) == sorted(cubic + through)
         assert classify_silicate(g) is None
 
 
