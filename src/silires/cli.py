@@ -133,7 +133,6 @@ def _cmd_solve(parser: _Parser, args) -> int:
     opts = SolveOptions(
         start_size=args.start_size,
         max_size=args.max_size,
-        restrict_to_cubic=args.restrict_to_cubic,
         parallel_workers=args.workers,
         budget_subsets=args.budget_subsets,
     )
@@ -255,7 +254,6 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--target", choices=("edge", "vertex"), default="edge")
     p_solve.add_argument("--start-size", type=int, default=None)
     p_solve.add_argument("--max-size", type=int, default=None)
-    p_solve.add_argument("--restrict-to-cubic", action="store_true")
     p_solve.add_argument("--workers", type=int, default=1)
     p_solve.add_argument("--budget-subsets", type=int, default=None)
     p_solve.add_argument("--json", default=None, metavar="PATH")

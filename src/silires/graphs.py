@@ -125,12 +125,13 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex, stacked into a read-only matrix of type
-    :func:`distance_dtype`."""
-    rows = [bfs_distances(g, s) for s in range(g.vertex_count)]
-    d = np.array(rows, dtype=distance_dtype(g.vertex_count))
+    """BFS from every vertex, stacked into a read-only ``(n, n)`` matrix
+    (also for ``n = 0``) of type :func:`distance_dtype`."""
+    n = g.vertex_count
+    rows = [bfs_distances(g, s) for s in range(n)]
+    d = np.array(rows, dtype=distance_dtype(n)).reshape(n, n)
     d.setflags(write=False)
-    return DistanceMatrix(n=g.vertex_count, d=d)
+    return DistanceMatrix(n=n, d=d)
 
 
 def edge_vertex_distance(dist: DistanceMatrix, edge: Edge, u: int) -> int:

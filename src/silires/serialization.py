@@ -30,7 +30,7 @@ EDGE_LIST_HEADER = "p"
 
 STRUCTURE_FORMAT = "silires-structure/1"
 VERIFICATION_FORMAT = "silires-verification/1"
-CERTIFICATE_FORMAT = "silires-certificate/1"
+CERTIFICATE_FORMAT = "silires-certificate/2"
 TABLE_FORMAT = "silires-table/1"
 
 
@@ -189,7 +189,6 @@ def certificate_report(
         "lower_bound": cert.lower_bound,
         "upper_bound": cert.upper_bound,
         "start_size": cert.start_size,
-        "restrict_to_cubic": cert.restrict_to_cubic,
         "stats": {"subsets_examined": cert.stats.subsets_examined},
     }
 

@@ -4,8 +4,8 @@ The solver enumerates landmark sets in increasing size and, within a size,
 in lexicographic order, so the first verified set is the lexicographically
 smallest optimal witness.  Searches may be seeded with a lower bound; a
 downward confirmation pass re-establishes exhaustive infeasibility at
-``dimension - 1`` whenever the seed (or a cubic-only restriction) leaves it
-unproven, so certificates stay exact.
+``dimension - 1`` whenever the seed leaves it unproven, so certificates stay
+exact.
 
 Pruning rests on *masks*: vertex sets such that a landmark set leaving out
 two members of one mask cannot resolve, so it is skipped unevaluated.  Each
@@ -46,6 +46,16 @@ bound cuts only subtrees holding no set that passes the mask check.  Such
 sets are never evaluated, so the evaluation order, ``subsets_examined``,
 budget trips, witnesses and certificates are those of the walk without the
 bound; only the number of nodes visited drops.
+
+A node whose bound equals ``need`` has no slack, so the walk steps over the
+vertices in no mask that come next without visiting them.  Such a vertex
+lies in no slice and is never forced, so picking it leaves every slice
+unchanged and spends a landmark the bound has already spent: its include
+branch would be cut, and each vertex stepped over counts as that cut in
+``bound_prunes``.  On chain and cyclic silicates the vertices in no edge
+mask are the hinges.  The exclude branch of a node is the next turn of a
+loop, not a call, so the recursion is as deep as the number of members
+picked.
 
 The last level of the walk is one batch.  A node with one member left to
 pick checks every completion S + {v}, v among the candidates still to
@@ -96,11 +106,9 @@ class SolveOptions:
 
     ``start_size`` seeds the first level (default: the family lower bound
     when the graph is recognized, else 1); ``max_size`` caps the largest
-    level searched; the vertex count caps both.  ``restrict_to_cubic``
-    limits the sweep to degree-3 vertices (optimality is then
-    re-established by an unrestricted pass);
-    ``budget_subsets`` bounds the number of candidate sets evaluated, at
-    block granularity, after which a non-optimal certificate is returned.
+    level searched; the vertex count caps both.  ``budget_subsets`` bounds
+    the number of candidate sets evaluated, at block granularity, after
+    which a non-optimal certificate is returned.
     ``parallel_workers`` above 1 runs the blocks of each level (the k-sets
     sharing a smallest member) in a pool of that many processes.  The
     certificate and counters are those of one worker, the solve returns or
@@ -110,7 +118,6 @@ class SolveOptions:
 
     start_size: Optional[int] = None
     max_size: Optional[int] = None
-    restrict_to_cubic: bool = False
     parallel_workers: int = 1
     budget_subsets: Optional[int] = None
 
@@ -138,7 +145,8 @@ class SolveStats:
     fixes a prefix of the set; a node picking the last member checks all of
     its candidates as one batch) plus one per evaluated set, so it is never
     below ``subsets_examined``; ``bound_prunes`` counts the nodes cut by the
-    counting bound.  All three are identical for any worker count; only
+    counting bound, a vertex stepped over at zero slack counting as the cut
+    of its include branch.  All three are identical for any worker count; only
     ``subsets_examined`` enters the serialized certificate.
     """
 
@@ -152,8 +160,8 @@ class SolveStats:
 class Certificate:
     """Outcome of a dimension search.
 
-    ``infeasible_size_checked`` is the largest size proven (exhaustively,
-    over all vertices) to admit no resolving set; by monotonicity every
+    ``infeasible_size_checked`` is the largest size proven, by an
+    exhaustive search, to admit no resolving set; by monotonicity every
     smaller size is then infeasible too.  ``status`` is ``optimal`` exactly
     when that proof reaches ``dimension - 1``; ``upper-bound-conditional``
     when a witness exists but the proof below it is incomplete; ``partial``
@@ -172,18 +180,9 @@ class Certificate:
     upper_bound: Optional[int]
     status: str
     start_size: int
-    restrict_to_cubic: bool
     parallel_workers: int
     spec: Optional[SilicateSpec]
     stats: SolveStats
-
-
-def _suffix_masks(universe: Sequence[int]) -> tuple[int, ...]:
-    """suffix[i] = bitmask of universe[i:], for reachability lookahead."""
-    masks = [0] * (len(universe) + 1)
-    for i in range(len(universe) - 1, -1, -1):
-        masks[i] = masks[i + 1] | (1 << universe[i])
-    return tuple(masks)
 
 
 # Keys of the batched last level stay below this, so int64 never wraps.
@@ -212,37 +211,35 @@ def _extend_labels(labels: np.ndarray, span: int, row: np.ndarray, base: int):
     return np.add(keys, row, dtype=np.int64), span * base
 
 
-def _context(universe: Sequence[int], rows: np.ndarray, masks: Sequence[int]):
-    """Search context of one universe: (universe, its code rows in universe
-    order, masks, suffix masks, base).  Every code entry lies below base.
-    The rows are shared, not copied, when the universe is every vertex."""
-    universe = tuple(universe)
-    base = int(rows.max()) + 1
-    if universe != tuple(range(len(rows))):
-        rows = rows[list(universe)]
-    return universe, rows, tuple(masks), _suffix_masks(universe), base
+def _context(rows: np.ndarray, masks: Sequence[int]):
+    """Search context: (code rows, one per vertex; masks; the vertices in
+    some mask, as one bitmask; base).  Every code entry lies below base."""
+    covered = 0
+    for m in masks:
+        covered |= m
+    return rows, tuple(masks), covered, int(rows.max()) + 1
 
 
 def _search_block(ctx, k: int, block: int):
-    """Lexicographic search of all k-sets whose smallest member is
-    universe[block].  Returns (first resolving set or None, sets evaluated,
+    """Lexicographic search of all k-sets whose smallest member is vertex
+    ``block``.  Returns (first resolving set or None, sets evaluated,
     nodes visited, nodes cut by the counting bound).
     """
-    universe, urows, masks, suffix, base = ctx
-    n_u = len(universe)
-    chosen: list[int] = []  # positions in universe
-    # labels[i] = (exact column labels of urows[chosen[:i]], their span)
-    labels = [(np.zeros(urows.shape[1], dtype=np.int64), 1)]
+    rows, masks, covered, base = ctx
+    n = len(rows)
+    chosen: list[int] = []
+    # labels[i] = (exact column labels of rows[chosen[:i]], their span)
+    labels = [(np.zeros(rows.shape[1], dtype=np.int64), 1)]
     state = [None, 0, 0, 0]  # witness, evaluated, nodes, bound prunes
     bit_count = int.bit_count
 
     def last_level(lo: int, hi: int, smask: int) -> None:
-        """Evaluate chosen + [p] for every position p in range(lo, hi), in
+        """Evaluate chosen + [v] for every vertex v in range(lo, hi), in
         order, as one batch."""
         picks = range(lo, hi)
-        cand_rows = urows[lo:hi]
+        cand_rows = rows[lo:hi]
         if masks:
-            allowed = every = suffix[lo] & ~suffix[hi]
+            allowed = every = (1 << hi) - (1 << lo)
             for m in masks:
                 miss = m & ~smask
                 if miss & (miss - 1):  # two or more members of m are missing
@@ -250,16 +247,16 @@ def _search_block(ctx, k: int, block: int):
                         return
                     allowed &= miss
             if allowed != every:
-                picks = [p for p in picks if allowed >> universe[p] & 1]
+                picks = [v for v in picks if allowed >> v & 1]
                 if not picks:
                     return
-                cand_rows = urows[picks]
+                cand_rows = rows[picks]
         keys = _extend_labels(*labels[-1], cand_rows, base)[0]
         keys.sort(axis=1)
         collide = (keys[:, 1:] == keys[:, :-1]).any(axis=1).tolist()
         if False in collide:
             i = collide.index(False)
-            state[0] = tuple(universe[p] for p in chosen) + (universe[picks[i]],)
+            state[0] = (*chosen, picks[i])
             state[1] += i + 1
             state[2] += i + 1
         else:
@@ -267,68 +264,78 @@ def _search_block(ctx, k: int, block: int):
             state[2] += len(collide)
 
     def walk(pos: int, smask: int, need: int) -> None:
-        if state[0] is not None:
-            return
-        state[2] += 1
-        if n_u - pos < need:
-            return
-        if masks:  # without masks nothing is forced or packed: the bound is 0
-            fut = suffix[pos]
-            reachable = smask | fut
-            forced = 0
-            for m in masks:
-                out = m & ~reachable
-                if out:
-                    if out & (out - 1):
-                        return
-                    forced |= m & fut
-            free = fut & ~forced
-            bound = bit_count(forced)
-            packed = 0
-            for part in sorted([m & free for m in masks], key=bit_count, reverse=True):
-                size = bit_count(part)
-                if size <= 1:
-                    break
-                if not part & packed:
-                    packed |= part
-                    bound += size - 1
-            if bound > need:
-                state[3] += 1
+        """The nodes that have picked ``smask`` and pick ``need`` more from
+        ``pos`` on: each turn of the loop is one node, whose include branch
+        recurses and whose exclude branch is the next turn."""
+        while state[0] is None:
+            state[2] += 1
+            if n - pos < need:
                 return
-        if need == 1:
-            last_level(pos, n_u, smask)
-            return
-        chosen.append(pos)
-        labels.append(_extend_labels(*labels[-1], urows[pos], base))
-        walk(pos + 1, smask | (1 << universe[pos]), need - 1)
-        chosen.pop()
-        labels.pop()
-        walk(pos + 1, smask, need)
+            bound = 0
+            if masks:  # without masks nothing is forced or packed
+                fut = (1 << n) - (1 << pos)
+                reachable = smask | fut
+                forced = 0
+                for m in masks:
+                    out = m & ~reachable
+                    if out:
+                        if out & (out - 1):
+                            return
+                        forced |= m & fut
+                free = fut & ~forced
+                bound = bit_count(forced)
+                packed = 0
+                for part in sorted([m & free for m in masks], key=bit_count, reverse=True):
+                    size = bit_count(part)
+                    if size <= 1:
+                        break
+                    if not part & packed:
+                        packed |= part
+                        bound += size - 1
+                if bound > need:
+                    state[3] += 1
+                    return
+            if need == 1:
+                last_level(pos, n, smask)
+                return
+            if bound == need:
+                # No slack: the bound would cut the include branch of a
+                # vertex in no mask (module docstring).
+                while not covered >> pos & 1:
+                    state[3] += 1
+                    pos += 1
+                    if n - pos < need:
+                        return
+            chosen.append(pos)
+            labels.append(_extend_labels(*labels[-1], rows[pos], base))
+            walk(pos + 1, smask | 1 << pos, need - 1)
+            chosen.pop()
+            labels.pop()
+            pos += 1
 
     if k == 1:
         state[2] += 1
         last_level(block, block + 1, 0)
     else:
         chosen.append(block)
-        labels.append(_extend_labels(*labels[-1], urows[block], base))
-        walk(block + 1, 1 << universe[block], k - 1)
+        labels.append(_extend_labels(*labels[-1], rows[block], base))
+        walk(block + 1, 1 << block, k - 1)
     return tuple(state)
 
 
-_WORKER_CTXS: list = []
+_WORKER_CTX = None
 
 
-def _init_worker(ctxs) -> None:
-    global _WORKER_CTXS
-    _WORKER_CTXS = ctxs
+def _init_worker(ctx) -> None:
+    global _WORKER_CTX
+    _WORKER_CTX = ctx
 
 
-def _block_task(args):
-    ctx_idx, k, block = args
-    return _search_block(_WORKER_CTXS[ctx_idx], k, block)
+def _block_task(k: int, block: int):
+    return _search_block(_WORKER_CTX, k, block)
 
 
-def _search_level(ctx, ctx_idx: int, k: int, pool, remaining: Optional[int]):
+def _search_level(ctx, k: int, pool, remaining: Optional[int]):
     """Search one size level block by block, in lexicographic block order.
 
     Returns (witness, counts, budget_tripped), where counts sums
@@ -352,7 +359,7 @@ def _search_level(ctx, ctx_idx: int, k: int, pool, remaining: Optional[int]):
     if pool is None:
         results = (_search_block(ctx, k, b) for b in range(blocks))
     else:
-        futures = [pool.submit(_block_task, (ctx_idx, k, b)) for b in range(blocks)]
+        futures = [pool.submit(_block_task, k, b) for b in range(blocks)]
         results = (f.result() for f in futures)
     try:
         for done, (witness, *result) in enumerate(results, 1):
@@ -431,7 +438,6 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
             upper_bound=dimension,
             status=status,
             start_size=start,
-            restrict_to_cubic=opts.restrict_to_cubic,
             parallel_workers=opts.parallel_workers,
             spec=spec,
             stats=SolveStats(
@@ -445,33 +451,27 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     if item_count <= 1:
         return build(0, (), -1, STATUS_OPTIMAL, 0, [0, 0, 0])
 
-    full_universe = tuple(range(g.vertex_count))
-    if opts.restrict_to_cubic:
-        universe = tuple(v for v in full_universe if g.degree(v) == 3)
-    else:
-        universe = full_universe
     # Every vertex together resolves a connected graph, so no level above
     # the vertex count is searched (it has no sets to refute).
     cap = min(opts.max_size or g.vertex_count, g.vertex_count)
     start = min(opts.start_size or _default_start(spec, target), cap)
 
-    ctx_full = _context(full_universe, rows, masks)
-    ctx_main = ctx_full if universe == full_universe else _context(universe, rows, masks)
+    ctx = _context(rows, masks)
     pool = None
     if opts.parallel_workers > 1:
         pool = ProcessPoolExecutor(
             max_workers=opts.parallel_workers,
             initializer=_init_worker,
-            initargs=([ctx_main, ctx_full],),
+            initargs=(ctx,),
         )
     counted = [0, 0, 0]  # evaluated, nodes, bound prunes
     proven_infeasible = 0  # size 0 always fails with >= 2 items
     try:
         budget = opts.budget_subsets
 
-        def level(ctx, ctx_idx, k):
+        def level(k):
             remaining = None if budget is None else budget - counted[0]
-            witness, counts, tripped = _search_level(ctx, ctx_idx, k, pool, remaining)
+            witness, counts, tripped = _search_level(ctx, k, pool, remaining)
             for i, c in enumerate(counts):
                 counted[i] += c
             return witness, tripped
@@ -479,14 +479,13 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
         hit: Optional[tuple[int, tuple[int, ...]]] = None
         k = start
         while k <= cap:
-            witness, tripped = level(ctx_main, 0, k)
+            witness, tripped = level(k)
             if witness is not None:
                 hit = (k, witness)
                 break
             if tripped:
                 break
-            if not opts.restrict_to_cubic:
-                proven_infeasible = max(proven_infeasible, k)
+            proven_infeasible = k
             k += 1
 
         if hit is None:
@@ -498,7 +497,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
             if below <= 0 or proven_infeasible >= below:
                 status = STATUS_OPTIMAL
                 break
-            witness, tripped = level(ctx_full, 1, below)
+            witness, tripped = level(below)
             if witness is not None:
                 best_k, best_witness = below, witness
                 continue

@@ -236,6 +236,14 @@ class TestSolve:
         assert report["dimension"] == 4
         assert report["target"] == "vertex"
 
+    def test_empty_graph_has_dimension_zero(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("p 0 0\n")
+        code, out, err = run(capsys, "solve", str(path), "--json", "-")
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(out)
+        assert (report["status"], report["dimension"]) == ("optimal", 0)
+
     def test_worker_json_byte_identity(self, chain2_file, capsys):
         outputs = []
         for workers in ("1", "4"):

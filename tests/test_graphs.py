@@ -123,6 +123,9 @@ class TestBfsDistances:
         dist = all_pairs_distances(family_graph("cyclic", 3))
         assert int(np.max(dist.d)) == 2
 
+    def test_empty_graph_matrix_is_square(self):
+        assert all_pairs_distances(build_graph(0, [])).d.shape == (0, 0)
+
     def test_distance_type_widens_past_int16(self):
         # Distances reach vertex_count - 1, so int16 holds up to 32768 vertices.
         assert distance_dtype(32768) is np.int16

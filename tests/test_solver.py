@@ -104,10 +104,7 @@ def _reference_solve(g, opts, target=EDGE):
         checker = lambda combo: is_edge_resolving(g, combo).resolving
     else:
         checker = lambda combo: is_vertex_resolving(g, combo).resolving
-    full = tuple(range(g.vertex_count))
-    universe = full
-    if opts.restrict_to_cubic:
-        universe = tuple(v for v in full if g.degree(v) == 3)
+    universe = tuple(range(g.vertex_count))
     cap = min(opts.max_size or g.vertex_count, g.vertex_count)
     start = opts.start_size
     if start is None:
@@ -117,28 +114,27 @@ def _reference_solve(g, opts, target=EDGE):
     evaluated = 0
     proven = 0
 
-    def level(candidates, k):
+    def level(k):
         nonlocal evaluated
         budget = opts.budget_subsets
         remaining = None if budget is None else budget - evaluated
         witness, count, tripped = _reference_level(
-            checker, masks, candidates, k, remaining
+            checker, masks, universe, k, remaining
         )
         evaluated += count
         return witness, tripped
 
     for k in range(start, cap + 1):
-        witness, tripped = level(universe, k)
+        witness, tripped = level(k)
         if witness is not None:
             break
         if tripped:
             return STATUS_PARTIAL, None, None, proven, start, evaluated
-        if not opts.restrict_to_cubic:
-            proven = k
+        proven = k
     else:
         return STATUS_PARTIAL, None, None, proven, start, evaluated
     while k - 1 > max(proven, 0):
-        below, tripped = level(full, k - 1)
+        below, tripped = level(k - 1)
         if below is None:
             if tripped:
                 return STATUS_CONDITIONAL, k, witness, proven, start, evaluated
@@ -164,7 +160,7 @@ def _outcome(cert):
 @st.composite
 def relabeled_instances(draw):
     """Chain / cyclic n <= 6 or a skeleton expansion of a small random base,
-    under a random relabeling, with random start, restriction and budget."""
+    under a random relabeling, with random start and budget."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from([CHAIN, CYCLIC, SKELETON]))
     if kind == SKELETON:
@@ -179,7 +175,6 @@ def relabeled_instances(draw):
     g = relabeled(build_silicate(spec).graph, rng)
     opts = SolveOptions(
         start_size=start,
-        restrict_to_cubic=draw(st.booleans()),
         budget_subsets=draw(st.one_of(st.none(), st.integers(0, 8))),
     )
     return g, opts
@@ -188,7 +183,7 @@ def relabeled_instances(draw):
 @st.composite
 def vertex_instances(draw):
     """Chain / cyclic n <= 4 under a random relabeling, or a random connected
-    graph on 2-9 vertices, with random start, restriction and budget."""
+    graph on 2-9 vertices, with random start and budget."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from([CHAIN, CYCLIC, None]))
     if kind is None:
@@ -198,7 +193,6 @@ def vertex_instances(draw):
         g = relabeled(build_silicate(SilicateSpec(family=kind, n=n)).graph, rng)
     opts = SolveOptions(
         start_size=draw(st.one_of(st.none(), st.integers(1, 5))),
-        restrict_to_cubic=draw(st.booleans()),
         budget_subsets=draw(st.one_of(st.none(), st.integers(0, 60))),
     )
     return g, opts
@@ -307,22 +301,6 @@ class TestOptimalCertificates:
 
 
 class TestRestrictedAndBudgeted:
-    def test_restricted_confirmed_optimal(self):
-        g = family_graph(CHAIN, 3)
-        cert = exact_edge_metric_dimension(g, SolveOptions(restrict_to_cubic=True))
-        assert cert.restrict_to_cubic
-        assert cert.status == STATUS_OPTIMAL
-        assert cert.dimension == 6
-
-    def test_restricted_universe_can_be_exhausted(self):
-        # No all-cubic landmark set resolves the smallest cycle, so the
-        # restricted search comes back empty-handed and honest.
-        g = family_graph(CYCLIC, 3)
-        cert = exact_edge_metric_dimension(g, SolveOptions(restrict_to_cubic=True))
-        assert cert.status == STATUS_PARTIAL
-        assert cert.dimension is None
-        assert cert.witness is None
-
     def test_budget_zero_gives_partial(self):
         g = family_graph(CHAIN, 2)
         cert = exact_edge_metric_dimension(g, SolveOptions(budget_subsets=0))
@@ -622,9 +600,9 @@ class TestExactKeys:
 
     def test_full_universe_shares_rows(self):
         rows = np.arange(12, dtype=np.int16).reshape(3, 4)
-        assert _context(range(3), rows, [])[1] is rows
-        assert _context([0, 2], rows, [])[1].tolist() == rows[[0, 2]].tolist()
-        assert _context([0, 2], rows, [])[4] == 12
+        rows_of, masks, covered, base = _context(rows, [0b110, 0b1001])
+        assert rows_of is rows
+        assert (masks, covered, base) == ((0b110, 0b1001), 0b1111, 12)
 
     def test_labels_that_cannot_fit_raise(self):
         labels = np.arange(5, dtype=np.int64)
@@ -654,16 +632,15 @@ class TestExactKeys:
             [[rng.choice(values) for _ in range(items)] for _ in range(vertices)],
             dtype=np.int16 if small else np.int64,
         )
-        universe = sorted(rng.sample(range(vertices), rng.randint(1, vertices)))
         masks = [
             sum(1 << v for v in rng.sample(range(vertices), min(vertices, 3)))
             for _ in range(mask_count)
         ]
-        ctx = _context(universe, rows, masks)
-        for block in range(len(universe) - k + 1):
+        ctx = _context(rows, masks)
+        for block in range(vertices - k + 1):
             witness, evaluated = None, 0
-            for combo in itertools.combinations(universe[block + 1 :], k - 1):
-                combo = (universe[block],) + combo
+            for combo in itertools.combinations(range(block + 1, vertices), k - 1):
+                combo = (block,) + combo
                 bits = sum(1 << v for v in combo)
                 if any((m & ~bits).bit_count() >= 2 for m in masks):
                     continue
@@ -705,6 +682,23 @@ class TestSearchCounters:
         cert = exact_edge_metric_dimension(family_graph(family, n))
         assert cert.status == STATUS_OPTIMAL
         assert cert.stats.nodes_visited <= pin
+
+    @pytest.mark.parametrize("family", [CHAIN, CYCLIC])
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_zero_slack_steps_over_hinges(self, family, n):
+        # With no slack the walk steps over the hinges, which lie in no
+        # mask, instead of visiting two nodes for each: 4n + 1 nodes on
+        # chain 100 and 200 (6n - 1 when each hinge was visited).
+        cert = exact_edge_metric_dimension(family_graph(family, n))
+        assert cert.status == STATUS_OPTIMAL
+        assert cert.stats.nodes_visited <= 4 * n + 10
+
+    @pytest.mark.parametrize("family,n,dimension", [(CHAIN, 340, 512), (CYCLIC, 340, 510)])
+    def test_deep_walk_does_not_recurse_per_vertex(self, family, n, dimension):
+        # Over a thousand vertices: a walk recursing once per vertex
+        # position would pass the interpreter's recursion limit.
+        cert = exact_edge_metric_dimension(family_graph(family, n))
+        assert (cert.status, cert.dimension) == (STATUS_OPTIMAL, dimension)
 
     def test_vertex_solve_guard(self):
         # The benchmark's canonical vertex chain 5: the twin masks and the
