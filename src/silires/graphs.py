@@ -3,12 +3,35 @@
 Vertex ids are dense integers starting at 0.  Every canonical artefact
 (adjacency order, edge order) is fixed so that identical graphs produce
 byte-identical output across runs.
+
+Distance rows come from the *core*: the vertices that are not simplicial.
+A vertex p is simplicial when its closed neighbourhood N[p] is a clique; in
+a silicate network these are the cubic tetrahedron corners, and the core
+is the set of hinges.  In a connected graph:
+
+* No simplicial p is interior to a shortest path: its two path neighbours
+  would be adjacent, and skipping p would shorten the path.  So a shortest
+  path between core vertices stays in the core, and core distances are
+  those of the core subgraph.
+* For simplicial x and y outside N[x], d(x, y) = 1 + min d(u, y) over the
+  core neighbours u of x: a shortest path from x leaves through some u in
+  N(x), and u is in the core, since its next vertex lies outside N[x] and
+  is adjacent to u but not to x.
+* If every vertex is simplicial the graph is complete: a shortest path of
+  length two would have a simplicial middle.  Otherwise every simplicial
+  vertex x has a core neighbour: a core vertex is adjacent to x, or a
+  shortest path to it leaves x through the core, as in the second fact.
+
+:func:`distance_rows` therefore runs a BFS inside the core, only from the
+core vertices some source needs.  The columns of simplicial vertices and
+the rows of simplicial sources are ``1 + min`` over core neighbours, and
+each row is then set to 1 at its source's neighbours and 0 at the source.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -97,6 +120,20 @@ def build_graph(vertex_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     return Graph(vertex_count=vertex_count, adjacency=adjacency, edges=edges)
 
 
+def _bfs(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
+    """Hop distances from ``source`` over ``adjacency``; -1 where unreachable."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    order = [source]
+    for u in order:  # the queue: vertices in the order they were reached
+        du = dist[u] + 1
+        for w in adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = du
+                order.append(w)
+    return dist
+
+
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from ``source`` to every vertex.
 
@@ -105,17 +142,7 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     """
     if not (0 <= source < g.vertex_count):
         raise GraphInputError(f"source {source} outside [0, {g.vertex_count})")
-    dist = [-1] * g.vertex_count
-    dist[source] = 0
-    queue = deque([source])
-    adjacency = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = du
-                queue.append(w)
+    dist = _bfs(g.adjacency, source)
     for v, dv in enumerate(dist):
         if dv < 0:
             raise DisconnectedGraphError(
@@ -124,12 +151,84 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
+def simplicial_vertices(g: Graph) -> int:
+    """Bitmask of the vertices whose closed neighbourhood is a clique."""
+    closed = [sum(1 << w for w in ns) | 1 << v for v, ns in enumerate(g.adjacency)]
+    return sum(
+        1 << v
+        for v, c in enumerate(closed)
+        if all(closed[w] & c == c for w in g.adjacency[v])
+    )
+
+
+def _min_rows(table: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """Row i is the elementwise minimum of the rows ``groups[i]`` (none
+    empty) of ``table``: one ``np.minimum`` per position within a group."""
+    sizes = np.array([len(grp) for grp in groups], dtype=np.intp)
+    flat = np.fromiter(chain.from_iterable(groups), dtype=np.intp, count=sizes.sum())
+    starts = np.cumsum(sizes) - sizes
+    out = table[flat[starts]]
+    for j in range(1, int(sizes.max())):
+        longer = np.flatnonzero(sizes > j)
+        out[longer] = np.minimum(out[longer], table[flat[starts[longer] + j]])
+    return out
+
+
+def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
+    """Hop distances from each source, as a ``(len(sources), n)`` array of
+    type :func:`distance_dtype`, computed from the core (module docstring).
+
+    The BFS from the first source checks the graph: a disconnected one
+    raises :class:`DisconnectedGraphError` exactly as
+    :func:`bfs_distances` does from that source.
+    """
+    n = g.vertex_count
+    dtype = distance_dtype(n)
+    sources = [int(s) for s in sources]
+    k = len(sources)
+    if not k:
+        return np.zeros((0, n), dtype=dtype)
+    bfs_distances(g, sources[0])
+    for s in sources:
+        if not (0 <= s < n):
+            raise GraphInputError(f"source {s} outside [0, {n})")
+    adjacency = g.adjacency
+    simplicial = simplicial_vertices(g)
+    core = [v for v in range(n) if not simplicial >> v & 1]
+    if core:
+        index = [-1] * n
+        for i, v in enumerate(core):
+            index[v] = i
+        # Core neighbours of every vertex, as core indices; never empty for
+        # a simplicial vertex, since the core is not.
+        near = [[index[w] for w in ns if index[w] >= 0] for ns in adjacency]
+        seeds = [[index[s]] if index[s] >= 0 else near[s] for s in sources]
+        needed = sorted(set(chain.from_iterable(seeds)))
+        core_adjacency = [near[v] for v in core]
+        inner = np.array([_bfs(core_adjacency, r) for r in needed], dtype=dtype)
+        # The needed core vertices' rows over every vertex.
+        full = np.empty((len(needed), n), dtype=dtype)
+        full[:, core] = inner
+        outer = [v for v in range(n) if index[v] < 0]
+        if outer:
+            full[:, outer] = _min_rows(inner.T, [near[v] for v in outer]).T + 1
+        row = {r: i for i, r in enumerate(needed)}
+        out = _min_rows(full, [[row[r] for r in rs] for rs in seeds])
+        out += np.array([index[s] < 0 for s in sources], dtype=dtype)[:, None]
+    else:  # connected with every vertex simplicial: complete
+        out = np.ones((k, n), dtype=dtype)
+    degrees = [len(adjacency[s]) for s in sources]
+    neighbours = chain.from_iterable(adjacency[s] for s in sources)
+    out[np.repeat(np.arange(k), degrees), np.fromiter(neighbours, np.intp, sum(degrees))] = 1
+    out[np.arange(k), sources] = 0
+    return out
+
+
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex, stacked into a read-only ``(n, n)`` matrix
+    """Distance rows from every vertex, as a read-only ``(n, n)`` matrix
     (also for ``n = 0``) of type :func:`distance_dtype`."""
     n = g.vertex_count
-    rows = [bfs_distances(g, s) for s in range(n)]
-    d = np.array(rows, dtype=distance_dtype(n)).reshape(n, n)
+    d = distance_rows(g, range(n))
     d.setflags(write=False)
     return DistanceMatrix(n=n, d=d)
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GraphInputError
-from .graphs import DistanceMatrix, Edge, Graph, bfs_distances, distance_dtype
+from .graphs import DistanceMatrix, Edge, Graph, distance_rows
 
 Code = tuple[int, ...]
 
@@ -60,11 +60,9 @@ def edge_code(dist: DistanceMatrix, edge: Edge, landmarks: Sequence[int]) -> Cod
 
 
 def landmark_rows(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
-    """BFS distance rows, one per landmark, as a ``(k, n)`` array of type
+    """Distance rows, one per landmark, as a ``(k, n)`` array of type
     :func:`~silires.graphs.distance_dtype`."""
-    rows = [bfs_distances(g, s) for s in landmarks]
-    dtype = distance_dtype(g.vertex_count)
-    return np.array(rows, dtype=dtype).reshape(len(landmarks), g.vertex_count)
+    return distance_rows(g, landmarks)
 
 
 def _matrix_rows(g: Graph, dist: DistanceMatrix, lm: tuple[int, ...]) -> np.ndarray:

@@ -53,9 +53,9 @@ lies in no slice and is never forced, so picking it leaves every slice
 unchanged and spends a landmark the bound has already spent: its include
 branch would be cut, and each vertex stepped over counts as that cut in
 ``bound_prunes``.  On chain and cyclic silicates the vertices in no edge
-mask are the hinges.  The exclude branch of a node is the next turn of a
-loop, not a call, so the recursion is as deep as the number of members
-picked.
+mask are the hinges.  The walk keeps an explicit stack of the nodes whose
+include branch is open, so it never recurses, however many members it
+picks.
 
 The last level of the walk is one batch.  A node with one member left to
 pick checks every completion S + {v}, v among the candidates still to
@@ -87,7 +87,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import SolverInternalError, UnsupportedFamilyError
-from .graphs import Graph, all_pairs_distances
+from .graphs import Graph, all_pairs_distances, simplicial_vertices
 from .resolving import edge_rows, is_edge_resolving, is_vertex_resolving
 from .silicates import SilicateSpec
 from .structure import classify_silicate, dimension_lower_bound
@@ -263,55 +263,70 @@ def _search_block(ctx, k: int, block: int):
             state[1] += len(collide)
             state[2] += len(collide)
 
+    def node(pos: int, smask: int, need: int) -> Optional[int]:
+        """Visit the node that has picked ``smask`` and picks ``need`` more
+        from ``pos`` on.  Returns the vertex its include branch picks, or
+        None when the node ends its walk (cut, exhausted or batched)."""
+        state[2] += 1
+        if n - pos < need:
+            return None
+        bound = 0
+        if masks:  # without masks nothing is forced or packed
+            fut = (1 << n) - (1 << pos)
+            reachable = smask | fut
+            forced = 0
+            for m in masks:
+                out = m & ~reachable
+                if out:
+                    if out & (out - 1):
+                        return None
+                    forced |= m & fut
+            free = fut & ~forced
+            bound = bit_count(forced)
+            packed = 0
+            for part in sorted([m & free for m in masks], key=bit_count, reverse=True):
+                size = bit_count(part)
+                if size <= 1:
+                    break
+                if not part & packed:
+                    packed |= part
+                    bound += size - 1
+            if bound > need:
+                state[3] += 1
+                return None
+        if need == 1:
+            last_level(pos, n, smask)
+            return None
+        if bound == need:
+            # No slack: the bound would cut the include branch of a vertex
+            # in no mask (module docstring).
+            while not covered >> pos & 1:
+                state[3] += 1
+                pos += 1
+                if n - pos < need:
+                    return None
+        return pos
+
     def walk(pos: int, smask: int, need: int) -> None:
-        """The nodes that have picked ``smask`` and pick ``need`` more from
-        ``pos`` on: each turn of the loop is one node, whose include branch
-        recurses and whose exclude branch is the next turn."""
+        """Depth-first walk from the node ``(pos, smask, need)``.  Each
+        pick pushes its node's frame; when a branch ends, the innermost
+        frame is popped and its exclude branch, the node one position on,
+        comes next."""
+        frames: list[tuple[int, int, int]] = []
         while state[0] is None:
-            state[2] += 1
-            if n - pos < need:
+            pick = node(pos, smask, need)
+            if pick is not None:
+                frames.append((pick, smask, need))
+                chosen.append(pick)
+                labels.append(_extend_labels(*labels[-1], rows[pick], base))
+                pos, smask, need = pick + 1, smask | 1 << pick, need - 1
+            elif frames:
+                pos, smask, need = frames.pop()
+                chosen.pop()
+                labels.pop()
+                pos += 1
+            else:
                 return
-            bound = 0
-            if masks:  # without masks nothing is forced or packed
-                fut = (1 << n) - (1 << pos)
-                reachable = smask | fut
-                forced = 0
-                for m in masks:
-                    out = m & ~reachable
-                    if out:
-                        if out & (out - 1):
-                            return
-                        forced |= m & fut
-                free = fut & ~forced
-                bound = bit_count(forced)
-                packed = 0
-                for part in sorted([m & free for m in masks], key=bit_count, reverse=True):
-                    size = bit_count(part)
-                    if size <= 1:
-                        break
-                    if not part & packed:
-                        packed |= part
-                        bound += size - 1
-                if bound > need:
-                    state[3] += 1
-                    return
-            if need == 1:
-                last_level(pos, n, smask)
-                return
-            if bound == need:
-                # No slack: the bound would cut the include branch of a
-                # vertex in no mask (module docstring).
-                while not covered >> pos & 1:
-                    state[3] += 1
-                    pos += 1
-                    if n - pos < need:
-                        return
-            chosen.append(pos)
-            labels.append(_extend_labels(*labels[-1], rows[pos], base))
-            walk(pos + 1, smask | 1 << pos, need - 1)
-            chosen.pop()
-            labels.pop()
-            pos += 1
 
     if k == 1:
         state[2] += 1
@@ -383,13 +398,11 @@ def _mask_list(masks) -> list[int]:
 def edge_infeasibility_masks(g: Graph) -> list[int]:
     """Bitmasks of the simplicial members of every closed neighbourhood
     (module docstring), sorted and distinct, with two or more members."""
-    closed = [sum(1 << w for w in ns) | 1 << v for v, ns in enumerate(g.adjacency)]
-    simplicial = sum(
-        1 << v
-        for v, c in enumerate(closed)
-        if all(closed[w] & c == c for w in g.adjacency[v])
+    simplicial = simplicial_vertices(g)
+    return _mask_list(
+        (sum(1 << w for w in ns) | 1 << v) & simplicial
+        for v, ns in enumerate(g.adjacency)
     )
-    return _mask_list(c & simplicial for c in closed)
 
 
 def vertex_infeasibility_masks(g: Graph) -> list[int]:

@@ -2,6 +2,10 @@
 
 import collections
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -322,21 +326,31 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
 
-    def test_module_invocation(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        # The child imports the same silires as this process, installed or
-        # not.
+    @staticmethod
+    def child(*args):
+        """Run a fresh interpreter that imports the same silires as this
+        process, installed or not."""
         src = str(Path(silires.cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "silires", "generate", "--family", "chain", "-n", "1"],
+        return subprocess.run(
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_module_invocation(self):
+        proc = self.child("-m", "silires", "generate", "--family", "chain", "-n", "1")
         assert proc.returncode == EXIT_OK
         assert proc.stdout.startswith("p 4 6\n")
+
+    def test_import_loads_no_undeclared_dependency(self):
+        # scipy and networkx may be installed but are not dependencies; a
+        # stray import would add its load time and memory to every command.
+        proc = self.child(
+            "-c",
+            "import sys, silires, silires.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'}))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

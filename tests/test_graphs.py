@@ -1,9 +1,11 @@
 """Graph construction, BFS distances, and edge-to-vertex distances."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from silires import (
     DisconnectedGraphError,
@@ -16,8 +18,8 @@ from silires import (
     edge_vertex_distance,
     is_connected,
 )
-from silires.graphs import distance_dtype
-from silires.silicates import SilicateSpec
+from silires.graphs import distance_dtype, distance_rows, simplicial_vertices
+from silires.silicates import SKELETON, SilicateSpec
 
 from conftest import (
     complete_graph,
@@ -131,6 +133,60 @@ class TestBfsDistances:
         assert distance_dtype(32768) is np.int16
         assert distance_dtype(32769) is np.int32
         assert all_pairs_distances(path_graph(5)).d.dtype == np.int16
+
+
+@st.composite
+def distance_cases(draw):
+    """(graph, sources): a random connected graph, a random tree (leaves
+    are simplicial), a complete graph (empty core), a skeleton expansion or
+    a graph on 0-2 vertices, with sources in any order, repeats allowed."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "tree", "complete", SKELETON, "tiny"]))
+    if kind == "random":
+        g = random_connected_graph(rng, draw(st.integers(1, 30)))
+    elif kind == "tree":
+        n = draw(st.integers(1, 30))
+        g = build_graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+    elif kind == "complete":
+        g = complete_graph(draw(st.integers(1, 8)))
+    elif kind == SKELETON:
+        base = random_connected_graph(rng, draw(st.integers(2, 7)))
+        g = build_silicate(SilicateSpec(family=SKELETON, skeleton=base)).graph
+    else:
+        g = path_graph(draw(st.integers(0, 2)))
+    n = g.vertex_count
+    sources = draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
+    return g, sources
+
+
+class TestDistanceRows:
+    @given(distance_cases())
+    def test_matches_bfs_from_each_source(self, case):
+        g, sources = case
+        rows = distance_rows(g, sources)
+        expected = [bfs_distances(g, s) for s in sources]
+        assert rows.dtype == distance_dtype(g.vertex_count)
+        assert rows.shape == (len(sources), g.vertex_count)
+        assert rows.tolist() == expected
+
+    def test_disconnected_graph_with_connected_core(self):
+        # K3 + P3: the core is the middle of the path, a connected graph,
+        # so the check must come from a BFS over the whole graph.
+        g = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
+        assert simplicial_vertices(g) == 0b101111
+        for first in range(6):
+            with pytest.raises(DisconnectedGraphError) as expected:
+                bfs_distances(g, first)
+            with pytest.raises(DisconnectedGraphError) as raised:
+                distance_rows(g, [first, 4])
+            assert str(raised.value) == str(expected.value)
+
+    def test_simplicial_vertices_of_families(self):
+        # Every cubic corner is simplicial; the hinges are the core.
+        for family, n in [("chain", 5), ("cyclic", 5)]:
+            g = family_graph(family, n)
+            cubic = sum(1 << v for v in range(g.vertex_count) if g.degree(v) == 3)
+            assert simplicial_vertices(g) == cubic
 
 
 class TestDistanceMatrixInvariants:

@@ -220,21 +220,22 @@ class TestOptimalCertificates:
 
     @pytest.mark.parametrize("solve", [exact_edge_metric_dimension, exact_metric_dimension])
     def test_witness_check_reuses_the_distance_matrix(self, solve, monkeypatch):
-        # One BFS per vertex builds the distance matrix; the final witness
-        # check slices its rows instead of searching from each landmark.
+        # One call to the distance kernel covers every vertex to build the
+        # matrix; the final witness check slices its rows instead of asking
+        # for landmark rows.
         calls = []
-        bfs = silires.graphs.bfs_distances
+        rows = silires.graphs.distance_rows
 
-        def counted(g, source):
-            calls.append(source)
-            return bfs(g, source)
+        def counted(g, sources):
+            calls.append(list(sources))
+            return rows(g, sources)
 
-        monkeypatch.setattr(silires.graphs, "bfs_distances", counted)
-        monkeypatch.setattr(silires.resolving, "bfs_distances", counted)
+        monkeypatch.setattr(silires.graphs, "distance_rows", counted)
+        monkeypatch.setattr(silires.resolving, "distance_rows", counted)
         g = family_graph(CHAIN, 3)
         cert = solve(g)
         assert cert.status == STATUS_OPTIMAL and cert.witness
-        assert sorted(calls) == list(range(g.vertex_count))
+        assert calls == [list(range(g.vertex_count))]
 
     def test_path_dimension_one(self):
         cert = exact_edge_metric_dimension(path_graph(7))
@@ -699,6 +700,20 @@ class TestSearchCounters:
         # position would pass the interpreter's recursion limit.
         cert = exact_edge_metric_dimension(family_graph(family, n))
         assert (cert.status, cert.dimension) == (STATUS_OPTIMAL, dimension)
+
+    @pytest.mark.parametrize("n,dimension", [(700, 1052), (701, 1053)])
+    def test_walk_picks_more_members_than_the_recursion_limit(self, n, dimension):
+        # Over a thousand members picked: a walk recursing once per pick
+        # would pass the interpreter's recursion limit.  At odd n the
+        # lexicographically smallest witness is the closed-form set; at even
+        # n it takes three corners of the first tetrahedron, so only the
+        # sizes agree.
+        silicate, constructed = construct_for_spec(SilicateSpec(family=CHAIN, n=n))
+        cert = exact_edge_metric_dimension(silicate.graph)
+        assert (cert.status, cert.dimension) == (STATUS_OPTIMAL, dimension)
+        assert len(constructed) == dimension
+        if n % 2:
+            assert cert.witness == constructed
 
     def test_vertex_solve_guard(self):
         # The benchmark's canonical vertex chain 5: the twin masks and the
