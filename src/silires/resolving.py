@@ -125,6 +125,25 @@ def first_duplicate_rows(table: np.ndarray) -> Optional[tuple[int, int]]:
     return best
 
 
+def _check(
+    g: Graph, landmarks: Sequence[int], dist: Optional[DistanceMatrix], items, codes
+) -> VerificationResult:
+    """Whether ``landmarks`` gives the ``items`` (vertices or canonical
+    edges, in order) pairwise distinct codes; ``codes`` turns the landmark
+    rows into the code table, one row per item."""
+    lm = validate_landmarks(g, landmarks)
+    if len(items) <= 1:
+        return VerificationResult(resolving=True, witness=None)
+    if not lm:
+        return VerificationResult(resolving=False, witness=(items[0], items[1]))
+    rows = landmark_rows(g, lm) if dist is None else _matrix_rows(g, dist, lm)
+    dup = first_duplicate_rows(codes(rows))
+    if dup is None:
+        return VerificationResult(resolving=True, witness=None)
+    i, j = dup
+    return VerificationResult(resolving=False, witness=(items[i], items[j]))
+
+
 def is_edge_resolving(
     g: Graph, landmarks: Sequence[int], *, dist: Optional[DistanceMatrix] = None
 ) -> VerificationResult:
@@ -136,20 +155,7 @@ def is_edge_resolving(
     all-pairs matrix of ``g``, replaces the BFS from each landmark; a
     matrix of another size raises :class:`~silires.errors.GraphInputError`.
     """
-    lm = validate_landmarks(g, landmarks)
-    if g.edge_count <= 1:
-        return VerificationResult(resolving=True, witness=None)
-    if not lm:
-        return VerificationResult(resolving=False, witness=(g.edges[0], g.edges[1]))
-    if dist is None:
-        table = edge_code_table(g, lm)
-    else:
-        table = _edge_codes(g, _matrix_rows(g, dist, lm))
-    dup = first_duplicate_rows(table)
-    if dup is None:
-        return VerificationResult(resolving=True, witness=None)
-    i, j = dup
-    return VerificationResult(resolving=False, witness=(g.edges[i], g.edges[j]))
+    return _check(g, landmarks, dist, g.edges, lambda rows: _edge_codes(g, rows))
 
 
 def is_vertex_resolving(
@@ -157,16 +163,4 @@ def is_vertex_resolving(
 ) -> VerificationResult:
     """Check whether ``landmarks`` distinguishes every pair of vertices;
     ``dist`` as for :func:`is_edge_resolving`."""
-    lm = validate_landmarks(g, landmarks)
-    if g.vertex_count <= 1:
-        return VerificationResult(resolving=True, witness=None)
-    if not lm:
-        return VerificationResult(resolving=False, witness=(0, 1))
-    if dist is None:
-        table = vertex_code_table(g, lm)
-    else:
-        table = _matrix_rows(g, dist, lm).T.copy()
-    dup = first_duplicate_rows(table)
-    if dup is None:
-        return VerificationResult(resolving=True, witness=None)
-    return VerificationResult(resolving=False, witness=dup)
+    return _check(g, landmarks, dist, range(g.vertex_count), np.transpose)

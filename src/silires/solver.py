@@ -1,11 +1,13 @@
 """Exact minimum edge / vertex metric dimension by pruned subset search.
 
-The solver enumerates landmark sets in increasing size and, within a size,
-in lexicographic order, so the first verified set is the lexicographically
-smallest optimal witness.  Searches may be seeded with a lower bound; a
-downward confirmation pass re-establishes exhaustive infeasibility at
-``dimension - 1`` whenever the seed leaves it unproven, so certificates stay
-exact.
+One loop walks over sizes, searching each in lexicographic order.  It
+starts at ``start_size`` (by default the family lower bound for an edge
+solve of a chain or cyclic silicate, else 1) and moves up while a size has
+no resolving set, refuting it; a witness at size k moves it down to k - 1,
+until it meets a refuted size.  The last witness is thus the
+lexicographically smallest set of its size, and the certificate is
+``optimal`` exactly when the refuted sizes reach ``dimension - 1``.  A
+budget trip ends the walk with what the sizes searched so far prove.
 
 Pruning rests on *masks*: vertex sets such that a landmark set leaving out
 two members of one mask cannot resolve, so it is skipped unevaluated.  Each
@@ -81,12 +83,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SolverInternalError, UnsupportedFamilyError
+from .errors import SolverInternalError
 from .graphs import Graph, all_pairs_distances, simplicial_vertices
 from .resolving import edge_rows, is_edge_resolving, is_vertex_resolving
 from .silicates import SilicateSpec
@@ -104,13 +107,14 @@ STATUS_PARTIAL = "partial"
 class SolveOptions:
     """Search configuration.
 
-    ``start_size`` seeds the first level (default: the family lower bound
-    when the graph is recognized, else 1); ``max_size`` caps the largest
-    level searched; the vertex count caps both.  ``budget_subsets`` bounds
-    the number of candidate sets evaluated, at block granularity, after
-    which a non-optimal certificate is returned.
-    ``parallel_workers`` above 1 runs the blocks of each level (the k-sets
-    sharing a smallest member) in a pool of that many processes.  The
+    ``start_size`` seeds the first level (default: for an edge solve, the
+    family lower bound when the graph is a chain or cyclic silicate; else
+    1); ``max_size`` caps the largest level searched; the vertex count caps
+    both.  ``budget_subsets`` bounds the number of candidate sets
+    evaluated, at block granularity, after which a non-optimal certificate
+    is returned.  ``parallel_workers`` above 1 runs the blocks of each
+    level (the k-sets sharing a smallest member) in a pool of that many
+    processes, at most one per vertex (no level has more blocks).  The
     certificate and counters are those of one worker, the solve returns or
     raises only after every worker has exited, and a worker that dies
     makes it raise ``BrokenProcessPool``.
@@ -167,9 +171,9 @@ class Certificate:
     when a witness exists but the proof below it is incomplete; ``partial``
     when no witness was found within budget.  ``spec`` is the chain or
     cyclic family recognized in the graph (``None`` otherwise), which seeds
-    the default start.  Elapsed time, worker count and the search counters
-    other than ``subsets_examined`` are informational and excluded from
-    serialized output.
+    the default start of an edge solve.  Elapsed time, worker count and the
+    search counters other than ``subsets_examined`` are informational and
+    excluded from serialized output.
     """
 
     target: str
@@ -418,15 +422,6 @@ def vertex_infeasibility_masks(g: Graph) -> list[int]:
     return _mask_list(classes.values())
 
 
-def _default_start(spec: Optional[SilicateSpec], target: str) -> int:
-    if target != EDGE or spec is None:
-        return 1
-    try:
-        return dimension_lower_bound(spec)
-    except UnsupportedFamilyError:
-        return 1
-
-
 def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     t0 = time.perf_counter()
     apsp = all_pairs_distances(g)
@@ -467,70 +462,48 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     # Every vertex together resolves a connected graph, so no level above
     # the vertex count is searched (it has no sets to refute).
     cap = min(opts.max_size or g.vertex_count, g.vertex_count)
-    start = min(opts.start_size or _default_start(spec, target), cap)
+    family_start = dimension_lower_bound(spec) if spec and target == EDGE else 1
+    start = min(opts.start_size or family_start, cap)
 
     ctx = _context(rows, masks)
+    # No level has more blocks than vertices, so more workers would idle.
+    workers = min(opts.parallel_workers, g.vertex_count)
     pool = None
-    if opts.parallel_workers > 1:
+    if workers > 1:
         pool = ProcessPoolExecutor(
-            max_workers=opts.parallel_workers,
-            initializer=_init_worker,
-            initargs=(ctx,),
+            max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         )
     counted = [0, 0, 0]  # evaluated, nodes, bound prunes
-    proven_infeasible = 0  # size 0 always fails with >= 2 items
-    try:
-        budget = opts.budget_subsets
-
-        def level(k):
+    proven = 0  # size 0 always fails with >= 2 items
+    best: Optional[tuple[int, tuple[int, ...]]] = None
+    budget = opts.budget_subsets
+    k = start
+    with pool or nullcontext():
+        while (k <= cap) if best is None else (proven < k < best[0]):
             remaining = None if budget is None else budget - counted[0]
             witness, counts, tripped = _search_level(ctx, k, pool, remaining)
             for i, c in enumerate(counts):
                 counted[i] += c
-            return witness, tripped
-
-        hit: Optional[tuple[int, tuple[int, ...]]] = None
-        k = start
-        while k <= cap:
-            witness, tripped = level(k)
             if witness is not None:
-                hit = (k, witness)
+                best = (k, witness)
+                k -= 1
+            elif tripped:
                 break
-            if tripped:
-                break
-            proven_infeasible = k
-            k += 1
+            else:
+                proven = k
+                k += 1
 
-        if hit is None:
-            return build(None, None, proven_infeasible, STATUS_PARTIAL, start, counted)
-
-        best_k, best_witness = hit
-        while True:
-            below = best_k - 1
-            if below <= 0 or proven_infeasible >= below:
-                status = STATUS_OPTIMAL
-                break
-            witness, tripped = level(below)
-            if witness is not None:
-                best_k, best_witness = below, witness
-                continue
-            if tripped:
-                status = STATUS_CONDITIONAL
-                break
-            proven_infeasible = below
-            status = STATUS_OPTIMAL
-            break
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-
+    if best is None:
+        return build(None, None, proven, STATUS_PARTIAL, start, counted)
+    best_k, best_witness = best
+    status = STATUS_OPTIMAL if proven >= best_k - 1 else STATUS_CONDITIONAL
     checker = is_edge_resolving if target == EDGE else is_vertex_resolving
     if not checker(g, best_witness, dist=apsp).resolving:
         raise SolverInternalError(
             "internal error: search returned a non-resolving witness "
             f"{best_witness!r}"
         )
-    return build(best_k, best_witness, proven_infeasible, status, start, counted)
+    return build(best_k, best_witness, proven, status, start, counted)
 
 
 def exact_edge_metric_dimension(

@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import StructureError, UnsupportedFamilyError
-from .graphs import Graph, canonical_edge
+from .graphs import Graph, canonical_edge, is_connected
 from .silicates import CHAIN, CYCLIC, SilicateSpec
 
 
@@ -192,7 +192,7 @@ def check_sufficient(
     """
     ignored = tuple(sorted(v for v in landmarks if g.degree(v) != 3))
     chosen = {v for v in landmarks if g.degree(v) == 3}
-    twin_bad = tuple(t for t in twins if len(set(t.cubic_set) - chosen) >= 2)
+    twin_bad = tuple(check_necessary(chosen, twins))
     type1_bad = []
     type2_bad = []
     lone_bad = []
@@ -241,9 +241,10 @@ def classify_silicate(g: Graph) -> Optional[SilicateSpec]:
     """Recognize chain / cyclic silicates from their tetrahedron cover.
 
     Returns ``None`` when :func:`find_tetrahedra` finds no cover, when the
-    graph is disconnected (a vertex lies in no tetrahedron, or shared
-    vertices do not join the tetrahedra into one piece), or when the hinge
-    structure is neither a path nor a cycle of distinct hinges.
+    graph is disconnected, or when the hinge structure is neither a path
+    nor a cycle of distinct hinges.  Once the cover holds every edge, the
+    graph is connected exactly when every vertex lies in a tetrahedron and
+    shared vertices join the tetrahedra into one piece.
     Cover tetrahedra share at most one vertex, so a tetrahedron has one
     twin per other tetrahedron through each of its vertices.  Those counts
     sum to twice the number of vertices in two tetrahedra only when none
@@ -255,19 +256,12 @@ def classify_silicate(g: Graph) -> Optional[SilicateSpec]:
     except StructureError:
         return None
     count = len(tetrahedra)
-    if count == 0 or 6 * count != g.edge_count:
+    if count == 0 or 6 * count != g.edge_count or not is_connected(g):
         return None
     through: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for i, t in enumerate(tetrahedra):
         for v in t.vertices:
             through[v].append(i)
-    reached, stack = {0}, [0]  # tetrahedra joined to the first by shared vertices
-    while stack:
-        for v in tetrahedra[stack.pop()].vertices:
-            stack.extend(j for j in through[v] if j not in reached)
-            reached.update(through[v])
-    if len(reached) < count or not all(through):  # disconnected
-        return None
     if count == 1:
         return SilicateSpec(family=CHAIN, n=1)
     hinges = sum(len(ts) == 2 for ts in through)

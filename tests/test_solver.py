@@ -5,6 +5,7 @@ import itertools
 import multiprocessing
 import os
 import random
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -434,6 +435,26 @@ class TestWorkerPool:
         assert cert.status == status
         assert multiprocessing.active_children() == []
 
+    def test_pool_has_at_most_one_worker_per_vertex(self, monkeypatch):
+        # No level of chain 2 (7 vertices) has more than 7 blocks, so 16
+        # workers would start 9 that never get one.  A thread pool stands
+        # in for the process pool and records its size.
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(silires.solver, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(silires.solver, "_WORKER_CTX", None)
+        g = family_graph(CHAIN, 2)
+        one = exact_edge_metric_dimension(g, SolveOptions(start_size=1))
+        for workers in (2, 16):
+            opts = SolveOptions(start_size=1, parallel_workers=workers)
+            assert _outcome(exact_edge_metric_dimension(g, opts)) == _outcome(one)
+        assert sizes == [2, 7]
+
     @needs_fork
     @pytest.mark.parametrize(
         "block_search,error",
@@ -526,6 +547,38 @@ class TestPruningMasks:
         # and with its budget trips, is evaluated by the solver too.
         g, opts = case
         assert _outcome(exact_edge_metric_dimension(g, opts)) == _reference_solve(g, opts)
+
+    def test_every_exit_of_the_size_walk(self):
+        # Chain 2 (7 vertices, dimension 5) under a grid of start, cap and
+        # budget leaves the walk over sizes by every way out.
+        g = family_graph(CHAIN, 2)
+        exits = set()
+        for start, cap, budget in itertools.product(
+            (None, 1, 4, 6, 7), (None, 4, 6), (None, 0, 1, 5)
+        ):
+            if start and cap and start > cap:
+                continue
+            opts = SolveOptions(start_size=start, max_size=cap, budget_subsets=budget)
+            outcome = _reference_solve(g, opts)
+            assert _outcome(exact_edge_metric_dimension(g, opts)) == outcome
+            status, dimension, _, proven, first, _ = outcome
+            if status == STATUS_PARTIAL:
+                exits.add("cap" if proven == min(cap or 7, 7) else "trip going up")
+            elif status == STATUS_CONDITIONAL:
+                exits.add("trip going down")
+            elif dimension >= first:
+                exits.add("witness at start" if dimension == first else "climb")
+            else:
+                exits.add("one level down" if dimension == first - 1 else "descent")
+        assert exits == {
+            "cap",
+            "trip going up",
+            "trip going down",
+            "witness at start",
+            "climb",
+            "one level down",
+            "descent",
+        }
 
 
 class TestVertexTarget:
