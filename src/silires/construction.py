@@ -96,19 +96,21 @@ def construct_ers(
 ) -> tuple[int, ...]:
     """Materialize a landmark set by picking labeled counts of cubic vertices.
 
-    From tetrahedron i the ``labels[i]`` smallest-id degree-3 vertices are
-    taken.  Raises :class:`ConstructionError` naming the first tetrahedron
-    with too few cubic vertices.
+    From tetrahedron i the ``labels[i]`` smallest ids of its degree-3
+    vertices, ``silicate.private_vertices[i]``, are taken.  Raises
+    :class:`ConstructionError` naming the first tetrahedron with too few
+    cubic vertices.
     """
     if len(labeling.labels) != len(silicate.tetrahedra):
         raise ConstructionError(
             f"labeling has {len(labeling.labels)} entries for "
             f"{len(silicate.tetrahedra)} tetrahedra"
         )
-    g = silicate.graph
     chosen: list[int] = []
-    for i, (tet, want) in enumerate(zip(silicate.tetrahedra, labeling.labels)):
-        cubic = sorted(v for v in tet if g.degree(v) == 3)
+    for i, (private, want) in enumerate(
+        zip(silicate.private_vertices, labeling.labels)
+    ):
+        cubic = sorted(private)
         if len(cubic) < want:
             raise ConstructionError(
                 f"tetrahedron {i} has {len(cubic)} cubic vertices, "

@@ -22,10 +22,32 @@ is the set of hinges.  In a connected graph:
   vertex x has a core neighbour: a core vertex is adjacent to x, or a
   shortest path to it leaves x through the core, as in the second fact.
 
+Inside the core, a BFS is needed only where the core branches.  Call a
+core vertex a *branch* vertex when its core degree is not 2, or, if every
+core vertex has core degree 2, take one core vertex as the only branch
+vertex: a connected graph whose degrees are all 2 is a cycle, and a cycle
+cut at one vertex is a path.  Every other core vertex x then sits at some
+position i on a *thread* a = p_0, ..., p_L = b: a walk between branch
+vertices whose interior vertices p_1, ..., p_{L-1} all have core degree 2
+(a = b and parallel threads are allowed).  Walking from x both ways over
+vertices of degree 2 reaches a branch vertex each way, since the core is
+connected and only a cycle with no branch vertex would lead back to x.
+
+* Thread lemma: for every core vertex y, d(x, y) = min(i + d(a, y),
+  L - i + d(b, y)), with |i - j| joining the min when y = p_j is interior
+  to the same thread.  Each term is the length of a walk from x to y.
+  Conversely, a shortest path from x either stays on the thread's
+  interior, and then has length |i - j|, or it leaves the interior.  An
+  interior vertex has no neighbours besides its two thread neighbours, so
+  the path leaves through a, after exactly i steps, or through b, after
+  exactly L - i steps, and continues by a shortest path to y.
+
 :func:`distance_rows` therefore runs a BFS inside the core, only from the
-core vertices some source needs.  The columns of simplicial vertices and
-the rows of simplicial sources are ``1 + min`` over core neighbours, and
-each row is then set to 1 at its source's neighbours and 0 at the source.
+branch vertices some source needs and from the two ends of each thread
+holding a needed vertex; the rows of the thread vertices follow from the
+lemma.  The columns of simplicial vertices and the rows of simplicial
+sources are ``1 + min`` over core neighbours, and each row is then set to
+1 at its source's neighbours and 0 at the source.
 """
 
 from __future__ import annotations
@@ -174,6 +196,53 @@ def _min_rows(table: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
     return out
 
 
+def _core_rows(
+    adjacency: Sequence[Sequence[int]], targets: Sequence[int], dtype: type
+) -> np.ndarray:
+    """Rows of hop distances from each of ``targets`` over a connected
+    graph, as a ``(len(targets), c)`` array of ``dtype``, from a BFS at the
+    needed branch vertices and thread ends only (the thread lemma in the
+    module docstring)."""
+    c = len(adjacency)
+    branch = [v for v in range(c) if len(adjacency[v]) != 2] or [0]
+    # Every vertex lies on one segment: each branch vertex on its own
+    # (a = b, i = L = 0), each other vertex on its thread's interior.
+    segment = [-1] * c
+    position = [0] * c
+    ends = [(a, a, 0) for a in branch]
+    for s, a in enumerate(branch):
+        segment[a] = s
+    for a in branch:
+        for w in adjacency[a]:
+            prev, cur, i = a, w, 0
+            while segment[cur] < 0:
+                i += 1
+                segment[cur], position[cur] = len(ends), i
+                x, y = adjacency[cur]
+                prev, cur = cur, y if x == prev else x
+            if i:
+                ends.append((a, cur, i + 1))
+    # i + d(a, y) reaches 2(c - 1), past the range of distance_dtype(c).
+    wide = distance_dtype(2 * c)
+    rank: dict[int, int] = {}  # BFS root -> its row of reach
+    per_target = []  # rows of a and b, offsets i and L - i, segment
+    for x in targets:
+        a, b, length = ends[segment[x]]
+        ra = rank.setdefault(a, len(rank))
+        rb = rank.setdefault(b, len(rank))
+        i = position[x]
+        per_target.append((ra, rb, i, length - i, segment[x]))
+    reach = np.array([_bfs(adjacency, r) for r in rank], dtype=wide)
+    t = np.array(per_target, dtype=wide).T
+    near = reach[t[:2]]  # d(a, y) and d(b, y)
+    near += t[2:4, :, None]  # i + d(a, y) and L - i + d(b, y)
+    out = np.minimum(near[0], near[1], out=near[0])
+    along = np.array((segment, position), dtype=wide)
+    same = t[4, :, None] == along[0]  # y = p_j on x's own segment
+    np.minimum(out, np.abs(t[2, :, None] - along[1]), out=out, where=same)
+    return out.astype(dtype, copy=False)
+
+
 def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
     """Hop distances from each source, as a ``(len(sources), n)`` array of
     type :func:`distance_dtype`, computed from the core (module docstring).
@@ -204,8 +273,7 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
         near = [[index[w] for w in ns if index[w] >= 0] for ns in adjacency]
         seeds = [[index[s]] if index[s] >= 0 else near[s] for s in sources]
         needed = sorted(set(chain.from_iterable(seeds)))
-        core_adjacency = [near[v] for v in core]
-        inner = np.array([_bfs(core_adjacency, r) for r in needed], dtype=dtype)
+        inner = _core_rows([near[v] for v in core], needed, dtype)
         # The needed core vertices' rows over every vertex.
         full = np.empty((len(needed), n), dtype=dtype)
         full[:, core] = inner

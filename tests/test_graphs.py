@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from silires import (
     DisconnectedGraphError,
@@ -18,8 +18,10 @@ from silires import (
     edge_vertex_distance,
     is_connected,
 )
+from silires import construct_for_spec, graphs
 from silires.graphs import distance_dtype, distance_rows, simplicial_vertices
-from silires.silicates import SKELETON, SilicateSpec
+from silires.resolving import landmark_rows
+from silires.silicates import CHAIN, CYCLIC, SKELETON, SilicateSpec
 
 from conftest import (
     complete_graph,
@@ -28,6 +30,7 @@ from conftest import (
     oracle_distance_matrix,
     path_graph,
     random_connected_graph,
+    relabeled,
 )
 
 
@@ -135,13 +138,45 @@ class TestBfsDistances:
         assert all_pairs_distances(path_graph(5)).d.dtype == np.int16
 
 
+def subdivided(base, rng):
+    """``base`` with every edge replaced by a path of 1-5 edges: parallel
+    threads between the base vertices."""
+    n, edges = base.vertex_count, []
+    for u, v in base.edges:
+        for _ in range(rng.randint(0, 4)):
+            edges.append((u, n))
+            u, n = n, n + 1
+        edges.append((u, v))
+    return build_graph(n, edges)
+
+
+def tree_with_cycle(rng, n, length):
+    """A random tree on ``n`` vertices with a cycle of ``length`` new and old
+    vertices hanging off one vertex: a thread whose two ends coincide."""
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    at = last = rng.randrange(n)
+    for v in range(n, n + length - 1):
+        edges.append((last, v))
+        last = v
+    edges.append((last, at))
+    return build_graph(n + length - 1, edges)
+
+
 @st.composite
 def distance_cases(draw):
     """(graph, sources): a random connected graph, a random tree (leaves
-    are simplicial), a complete graph (empty core), a skeleton expansion or
-    a graph on 0-2 vertices, with sources in any order, repeats allowed."""
+    are simplicial), a complete graph (empty core), a skeleton expansion, a
+    graph on 0-2 vertices, or a core made of threads: a path, a cycle, a
+    relabeled chain or cyclic silicate, a subdivided random graph or a tree
+    with a cycle hanging off it.  Sources come in any order, repeats
+    allowed."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "tree", "complete", SKELETON, "tiny"]))
+    kind = draw(
+        st.sampled_from(
+            ["random", "tree", "complete", SKELETON, "tiny", "path", "cycle",
+             CHAIN, CYCLIC, "subdivided", "tree+cycle"]
+        )
+    )
     if kind == "random":
         g = random_connected_graph(rng, draw(st.integers(1, 30)))
     elif kind == "tree":
@@ -152,14 +187,26 @@ def distance_cases(draw):
     elif kind == SKELETON:
         base = random_connected_graph(rng, draw(st.integers(2, 7)))
         g = build_silicate(SilicateSpec(family=SKELETON, skeleton=base)).graph
-    else:
+    elif kind == "tiny":
         g = path_graph(draw(st.integers(0, 2)))
+    elif kind == "path":
+        g = path_graph(draw(st.integers(3, 40)))
+    elif kind == "cycle":
+        g = cycle_graph(draw(st.integers(3, 40)))
+    elif kind in (CHAIN, CYCLIC):
+        n = draw(st.integers(1 if kind == CHAIN else 3, 15))
+        g = relabeled(family_graph(kind, n), rng)
+    elif kind == "subdivided":
+        g = subdivided(random_connected_graph(rng, draw(st.integers(1, 8))), rng)
+    else:
+        g = tree_with_cycle(rng, draw(st.integers(1, 10)), draw(st.integers(3, 10)))
     n = g.vertex_count
     sources = draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
     return g, sources
 
 
 class TestDistanceRows:
+    @settings(max_examples=300, deadline=None)
     @given(distance_cases())
     def test_matches_bfs_from_each_source(self, case):
         g, sources = case
@@ -168,6 +215,31 @@ class TestDistanceRows:
         assert rows.dtype == distance_dtype(g.vertex_count)
         assert rows.shape == (len(sources), g.vertex_count)
         assert rows.tolist() == expected
+
+    def test_thread_sums_do_not_wrap(self):
+        # The core is a path of 32766 vertices: i + d(a, y) passes 32767.
+        g = path_graph(32768)
+        rows = distance_rows(g, [16000, 30000])
+        assert rows.dtype == np.int16
+        assert rows.tolist() == [bfs_distances(g, 16000), bfs_distances(g, 30000)]
+
+    @pytest.mark.parametrize("family,n", [(CHAIN, 200), (CYCLIC, 200)])
+    def test_core_bfs_runs_only_from_thread_ends(self, monkeypatch, family, n):
+        # The hinges form a path (two ends) or a cycle (one cut vertex);
+        # one more BFS is the first source's connectivity check.
+        silicate, landmarks = construct_for_spec(SilicateSpec(family=family, n=n))
+        bfs, calls = graphs._bfs, []
+
+        def counting(adjacency, source):
+            calls.append(source)
+            return bfs(adjacency, source)
+
+        monkeypatch.setattr(graphs, "_bfs", counting)
+        all_pairs_distances(silicate.graph)
+        assert len(calls) <= 3
+        calls.clear()
+        landmark_rows(silicate.graph, landmarks)
+        assert len(calls) <= 3
 
     def test_disconnected_graph_with_connected_core(self):
         # K3 + P3: the core is the middle of the path, a connected graph,
