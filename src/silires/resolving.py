@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GraphInputError
-from .graphs import DistanceMatrix, Edge, Graph, distance_rows
+from .graphs import DistanceMatrix, Edge, Graph, distance_rows, edge_ends, vertex_ids
 
 Code = tuple[int, ...]
 
@@ -37,7 +37,10 @@ class VerificationResult:
 
 
 def validate_landmarks(g: Graph, landmarks: Sequence[int]) -> tuple[int, ...]:
-    lm = tuple(int(v) for v in landmarks)
+    """``landmarks`` as a tuple of Python ints; raises
+    :class:`~silires.errors.GraphInputError` for an id that is not an
+    integer, a repeated id or an id outside the graph."""
+    lm = tuple(vertex_ids(landmarks, "landmark"))
     if len(set(lm)) != len(lm):
         raise GraphInputError(f"landmark set {lm} contains duplicates")
     for v in lm:
@@ -73,7 +76,7 @@ def _matrix_rows(g: Graph, dist: DistanceMatrix, lm: tuple[int, ...]) -> np.ndar
             f"distance matrix of shape {dist.d.shape} given for a graph of "
             f"{g.vertex_count} vertices"
         )
-    return dist.d[list(lm)]
+    return dist.d.T.take(list(lm), axis=1).T  # laid out as distance_rows
 
 
 def edge_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
@@ -81,13 +84,18 @@ def edge_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
     one column per vertex of ``g``): ``min(d(u, .), d(v, .))`` for every
     canonical edge (u, v), as a ``(len(rows), m)`` array of the same dtype,
     one column per edge (``m`` may be 0)."""
-    eu = np.fromiter((e[0] for e in g.edges), dtype=np.intp, count=g.edge_count)
-    ev = np.fromiter((e[1] for e in g.edges), dtype=np.intp, count=g.edge_count)
-    return np.minimum(rows[:, eu], rows[:, ev])
+    u, v = edge_ends(g)
+    out = rows.take(u, axis=1)  # C-ordered, whatever the order of rows
+    return np.minimum(out, rows.take(v, axis=1), out=out)
 
 
 def _edge_codes(g: Graph, rows: np.ndarray) -> np.ndarray:
-    return edge_rows(g, rows).T.copy()
+    """The codes of :func:`edge_rows` one row per edge: ``(m, len(rows))``,
+    gathered from the rows of ``rows.T``."""
+    u, v = edge_ends(g)
+    by_vertex = rows.T
+    out = by_vertex[u]
+    return np.minimum(out, by_vertex[v], out=out)
 
 
 def edge_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
@@ -103,26 +111,22 @@ def vertex_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
 def first_duplicate_rows(table: np.ndarray) -> Optional[tuple[int, int]]:
     """Indices of the lexicographically first pair of equal rows, if any.
 
-    Rows are compared as packed byte strings; duplicates are located with a
-    sort, and among all colliding groups the pair minimizing (i, j) wins.
+    Rows are compared as packed byte strings.  The row ids are sorted by
+    them with a stable sort, so each run of equal rows lists its ids in
+    ascending order; the pair wanted is the first two ids of the run whose
+    first id is smallest, which is also the least pair of neighbours in
+    that order with equal rows.
     """
-    count = table.shape[0]
+    count, width = table.shape
     if count < 2:
         return None
-    packed = np.ascontiguousarray(table).tobytes()
-    width = table.shape[1] * table.itemsize
-    keyed = sorted((packed[i * width : (i + 1) * width], i) for i in range(count))
-    best: Optional[tuple[int, int]] = None
-    run_start = 0
-    for pos in range(1, count + 1):
-        if pos == count or keyed[pos][0] != keyed[run_start][0]:
-            if pos - run_start >= 2:
-                members = sorted(idx for _, idx in keyed[run_start:pos])
-                pair = (members[0], members[1])
-                if best is None or pair < best:
-                    best = pair
-            run_start = pos
-    return best
+    if not width:  # every row is empty, so all are equal
+        return (0, 1)
+    packed = np.ascontiguousarray(table).view(np.dtype((np.void, width * table.itemsize)))
+    keys = packed.ravel().tolist()
+    order = sorted(range(count), key=keys.__getitem__)
+    equal = ((i, j) for i, j in zip(order, order[1:]) if keys[i] == keys[j])
+    return min(equal, default=None)
 
 
 def _check(

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import GraphInputError
-from .graphs import Graph, build_graph, is_connected
+from .graphs import Graph, _runs, build_graph, edge_ends, is_connected
 
 CHAIN = "chain"
 CYCLIC = "cyclic"
@@ -63,25 +65,21 @@ class LabeledSilicate:
     private_vertices: tuple[tuple[int, ...], ...]
 
 
-def _assemble(vertex_count: int, tetrahedra: list[tuple[int, ...]]) -> LabeledSilicate:
-    edges = []
-    for tet in tetrahedra:
-        a, b, c, d = tet
-        edges.extend([(a, b), (a, c), (a, d), (b, c), (b, d), (c, d)])
-    graph = build_graph(vertex_count, edges)
-    appearances: dict[int, int] = {}
-    for tet in tetrahedra:
-        for v in tet:
-            appearances[v] = appearances.get(v, 0) + 1
-    shared = tuple(sorted(v for v, k in appearances.items() if k >= 2))
-    private = tuple(
-        tuple(v for v in tet if graph.degree(v) == 3) for tet in tetrahedra
-    )
+# The six corner pairs of a tetrahedron: its edges.
+_TETRAHEDRON_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+def _assemble(vertex_count: int, tetrahedra: np.ndarray) -> LabeledSilicate:
+    """The silicate whose tetrahedra are the rows of the ``(T, 4)`` id
+    array ``tetrahedra``, each row in emission order."""
+    graph = build_graph(vertex_count, tetrahedra[:, _TETRAHEDRON_EDGES].reshape(-1, 2))
+    appearances = np.bincount(tetrahedra.ravel(), minlength=vertex_count)
+    cubic = graph._arcs.degree[tetrahedra] == 3
     return LabeledSilicate(
         graph=graph,
-        tetrahedra=tuple(tuple(sorted(t)) for t in tetrahedra),
-        shared_vertices=shared,
-        private_vertices=private,
+        tetrahedra=tuple(map(tuple, np.sort(tetrahedra, axis=1).tolist())),
+        shared_vertices=tuple((appearances >= 2).nonzero()[0].tolist()),
+        private_vertices=_runs(tetrahedra[cubic], cubic.sum(axis=1)),
     )
 
 
@@ -94,9 +92,7 @@ def chain_silicate(n: int) -> LabeledSilicate:
     """
     if n < 1:
         raise GraphInputError(f"chain silicate needs n >= 1, got {n}")
-    return _assemble(
-        3 * n + 1, [(3 * i - 3, 3 * i - 2, 3 * i - 1, 3 * i) for i in range(1, n + 1)]
-    )
+    return _assemble(3 * n + 1, 3 * np.arange(n)[:, None] + np.arange(4))
 
 
 def cyclic_silicate(n: int) -> LabeledSilicate:
@@ -108,11 +104,8 @@ def cyclic_silicate(n: int) -> LabeledSilicate:
     """
     if n < 3:
         raise GraphInputError(f"cyclic silicate needs n >= 3, got {n}")
-    tetrahedra: list[tuple[int, ...]] = []
-    for i in range(1, n + 1):
-        c_prev = 3 * (i - 1)
-        c_next = 0 if i == n else 3 * i
-        tetrahedra.append((c_prev, 3 * i - 2, 3 * i - 1, c_next))
+    tetrahedra = 3 * np.arange(n)[:, None] + np.arange(4)
+    tetrahedra[-1, 3] = 0
     return _assemble(3 * n, tetrahedra)
 
 
@@ -128,11 +121,9 @@ def silicate_of_skeleton(base: Graph) -> LabeledSilicate:
         raise GraphInputError("skeleton base must have at least one edge")
     if not is_connected(base):
         raise GraphInputError("skeleton base must be connected")
-    tetrahedra: list[tuple[int, ...]] = []
-    next_id = base.vertex_count
-    for u, v in base.edges:
-        tetrahedra.append((u, v, next_id, next_id + 1))
-        next_id += 2
+    u, v = edge_ends(base)
+    fresh = base.vertex_count + 2 * np.arange(base.edge_count)
+    tetrahedra = np.column_stack((u, v, fresh, fresh + 1))
     return _assemble(base.vertex_count + 2 * base.edge_count, tetrahedra)
 
 

@@ -2,6 +2,9 @@
 
 import itertools
 import random
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from silires import (
     is_connected,
 )
 from silires import construct_for_spec, graphs
-from silires.graphs import distance_dtype, distance_rows, simplicial_vertices
+from silires.graphs import distance_dtype, distance_rows, edge_ends, simplicial_vertices
 from silires.resolving import landmark_rows
 from silires.silicates import CHAIN, CYCLIC, SKELETON, SilicateSpec
 
@@ -60,6 +63,70 @@ class TestBuildGraph:
             build_graph(3, [(0, 3)])
         with pytest.raises(GraphInputError):
             build_graph(3, [(-1, 2)])
+
+    @pytest.mark.parametrize(
+        "pairs,named",
+        [
+            ([(0, 1), (2, 2), (1, 5), (4, 4)], "self-loop (2, 2)"),
+            ([(0, 1), (1, 5), (2, 2), (3, -1)], "edge (1, 5) uses an id outside [0, 3)"),
+            ([(2, 1), (-1, 0), (5, 5)], "edge (-1, 0) uses an id outside [0, 3)"),
+            ([(7, 7), (0, 9)], "self-loop (7, 7)"),
+        ],
+    )
+    def test_error_names_first_offending_pair(self, pairs, named):
+        with pytest.raises(GraphInputError, match=re.escape(named)):
+            build_graph(3, pairs)
+
+    def test_integer_array_input(self):
+        pairs = [(3, 2), (1, 0), (2, 0), (0, 1)]
+        expected = build_graph(4, pairs)
+        for dtype in (np.int8, np.int32, np.int64, np.uint16):
+            g = build_graph(4, np.array(pairs, dtype=dtype))
+            assert g == expected
+            assert all(type(x) is int for e in g.edges for x in e)
+        with pytest.raises(GraphInputError, match=re.escape("edge (0, 4) uses an id")):
+            build_graph(4, np.array([(1, 2), (0, 4), (3, 3)]))
+        with pytest.raises(GraphInputError, match="not a pair"):
+            build_graph(4, np.array([(0, 1, 2)]))
+
+    def test_numpy_ids_collapse_to_python_int_edges(self):
+        pairs = [
+            (np.int64(2), np.int64(0)),
+            (np.int32(0), 2),
+            (np.uint8(1), np.int16(2)),
+            (2, np.int64(1)),
+        ]
+        g = build_graph(np.int64(3), pairs)
+        assert g.edges == ((0, 2), (1, 2))
+        assert g.adjacency == ((2,), (2,), (0, 1))
+        assert type(g.vertex_count) is int
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert all(type(x) is int for ns in g.adjacency for x in ns)
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "2"])
+    def test_non_integral_id_rejected(self, bad):
+        named = f"vertex id {bad!r} is not an integer"
+        with pytest.raises(GraphInputError, match=re.escape(named)):
+            build_graph(3, [(0, 1), (bad, 0), (1, 7)])
+
+    def test_non_integral_vertex_count_rejected(self):
+        with pytest.raises(GraphInputError, match="vertex count 3.0 is not an integer"):
+            build_graph(3.0, [(0, 1)])
+
+    @pytest.mark.parametrize("bad", [(0, 1, 2), (1,)])
+    def test_item_that_is_not_a_pair_rejected(self, bad):
+        with pytest.raises(GraphInputError, match="not a pair"):
+            build_graph(3, [(0, 1), bad, (1, 2)])
+
+    def test_id_past_64_bits_rejected(self):
+        with pytest.raises(GraphInputError, match=f"vertex id {2**70} does not fit"):
+            build_graph(3, [(0, 1), (0, 2**70)])
+
+    def test_edge_ends_follow_edges(self):
+        g = relabeled(family_graph(CYCLIC, 5), random.Random(3))
+        u, v = edge_ends(g)
+        assert list(zip(u.tolist(), v.tolist())) == list(g.edges)
+        assert edge_ends(build_graph(2, []))[0].shape == (0,)
 
     def test_has_edge(self):
         g = build_graph(3, [(0, 1), (1, 2)])
@@ -205,6 +272,66 @@ def distance_cases(draw):
     return g, sources
 
 
+def brute_simplicial(g):
+    """Bitmask of the vertices whose closed neighbourhood is a clique, by
+    checking every pair of it."""
+    adjacent = [set(ns) for ns in g.adjacency]
+    return sum(
+        1 << v
+        for v in range(g.vertex_count)
+        if all(b in adjacent[a] for a, b in itertools.combinations([v, *g.adjacency[v]], 2))
+    )
+
+
+@st.composite
+def simplicial_cases(draw):
+    """A random graph on 0-14 vertices (isolated vertices included), a
+    complete graph, a disjoint union of cliques or a relabeled silicate."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "complete", "cliques", CHAIN, CYCLIC]))
+    if kind == "random":
+        n = draw(st.integers(0, 14))
+        p = draw(st.floats(0, 1))
+        return build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+    if kind == "complete":
+        return complete_graph(draw(st.integers(0, 9)))
+    if kind == "cliques":
+        sizes = draw(st.lists(st.integers(1, 5), max_size=4))
+        edges, start = [], 0
+        for size in sizes:
+            edges += itertools.combinations(range(start, start + size), 2)
+            start += size
+        return relabeled(build_graph(start, edges), rng)
+    return relabeled(family_graph(kind, draw(st.integers(1 if kind == CHAIN else 3, 6))), rng)
+
+
+class TestSimplicialVertices:
+    @settings(max_examples=300, deadline=None)
+    @given(simplicial_cases(), st.sampled_from([1, 2, 5, graphs._PAIR_BLOCK]))
+    def test_matches_clique_check(self, g, block):
+        # Small blocks split the neighbour-pair lookups of one vertex.
+        with mock.patch.object(graphs, "_PAIR_BLOCK", block):
+            assert simplicial_vertices(g) == brute_simplicial(g)
+
+    def test_edge_cases(self):
+        assert simplicial_vertices(build_graph(0, [])) == 0
+        assert simplicial_vertices(build_graph(3, [])) == 0b111  # isolated
+        assert simplicial_vertices(complete_graph(6)) == 0b111111
+        star = build_graph(5, [(0, v) for v in range(1, 5)])
+        assert simplicial_vertices(star) == 0b11110
+
+    def test_distance_rows_memory_is_linear(self):
+        # One graph-wide bitmask per vertex would peak near 70 MB here.
+        g = path_graph(32768)
+        tracemalloc.start()
+        try:
+            distance_rows(g, [16000, 30000])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+
 class TestDistanceRows:
     @settings(max_examples=300, deadline=None)
     @given(distance_cases())
@@ -252,6 +379,40 @@ class TestDistanceRows:
             with pytest.raises(DisconnectedGraphError) as raised:
                 distance_rows(g, [first, 4])
             assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "n,edges",
+        [
+            (9, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (7, 8), (4, 8)]),
+            (8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]),
+            (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+            (4, [(0, 1), (1, 2)]),
+        ],
+        ids=["two-cycles", "two-paths", "two-triangles", "isolated-vertex"],
+    )
+    def test_disconnected_graph_raises_as_bfs(self, n, edges):
+        # The core of two cycles or two paths is disconnected although
+        # every simplicial vertex meets it; two triangles have no core.
+        g = build_graph(n, edges)
+        for first in range(n):
+            with pytest.raises(DisconnectedGraphError) as expected:
+                bfs_distances(g, first)
+            with pytest.raises(DisconnectedGraphError) as raised:
+                distance_rows(g, [first, n - 1 - first])
+            assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("bad", [1.9, np.float64(0.0), "1"])
+    def test_non_integral_source_rejected(self, bad):
+        g = path_graph(3)
+        with pytest.raises(GraphInputError, match="is not an integer"):
+            distance_rows(g, [0, bad])
+        with pytest.raises(GraphInputError, match="is not an integer"):
+            bfs_distances(g, bad)
+
+    def test_numpy_sources_accepted(self):
+        g = path_graph(4)
+        rows = distance_rows(g, np.array([3, 0], dtype=np.int32))
+        assert rows.tolist() == [[3, 2, 1, 0], [0, 1, 2, 3]]
 
     def test_simplicial_vertices_of_families(self):
         # Every cubic corner is simplicial; the hinges are the core.

@@ -2,16 +2,25 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from silires import (
     GraphInputError,
     all_pairs_distances,
     edge_code,
+    edge_code_table,
     is_edge_resolving,
     is_vertex_resolving,
     vertex_code,
     vertex_code_table,
+)
+from silires.resolving import (
+    edge_rows,
+    first_duplicate_rows,
+    landmark_rows,
+    validate_landmarks,
 )
 
 from conftest import (
@@ -60,7 +69,86 @@ class TestCodes:
         assert [edge_code(dist, e, landmarks) for e in g.edges] == oracle
 
 
+    def test_edge_code_table_is_edge_rows_transposed(self):
+        for family, n in [("chain", 6), ("cyclic", 7)]:
+            g = family_graph(family, n)
+            landmarks = (1, 5, 8, 13)
+            rows = landmark_rows(g, landmarks)
+            table = edge_code_table(g, landmarks)
+            assert table.dtype == rows.dtype
+            assert np.array_equal(table, edge_rows(g, rows).T)
+            oracle = oracle_edge_codes(g, oracle_distance_matrix(g), landmarks)
+            assert table.tolist() == [list(code) for code in oracle]
+
+
+def brute_first_duplicate(table):
+    """The lexicographically first pair (i, j), i < j, of equal rows."""
+    rows = table.tolist()
+    pairs = itertools.combinations(range(len(rows)), 2)
+    return next(((i, j) for i, j in pairs if rows[i] == rows[j]), None)
+
+
+@st.composite
+def code_tables(draw):
+    """An int16 or int32 table of 0-30 rows and 0-6 columns over few values,
+    so that rows collide, sometimes as a non-contiguous view."""
+    dtype = draw(st.sampled_from([np.int16, np.int32]))
+    rows, cols = draw(st.integers(0, 30)), draw(st.integers(0, 6))
+    top = draw(st.sampled_from([1, 2, 3, 40000 if dtype is np.int32 else 300]))
+    values = draw(st.lists(st.integers(-top, top), min_size=rows * cols, max_size=rows * cols))
+    table = np.array(values, dtype=dtype).reshape(rows, cols)
+    if draw(st.booleans()):
+        table = np.asfortranarray(table)
+    return table
+
+
+class TestFirstDuplicateRows:
+    @settings(max_examples=400)
+    @given(code_tables())
+    def test_matches_brute_force(self, table):
+        assert first_duplicate_rows(table) == brute_first_duplicate(table)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_zero_columns(self, dtype):
+        assert first_duplicate_rows(np.zeros((0, 0), dtype=dtype)) is None
+        assert first_duplicate_rows(np.zeros((1, 0), dtype=dtype)) is None
+        assert first_duplicate_rows(np.zeros((5, 0), dtype=dtype)) == (0, 1)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_one_row_and_all_equal(self, dtype):
+        assert first_duplicate_rows(np.array([[4, 2]], dtype=dtype)) is None
+        assert first_duplicate_rows(np.full((6, 3), 7, dtype=dtype)) == (0, 1)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_several_groups(self, dtype):
+        # Groups {1, 4, 6}, {2, 3} and {0, 5}: the pair (0, 5) comes first.
+        table = np.array([[9], [1], [2], [2], [1], [9], [1]], dtype=dtype)
+        assert first_duplicate_rows(table) == (0, 5)
+        assert first_duplicate_rows(table[1:]) == (0, 3)
+        assert first_duplicate_rows(table[2:5]) == (0, 1)
+
+    def test_rows_compared_on_every_byte(self):
+        # 256 and 1 share one of their two bytes.
+        table = np.array([[256], [1], [256]], dtype=np.int16)
+        assert first_duplicate_rows(table) == (0, 2)
+
+
 class TestLandmarkValidation:
+    @pytest.mark.parametrize("bad", [0.9, np.float64(1.0), "1"])
+    def test_non_integral_rejected(self, bad):
+        g = path_graph(3)
+        with pytest.raises(GraphInputError, match="is not an integer"):
+            validate_landmarks(g, [bad, 2.2])
+        for check in (is_edge_resolving, is_vertex_resolving):
+            with pytest.raises(GraphInputError, match="is not an integer"):
+                check(g, [bad])
+
+    def test_numpy_ids_become_python_ints(self):
+        g = path_graph(4)
+        lm = validate_landmarks(g, np.array([3, 0], dtype=np.int64))
+        assert lm == (3, 0) and all(type(v) is int for v in lm)
+        assert is_edge_resolving(g, np.array([0])).resolving
+
     def test_duplicates_rejected(self):
         g = path_graph(4)
         with pytest.raises(GraphInputError):
