@@ -140,12 +140,8 @@ def _cmd_solve(parser: _Parser, args) -> int:
         cert = exact_edge_metric_dimension(g, opts)
     else:
         cert = exact_metric_dimension(g, opts)
-    spec = cert.spec
-    family = spec.family if spec is not None else None
-    n = spec.n if spec is not None else None
-    report = certificate_report(cert, family=family, n=n)
     if args.json is not None:
-        _write_json(args.json, report)
+        _write_json(args.json, certificate_report(cert))
     if args.json != STDOUT:
         print(
             f"{args.target} metric dimension: {cert.dimension} "

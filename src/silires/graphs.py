@@ -482,10 +482,4 @@ def edge_vertex_distance(dist: DistanceMatrix, edge: Edge, u: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.vertex_count == 0:
-        return True
-    try:
-        bfs_distances(g, 0)
-    except DisconnectedGraphError:
-        return False
-    return True
+    return g.vertex_count == 0 or -1 not in _bfs(g.adjacency, 0)

@@ -172,15 +172,12 @@ def verification_report(
     return report
 
 
-def certificate_report(
-    cert: Certificate,
-    family: Optional[str] = None,
-    n: Optional[int] = None,
-) -> dict:
+def certificate_report(cert: Certificate) -> dict:
+    spec = cert.spec
     return {
         "format": CERTIFICATE_FORMAT,
-        "family": family,
-        "n": n,
+        "family": spec.family if spec is not None else None,
+        "n": spec.n if spec is not None else None,
         "target": cert.target,
         "status": cert.status,
         "dimension": cert.dimension,

@@ -162,31 +162,48 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of a dimension search.
+    """Outcome of a dimension search: what the walk over sizes decided.
 
-    ``infeasible_size_checked`` is the largest size proven, by an
-    exhaustive search, to admit no resolving set; by monotonicity every
-    smaller size is then infeasible too.  ``status`` is ``optimal`` exactly
-    when that proof reaches ``dimension - 1``; ``upper-bound-conditional``
-    when a witness exists but the proof below it is incomplete; ``partial``
-    when no witness was found within budget.  ``spec`` is the chain or
-    cyclic family recognized in the graph (``None`` otherwise), which seeds
-    the default start of an edge solve.  Elapsed time, worker count and the
-    search counters other than ``subsets_examined`` are informational and
-    excluded from serialized output.
+    ``witness`` is the walk's last resolving set, the lexicographically
+    smallest of its size (``None`` when none was found within budget or
+    ``max_size``).  ``infeasible_size_checked`` is the largest size
+    proven, by an exhaustive search, to admit no resolving set; by
+    monotonicity every smaller size is then infeasible too.  ``spec`` is
+    the chain or cyclic family recognized in the graph (``None``
+    otherwise), which seeds the default start of an edge solve.  The
+    dimension, bounds and status are derived from these.  Elapsed time and
+    the search counters other than ``subsets_examined`` are informational
+    and excluded from serialized output.
     """
 
     target: str
-    dimension: Optional[int]
     witness: Optional[tuple[int, ...]]
     infeasible_size_checked: int
-    lower_bound: int
-    upper_bound: Optional[int]
-    status: str
     start_size: int
-    parallel_workers: int
     spec: Optional[SilicateSpec]
     stats: SolveStats
+
+    @property
+    def dimension(self) -> Optional[int]:
+        return None if self.witness is None else len(self.witness)
+
+    @property
+    def lower_bound(self) -> int:
+        return self.infeasible_size_checked + 1
+
+    @property
+    def upper_bound(self) -> Optional[int]:
+        return self.dimension
+
+    @property
+    def status(self) -> str:
+        """``partial`` without a witness; ``optimal`` when the refuted sizes
+        reach ``dimension - 1``; ``upper-bound-conditional`` otherwise."""
+        if self.witness is None:
+            return STATUS_PARTIAL
+        if self.infeasible_size_checked >= len(self.witness) - 1:
+            return STATUS_OPTIMAL
+        return STATUS_CONDITIONAL
 
 
 # Keys of the batched last level stay below this, so int64 never wraps.
@@ -435,29 +452,10 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
         rows = np.ascontiguousarray(dist)
         masks = vertex_infeasibility_masks(g)
     spec = classify_silicate(g)
-
-    def build(dimension, witness, infeasible, status, start, counted):
-        return Certificate(
-            target=target,
-            dimension=dimension,
-            witness=witness,
-            infeasible_size_checked=infeasible,
-            lower_bound=infeasible + 1,
-            upper_bound=dimension,
-            status=status,
-            start_size=start,
-            parallel_workers=opts.parallel_workers,
-            spec=spec,
-            stats=SolveStats(
-                subsets_examined=counted[0],
-                nodes_visited=counted[1],
-                bound_prunes=counted[2],
-                elapsed_seconds=time.perf_counter() - t0,
-            ),
-        )
-
     if item_count <= 1:
-        return build(0, (), -1, STATUS_OPTIMAL, 0, [0, 0, 0])
+        # The empty set resolves; no size below it is left to refute.
+        stats = SolveStats(0, 0, 0, time.perf_counter() - t0)
+        return Certificate(target, (), -1, 0, spec, stats)
 
     # Every vertex together resolves a connected graph, so no level above
     # the vertex count is searched (it has no sets to refute).
@@ -475,17 +473,17 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
         )
     counted = [0, 0, 0]  # evaluated, nodes, bound prunes
     proven = 0  # size 0 always fails with >= 2 items
-    best: Optional[tuple[int, tuple[int, ...]]] = None
+    best: Optional[tuple[int, ...]] = None
     budget = opts.budget_subsets
     k = start
     with pool or nullcontext():
-        while (k <= cap) if best is None else (proven < k < best[0]):
+        while (k <= cap) if best is None else (proven < k < len(best)):
             remaining = None if budget is None else budget - counted[0]
             witness, counts, tripped = _search_level(ctx, k, pool, remaining)
             for i, c in enumerate(counts):
                 counted[i] += c
             if witness is not None:
-                best = (k, witness)
+                best = witness
                 k -= 1
             elif tripped:
                 break
@@ -493,17 +491,13 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
                 proven = k
                 k += 1
 
-    if best is None:
-        return build(None, None, proven, STATUS_PARTIAL, start, counted)
-    best_k, best_witness = best
-    status = STATUS_OPTIMAL if proven >= best_k - 1 else STATUS_CONDITIONAL
     checker = is_edge_resolving if target == EDGE else is_vertex_resolving
-    if not checker(g, best_witness, dist=apsp).resolving:
+    if best is not None and not checker(g, best, dist=apsp).resolving:
         raise SolverInternalError(
-            "internal error: search returned a non-resolving witness "
-            f"{best_witness!r}"
+            f"internal error: search returned a non-resolving witness {best!r}"
         )
-    return build(best_k, best_witness, proven, status, start, counted)
+    stats = SolveStats(*counted, elapsed_seconds=time.perf_counter() - t0)
+    return Certificate(target, best, proven, start, spec, stats)
 
 
 def exact_edge_metric_dimension(

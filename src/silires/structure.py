@@ -256,7 +256,7 @@ def classify_silicate(g: Graph) -> Optional[SilicateSpec]:
     except StructureError:
         return None
     count = len(tetrahedra)
-    if count == 0 or 6 * count != g.edge_count or not is_connected(g):
+    if count == 0 or not is_connected(g):
         return None
     through: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for i, t in enumerate(tetrahedra):

@@ -3,6 +3,7 @@
 import collections
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,17 @@ import pytest
 import silires.cli
 import silires.solver
 import silires.structure
-from silires import canonical_json_bytes, parse_edge_list
+from silires import (
+    SolveOptions,
+    build_graph,
+    canonical_json_bytes,
+    certificate_report,
+    exact_edge_metric_dimension,
+    exact_metric_dimension,
+    format_edge_list,
+    parse_edge_list,
+    silicate_of_skeleton,
+)
 from silires.cli import (
     EXIT_INTERNAL,
     EXIT_NOT_OPTIMAL,
@@ -22,6 +33,8 @@ from silires.cli import (
     main,
 )
 from silires.resolving import VerificationResult
+
+from conftest import family_graph, random_connected_graph
 
 
 def run(capsys, *argv):
@@ -247,6 +260,52 @@ class TestSolve:
         assert (code, err) == (EXIT_OK, "")
         report = json.loads(out)
         assert (report["status"], report["dimension"]) == ("optimal", 0)
+
+    def test_library_certificate_equals_cli_bytes(self, tmp_path, capsys):
+        # One solve gives one certificate: the library's report carries the
+        # family the CLI prints, under every status and exit.
+        graphs = {
+            "chain4": family_graph("chain", 4),
+            "cyclic5": family_graph("cyclic", 5),
+            "skeleton": silicate_of_skeleton(
+                random_connected_graph(random.Random(5), 4)
+            ).graph,
+            "random": random_connected_graph(random.Random(3), 9),
+            "empty": build_graph(0, []),
+        }
+        option_grid = [
+            {},
+            {"budget_subsets": 0},
+            {"budget_subsets": 1},
+            {"max_size": 2},
+            {"start_size": 12, "budget_subsets": 3},
+            {"start_size": 1, "parallel_workers": 2},
+        ]
+        flags = {
+            "start_size": "--start-size",
+            "max_size": "--max-size",
+            "budget_subsets": "--budget-subsets",
+            "parallel_workers": "--workers",
+        }
+        statuses = set()
+        for name, g in graphs.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(format_edge_list(g))
+            for target, solve in (
+                ("edge", exact_edge_metric_dimension),
+                ("vertex", exact_metric_dimension),
+            ):
+                for options in option_grid:
+                    argv = ["solve", str(path), "--target", target, "--json", "-"]
+                    for key, value in options.items():
+                        argv += [flags[key], str(value)]
+                    code, out, err = run(capsys, *argv)
+                    cert = solve(g, SolveOptions(**options))
+                    library = canonical_json_bytes(certificate_report(cert))
+                    assert (out.encode(), err) == (library, ""), (name, target, options)
+                    assert (code == EXIT_OK) == (cert.status == "optimal")
+                    statuses.add(cert.status)
+        assert statuses == {"optimal", "upper-bound-conditional", "partial"}
 
     def test_worker_json_byte_identity(self, chain2_file, capsys):
         outputs = []

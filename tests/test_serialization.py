@@ -126,7 +126,8 @@ class TestReports:
     def test_certificate_report_is_stable_json(self):
         g = family_graph(CHAIN, 2)
         cert = exact_edge_metric_dimension(g)
-        report = certificate_report(cert, family=CHAIN, n=2)
+        report = certificate_report(cert)
+        assert (report["family"], report["n"]) == (CHAIN, 2)
         assert report["status"] == "optimal"
         assert report["dimension"] == 5
         assert report["stats"] == {"subsets_examined": cert.stats.subsets_examined}

@@ -560,7 +560,11 @@ class TestPruningMasks:
                 continue
             opts = SolveOptions(start_size=start, max_size=cap, budget_subsets=budget)
             outcome = _reference_solve(g, opts)
-            assert _outcome(exact_edge_metric_dimension(g, opts)) == outcome
+            cert = exact_edge_metric_dimension(g, opts)
+            assert _outcome(cert) == outcome
+            assert cert.lower_bound == cert.infeasible_size_checked + 1
+            size = None if cert.witness is None else len(cert.witness)
+            assert cert.upper_bound == cert.dimension == size
             status, dimension, _, proven, first, _ = outcome
             if status == STATUS_PARTIAL:
                 exits.add("cap" if proven == min(cap or 7, 7) else "trip going up")
