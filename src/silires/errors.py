@@ -15,7 +15,8 @@ class EdgeListFormatError(ValueError):
 
 class StructureError(ValueError):
     """Raised when the greedy cover pass finds no edge-disjoint tetrahedron
-    cover (it may miss one that exists; see ``find_tetrahedra``)."""
+    cover.  The pass covers every chain, cyclic and skeleton expansion; on
+    other graphs it may miss one that exists (see ``find_tetrahedra``)."""
 
 
 class ConstructionError(ValueError):

@@ -138,8 +138,6 @@ def _check(
     lm = validate_landmarks(g, landmarks)
     if len(items) <= 1:
         return VerificationResult(resolving=True, witness=None)
-    if not lm:
-        return VerificationResult(resolving=False, witness=(items[0], items[1]))
     rows = landmark_rows(g, lm) if dist is None else _matrix_rows(g, dist, lm)
     dup = first_duplicate_rows(codes(rows))
     if dup is None:

@@ -28,16 +28,17 @@ target reads its masks off the neighbourhoods by one local lemma.
   N(u) - v, which lies in N(v), gives one as short from v once u is
   swapped for v; so d(v, w) <= d(u, w), and symmetrically.
 
-Every node of the search also applies the counting argument behind the
-paper's lower bound, which packs twin tetrahedra and charges each cubic set
-all of its vertices but one.  At a node the chosen set S is fixed, F holds
-the candidates still to come, and ``need`` more members must be picked from
-F.  A mask with one member already excluded (outside S and F) has no slack
-left, so all of its members in F are *forced*.  Every mask M, excluded
-member or not, leaves at most one member of M ∩ F unpicked, so a completion
-picks all but one member of its *slice* M ∩ F minus the forced set.  Slices
-that are pairwise disjoint charge disjoint picks, none of them forced, so
-the node is cut when
+Every node with two or more members left to pick also applies the
+counting argument behind the paper's lower bound, which packs twin
+tetrahedra and charges each cubic set all of its vertices but one.  At a
+node the chosen set S is fixed, F holds the candidates still to come, and
+``need`` more members must be picked from F.  A mask with one member
+already excluded (outside S and F) has no slack left, so all of its
+members in F are *forced*.  Every mask M, excluded member or not, leaves at
+most one member of M ∩ F unpicked, so a completion picks all but one
+member of its *slice* M ∩ F minus the forced set.  Slices that are
+pairwise disjoint charge disjoint picks, none of them forced, so the node
+is cut when
 
     |forced| + sum over packed slices s of (|s| - 1) > need.
 
@@ -55,18 +56,21 @@ lies in no slice and is never forced, so picking it leaves every slice
 unchanged and spends a landmark the bound has already spent: its include
 branch would be cut, and each vertex stepped over counts as that cut in
 ``bound_prunes``.  On chain and cyclic silicates the vertices in no edge
-mask are the hinges.  The walk keeps an explicit stack of the nodes whose
-include branch is open, so it never recurses, however many members it
-picks.
+mask are the hinges.  The walk keeps one explicit stack of the nodes whose
+include branch is open, each with the labels of its picks, so it never
+recurses, however many members it picks.
 
 The last level of the walk is one batch.  A node with one member left to
 pick checks every completion S + {v}, v among the candidates still to
 come, at once.  The leaf mask check becomes bit operations: a mask missing
 three or more members of S fails every candidate, and one missing exactly
-two admits only candidates among those two.  The codes of S become one
-integer label per item, and the candidates' keys ``label * base + code``
-form a (candidates x items) array whose rows are sorted; the first row
-without equal neighbours is the witness, and every row up to it counts as
+two admits only candidates among those two.  This exact test decides the
+level alone: the counting bound cuts only subtrees holding no set that
+passes it, so the bound is not computed at such a node, and
+``bound_prunes`` counts no cut there.  The codes of S become one integer
+label per item, and the candidates' keys ``label * base + code`` form a
+(candidates x items) array whose rows are sorted; the first row without
+equal neighbours is the witness, and every row up to it counts as
 evaluated, exactly as when the leaves were checked one by one.
 
 The keys are exact.  ``base`` exceeds every distance, so ``label * base +
@@ -150,8 +154,10 @@ class SolveStats:
     its candidates as one batch) plus one per evaluated set, so it is never
     below ``subsets_examined``; ``bound_prunes`` counts the nodes cut by the
     counting bound, a vertex stepped over at zero slack counting as the cut
-    of its include branch.  All three are identical for any worker count; only
-    ``subsets_examined`` enters the serialized certificate.
+    of its include branch.  The bound runs only at nodes with two or more
+    members left to pick; the last level is decided by its exact mask test,
+    so no cut is counted there.  All three are identical for any worker
+    count; only ``subsets_examined`` enters the serialized certificate.
     """
 
     subsets_examined: int
@@ -245,18 +251,63 @@ def _search_block(ctx, k: int, block: int):
     """Lexicographic search of all k-sets whose smallest member is vertex
     ``block``.  Returns (first resolving set or None, sets evaluated,
     nodes visited, nodes cut by the counting bound).
+
+    One loop walks the nodes depth first.  A node has picked the members
+    of ``smask``, whose exact column labels and their span are ``labels``,
+    and picks ``need`` more from ``pos`` on.  Its include branch pushes the
+    frame ``(pick, smask, need, labels)``; when a branch ends, the innermost
+    frame is popped and its exclude branch, the node one position on, comes
+    next.
     """
     rows, masks, covered, base = ctx
     n = len(rows)
-    chosen: list[int] = []
-    # labels[i] = (exact column labels of rows[chosen[:i]], their span)
-    labels = [(np.zeros(rows.shape[1], dtype=np.int64), 1)]
-    state = [None, 0, 0, 0]  # witness, evaluated, nodes, bound prunes
     bit_count = int.bit_count
+    evaluated = nodes = prunes = 0
 
-    def last_level(lo: int, hi: int, smask: int) -> None:
-        """Evaluate chosen + [v] for every vertex v in range(lo, hi), in
-        order, as one batch."""
+    def include(pos: int, smask: int, need: int) -> Optional[int]:
+        """The vertex the include branch of a node with ``need`` >= 2 picks,
+        or None when the node is exhausted or cut."""
+        nonlocal prunes
+        if n - pos < need:
+            return None
+        if not masks:  # nothing is forced or packed
+            return pos
+        fut = (1 << n) - (1 << pos)
+        reachable = smask | fut
+        forced = 0
+        for m in masks:
+            out = m & ~reachable
+            if out:
+                if out & (out - 1):
+                    return None
+                forced |= m & fut
+        free = fut & ~forced
+        bound = bit_count(forced)
+        packed = 0
+        for part in sorted([m & free for m in masks], key=bit_count, reverse=True):
+            size = bit_count(part)
+            if size <= 1:
+                break
+            if not part & packed:
+                packed |= part
+                bound += size - 1
+        if bound > need:
+            prunes += 1
+            return None
+        if bound == need:
+            # No slack: the bound would cut the include branch of a vertex
+            # in no mask (module docstring).  The bound counts distinct
+            # vertices in masks from pos on, so at least ``need`` of them
+            # lie ahead and the step stops before the candidates run out.
+            while not covered >> pos & 1:
+                prunes += 1
+                pos += 1
+        return pos
+
+    def last_level(lo: int, hi: int, smask: int, labels) -> tuple[Optional[int], int]:
+        """Evaluate S + {v} for every vertex v in range(lo, hi), in order, as
+        one batch, S being the members of ``smask``.  Returns (the first v
+        whose set resolves or None, sets evaluated)."""
         picks = range(lo, hi)
         cand_rows = rows[lo:hi]
         if masks:
@@ -265,98 +316,50 @@ def _search_block(ctx, k: int, block: int):
                 miss = m & ~smask
                 if miss & (miss - 1):  # two or more members of m are missing
                     if bit_count(miss) > 2:
-                        return
+                        return None, 0
                     allowed &= miss
             if allowed != every:
                 picks = [v for v in picks if allowed >> v & 1]
                 if not picks:
-                    return
+                    return None, 0
                 cand_rows = rows[picks]
-        keys = _extend_labels(*labels[-1], cand_rows, base)[0]
+        keys = _extend_labels(*labels, cand_rows, base)[0]
         keys.sort(axis=1)
         collide = (keys[:, 1:] == keys[:, :-1]).any(axis=1).tolist()
         if False in collide:
             i = collide.index(False)
-            state[0] = (*chosen, picks[i])
-            state[1] += i + 1
-            state[2] += i + 1
-        else:
-            state[1] += len(collide)
-            state[2] += len(collide)
+            return picks[i], i + 1
+        return None, len(collide)
 
-    def node(pos: int, smask: int, need: int) -> Optional[int]:
-        """Visit the node that has picked ``smask`` and picks ``need`` more
-        from ``pos`` on.  Returns the vertex its include branch picks, or
-        None when the node ends its walk (cut, exhausted or batched)."""
-        state[2] += 1
-        if n - pos < need:
-            return None
-        bound = 0
-        if masks:  # without masks nothing is forced or packed
-            fut = (1 << n) - (1 << pos)
-            reachable = smask | fut
-            forced = 0
-            for m in masks:
-                out = m & ~reachable
-                if out:
-                    if out & (out - 1):
-                        return None
-                    forced |= m & fut
-            free = fut & ~forced
-            bound = bit_count(forced)
-            packed = 0
-            for part in sorted([m & free for m in masks], key=bit_count, reverse=True):
-                size = bit_count(part)
-                if size <= 1:
-                    break
-                if not part & packed:
-                    packed |= part
-                    bound += size - 1
-            if bound > need:
-                state[3] += 1
-                return None
-        if need == 1:
-            last_level(pos, n, smask)
-            return None
-        if bound == need:
-            # No slack: the bound would cut the include branch of a vertex
-            # in no mask (module docstring).
-            while not covered >> pos & 1:
-                state[3] += 1
-                pos += 1
-                if n - pos < need:
-                    return None
-        return pos
-
-    def walk(pos: int, smask: int, need: int) -> None:
-        """Depth-first walk from the node ``(pos, smask, need)``.  Each
-        pick pushes its node's frame; when a branch ends, the innermost
-        frame is popped and its exclude branch, the node one position on,
-        comes next."""
-        frames: list[tuple[int, int, int]] = []
-        while state[0] is None:
-            pick = node(pos, smask, need)
-            if pick is not None:
-                frames.append((pick, smask, need))
-                chosen.append(pick)
-                labels.append(_extend_labels(*labels[-1], rows[pick], base))
-                pos, smask, need = pick + 1, smask | 1 << pick, need - 1
-            elif frames:
-                pos, smask, need = frames.pop()
-                chosen.pop()
-                labels.pop()
-                pos += 1
-            else:
-                return
-
-    if k == 1:
-        state[2] += 1
-        last_level(block, block + 1, 0)
+    labels = (np.zeros(rows.shape[1], dtype=np.int64), 1)
+    if k == 1:  # the block's one set is a batch of one
+        pos, smask, need, hi = block, 0, 1, block + 1
     else:
-        chosen.append(block)
-        labels.append(_extend_labels(*labels[-1], rows[block], base))
-        walk(block + 1, 1 << block, k - 1)
-    return tuple(state)
+        pos, smask, need, hi = block + 1, 1 << block, k - 1, n
+        labels = _extend_labels(*labels, rows[block], base)
+    frames: list[tuple[int, int, int, tuple[np.ndarray, int]]] = []
+    while True:
+        nodes += 1
+        if need > 1:
+            pick = include(pos, smask, need)
+            if pick is not None:
+                frames.append((pick, smask, need, labels))
+                labels = _extend_labels(*labels, rows[pick], base)
+                pos, smask, need = pick + 1, smask | 1 << pick, need - 1
+                continue
+        else:
+            # The batch's exact mask test implies the counting bound, so
+            # the bound is not computed here (module docstring).
+            pick, count = last_level(pos, hi, smask, labels)
+            evaluated += count
+            nodes += count
+            if pick is not None:
+                members = [v for v in range(pos) if smask >> v & 1]
+                return (*members, pick), evaluated, nodes, prunes
+        if not frames:
+            return None, evaluated, nodes, prunes
+        pos, smask, need, labels = frames.pop()
+        pos += 1
 
 
 _WORKER_CTX = None
@@ -387,8 +390,6 @@ def _search_level(ctx, k: int, pool, remaining: Optional[int]):
     """
     blocks = len(ctx[0]) - k + 1
     counts = [0, 0, 0]
-    if blocks <= 0:
-        return None, counts, False
     if remaining is not None and remaining <= 0:
         return None, counts, True
     futures = []

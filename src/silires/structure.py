@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from .errors import StructureError, UnsupportedFamilyError
@@ -101,18 +101,24 @@ def _classify(g: Graph, vertices: tuple[int, ...]) -> Tetrahedron:
 def find_tetrahedra(g: Graph) -> list[Tetrahedron]:
     """Recover an edge-disjoint tetrahedron cover by one greedy pass.
 
-    Edges are processed in canonical order; each uncovered edge is completed
-    to the first K4 (its other two vertices taken in ascending order) whose
-    six edges are all still uncovered.  The pass never backtracks, so it can
-    fail where a cover exists: on the skeleton expansion of K4 it takes the
-    base K4 {0, 1, 2, 3} first and then cannot cover edge (0, 4).  Raises
-    :class:`StructureError` naming the first edge the pass cannot cover.
-    The result is sorted by vertex tuple.
+    The edges at degree-3 vertices come first, then the rest, each group in
+    canonical order; each uncovered edge is completed to the first K4 (its
+    other two vertices taken in ascending order) whose six edges are all
+    still uncovered.  A degree-3 vertex lies in exactly one tetrahedron of
+    any cover, its closed neighbourhood, so taking those first leaves the
+    cover unchanged wherever the canonical order finds one.  It also covers
+    every chain, cyclic and skeleton expansion: each tetrahedron of an
+    expansion holds a degree-3 vertex (both of its vertices that are not
+    base vertices), so the first group takes them all and a K4 of the base
+    is never taken.  The pass never backtracks, so it can still miss a
+    cover on other graphs.  Raises :class:`StructureError` naming the first
+    edge the pass cannot cover.  The result is sorted by vertex tuple.
     """
     adj = [set(ns) for ns in g.adjacency]
     covered: set[tuple[int, int]] = set()
     tetrahedra: list[tuple[int, ...]] = []
-    for u, v in g.edges:
+    corner_edges = [(u, v) for u, v in g.edges if 3 in (len(adj[u]), len(adj[v]))]
+    for u, v in chain(corner_edges, g.edges):
         if (u, v) in covered:
             continue
         common = sorted(adj[u] & adj[v])
@@ -218,13 +224,11 @@ def dimension_lower_bound(spec: SilicateSpec) -> int:
 
     Derived from packing twin tetrahedra and charging each cubic set all but
     one of its vertices; the closed forms also cover the degenerate chain
-    sizes n=1 (a lone K4 needs 3) and n=2 (a single twin with six cubic
-    vertices needs 5).
+    sizes n=1 (a lone K4 needs 3, as the odd form gives) and n=2 (a single
+    twin with six cubic vertices needs 5).
     """
     n = spec.n
     if spec.family == CHAIN:
-        if n == 1:
-            return 3
         if n % 2 == 0:
             return 3 * n // 2 + 2
         return 3 * (n + 1) // 2

@@ -247,7 +247,7 @@ class TestGivenDistanceMatrix:
     def test_same_verdict_and_witness_as_bfs(self, check):
         g = family_graph("cyclic", 4)
         dist = all_pairs_distances(g)
-        for landmarks in itertools.combinations(range(0, g.vertex_count, 2), 3):
+        for landmarks in [(), *itertools.combinations(range(0, g.vertex_count, 2), 3)]:
             assert check(g, landmarks, dist=dist) == check(g, landmarks)
         full = tuple(range(g.vertex_count))
         assert check(g, full, dist=dist) == check(g, full)
@@ -255,5 +255,6 @@ class TestGivenDistanceMatrix:
     @pytest.mark.parametrize("check", [is_edge_resolving, is_vertex_resolving])
     def test_matrix_of_another_graph_rejected(self, check):
         other = all_pairs_distances(path_graph(5))
-        with pytest.raises(GraphInputError, match="distance matrix"):
-            check(path_graph(6), [0], dist=other)
+        for landmarks in ([0], []):  # the empty set is checked like any other
+            with pytest.raises(GraphInputError, match="distance matrix"):
+                check(path_graph(6), landmarks, dist=other)

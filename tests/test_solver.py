@@ -731,15 +731,27 @@ class TestExactKeys:
         assert not oracle_is_edge_resolving(g, smaller)
 
 
-class TestSearchCounters:
-    # With the counting bound these solves visited 78 (chain 13) and 82
-    # (cyclic 13) nodes; the pins leave 2x headroom.  Without the bound the
-    # chain 13 proof walks 3.9 million nodes.
-    @pytest.mark.parametrize("family,n,pin", [(CHAIN, 13, 156), (CYCLIC, 13, 164)])
-    def test_edge_solve_node_count_guard(self, family, n, pin):
-        cert = exact_edge_metric_dimension(family_graph(family, n))
+def optimal_for_one_and_two_workers(solve, g):
+    """The certificate of an optimal solve with 1 worker, after checking that
+    2 workers give the same witness and counters."""
+    certs = [solve(g, SolveOptions(parallel_workers=workers)) for workers in (1, 2)]
+    for cert in certs:
         assert cert.status == STATUS_OPTIMAL
-        assert cert.stats.nodes_visited <= pin
+        assert cert.stats.nodes_visited >= cert.stats.subsets_examined
+    untimed = {(c.witness, dataclasses.replace(c.stats, elapsed_seconds=0.0)) for c in certs}
+    assert len(untimed) == 1
+    return certs[0]
+
+
+class TestSearchCounters:
+    # The counting bound and the zero-slack step bring chain 13 to 54 nodes
+    # and cyclic 13 to 58; without the bound the chain 13 proof walks 3.9
+    # million nodes.
+    @pytest.mark.parametrize("family,n,nodes", [(CHAIN, 13, 54), (CYCLIC, 13, 58)])
+    def test_edge_solve_node_count(self, family, n, nodes):
+        g = family_graph(family, n)
+        cert = optimal_for_one_and_two_workers(exact_edge_metric_dimension, g)
+        assert cert.stats.nodes_visited == nodes
 
     @pytest.mark.parametrize("family", [CHAIN, CYCLIC])
     @pytest.mark.parametrize("n", [100, 200])
@@ -747,9 +759,9 @@ class TestSearchCounters:
         # With no slack the walk steps over the hinges, which lie in no
         # mask, instead of visiting two nodes for each: 4n + 1 nodes on
         # chain 100 and 200 (6n - 1 when each hinge was visited).
-        cert = exact_edge_metric_dimension(family_graph(family, n))
-        assert cert.status == STATUS_OPTIMAL
-        assert cert.stats.nodes_visited <= 4 * n + 10
+        g = family_graph(family, n)
+        cert = optimal_for_one_and_two_workers(exact_edge_metric_dimension, g)
+        assert cert.stats.nodes_visited == 4 * n + 1
 
     @pytest.mark.parametrize("family,n,dimension", [(CHAIN, 340, 512), (CYCLIC, 340, 510)])
     def test_deep_walk_does_not_recurse_per_vertex(self, family, n, dimension):
@@ -773,19 +785,19 @@ class TestSearchCounters:
             assert cert.witness == constructed
 
     def test_vertex_solve_guard(self):
-        # The benchmark's canonical vertex chain 5: the twin masks and the
-        # bound leave one set to evaluate (16350 without them), the witness
-        # is the same.  Each evaluated set counts as a node.
-        g = family_graph(CHAIN, 5)
-        counters = []
-        for workers in (1, 2):
-            cert = exact_metric_dimension(g, SolveOptions(parallel_workers=workers))
-            assert cert.status == STATUS_OPTIMAL
-            assert cert.witness == (0, 1, 4, 7, 10, 13, 14)
+        # The benchmark's canonical vertex chain 5 and cyclic 7: the twin
+        # masks and the bound leave one set to evaluate (16350 and 138504
+        # without them), the witnesses are the same.
+        cases = [
+            (CHAIN, 5, (0, 1, 4, 7, 10, 13, 14), 96),
+            (CYCLIC, 7, (1, 4, 7, 10, 13, 16, 19), 129),
+        ]
+        for family, n, witness, nodes in cases:
+            g = family_graph(family, n)
+            cert = optimal_for_one_and_two_workers(exact_metric_dimension, g)
+            assert cert.witness == witness
             assert cert.stats.subsets_examined == 1
-            assert cert.stats.nodes_visited >= cert.stats.subsets_examined
-            counters.append((cert.stats.nodes_visited, cert.stats.bound_prunes))
-        assert counters[0] == counters[1]
+            assert cert.stats.nodes_visited == nodes
 
     def test_vertex_target_prunes(self):
         # The twin masks {0, 1, 2} and {4, 5, 6} need 4 landmarks, so the

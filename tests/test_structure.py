@@ -54,8 +54,13 @@ def decompose(family, n):
 
 class TestFindTetrahedra:
     def test_recovers_generator_tetrahedra(self):
-        for family, n in [(CHAIN, 1), (CHAIN, 5), (CYCLIC, 3), (CYCLIC, 8)]:
-            sil = build_silicate(SilicateSpec(family=family, n=n))
+        cases = [(CHAIN, 1), (CHAIN, 5), (CYCLIC, 3), (CYCLIC, 8)]
+        specs = [SilicateSpec(family=family, n=n) for family, n in cases]
+        # The expansion of a base holding a K4 holds that K4 too, outside
+        # its cover.
+        specs += [SilicateSpec(family=SKELETON, skeleton=complete_graph(k)) for k in (4, 5)]
+        for spec in specs:
+            sil = build_silicate(spec)
             found = find_tetrahedra(sil.graph)
             assert sorted(t.vertices for t in found) == sorted(sil.tetrahedra)
 
@@ -97,17 +102,15 @@ class TestFindTetrahedra:
         with pytest.raises(StructureError):
             find_tetrahedra(cycle_graph(6))
 
-    def test_greedy_pass_misses_the_k4_skeleton_cover(self):
-        # The expansion's own tetrahedra, one per base edge, cover it; the
-        # greedy pass takes the base K4 {0, 1, 2, 3} first and then cannot
-        # cover edge (0, 4), so the graph gets no family.  The masks need no
-        # cover: the cubic pair of each tetrahedron, and the six cubic
-        # vertices of the three tetrahedra through each base vertex.
+    def test_greedy_pass_covers_the_k4_skeleton(self):
+        # The edges at degree-3 vertices come first, so the pass takes the
+        # expansion's own tetrahedra, one per base edge, and never the base
+        # K4 {0, 1, 2, 3}; the graph is neither chain nor cyclic.  The masks
+        # need no cover: the cubic pair of each tetrahedron, and the six
+        # cubic vertices of the three tetrahedra through each base vertex.
         sil = silicate_of_skeleton(complete_graph(4))
         g = sil.graph
-        assert 6 * len(sil.tetrahedra) == g.edge_count
-        with pytest.raises(StructureError, match=r"edge \(0, 4\)"):
-            find_tetrahedra(g)
+        assert [t.vertices for t in find_tetrahedra(g)] == sorted(sil.tetrahedra)
         cubic = [sum(1 << v for v in t if g.degree(v) == 3) for t in sil.tetrahedra]
         through = [
             sum(c for c, t in zip(cubic, sil.tetrahedra) if base in t)
