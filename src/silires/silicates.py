@@ -56,7 +56,7 @@ class LabeledSilicate:
     ``i+1``.  ``shared_vertices`` are the corners belonging to two or more
     tetrahedra (degree 6 in the chain and cyclic families).
     ``private_vertices[i]`` lists the degree-3 vertices of tetrahedron
-    ``i+1``.
+    ``i+1`` in ascending order.
     """
 
     graph: Graph
@@ -71,15 +71,18 @@ _TETRAHEDRON_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 def _assemble(vertex_count: int, tetrahedra: np.ndarray) -> LabeledSilicate:
     """The silicate whose tetrahedra are the rows of the ``(T, 4)`` id
-    array ``tetrahedra``, each row in emission order."""
+    array ``tetrahedra``, each row in emission order.  The rows are sorted
+    once, so both the tetrahedra and their private vertices come out in
+    ascending order."""
     graph = build_graph(vertex_count, tetrahedra[:, _TETRAHEDRON_EDGES].reshape(-1, 2))
     appearances = np.bincount(tetrahedra.ravel(), minlength=vertex_count)
-    cubic = graph._arcs.degree[tetrahedra] == 3
+    ordered = np.sort(tetrahedra, axis=1)
+    cubic = graph._arcs.degree[ordered] == 3
     return LabeledSilicate(
         graph=graph,
-        tetrahedra=tuple(map(tuple, np.sort(tetrahedra, axis=1).tolist())),
+        tetrahedra=tuple(map(tuple, ordered.tolist())),
         shared_vertices=tuple((appearances >= 2).nonzero()[0].tolist()),
-        private_vertices=_runs(tetrahedra[cubic], cubic.sum(axis=1)),
+        private_vertices=_runs(ordered[cubic], cubic.sum(axis=1)),
     )
 
 

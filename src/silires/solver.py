@@ -86,7 +86,6 @@ rows (int16 for most graphs), so no product ever wraps.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -121,7 +120,9 @@ class SolveOptions:
     processes, at most one per vertex (no level has more blocks).  The
     certificate and counters are those of one worker, the solve returns or
     raises only after every worker has exited, and a worker that dies
-    makes it raise ``BrokenProcessPool``.
+    makes it raise ``BrokenProcessPool``.  The process-pool machinery
+    (``concurrent.futures``, ``multiprocessing``) is imported only when
+    such a pool starts, so a one-worker solve never loads it.
     """
 
     start_size: Optional[int] = None
@@ -469,6 +470,8 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     workers = min(opts.parallel_workers, g.vertex_count)
     pool = None
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only for a pool
+
         pool = ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         )

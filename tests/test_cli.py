@@ -385,6 +385,33 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
 
+    def test_main_reuses_one_parser(self, capsys, monkeypatch):
+        assert silires.cli.build_parser() is not silires.cli.build_parser()
+        assert run(capsys, "frobnicate")[0] == EXIT_USAGE  # builds it if needed
+        monkeypatch.setattr(
+            silires.cli, "build_parser", lambda: pytest.fail("parser rebuilt")
+        )
+        assert run(capsys, "frobnicate")[0] == EXIT_USAGE
+        code, out, _ = run(capsys, "generate", "--family", "chain", "-n", "1")
+        assert code == EXIT_OK and out.startswith("p 4 6\n")
+
+    def test_no_option_carries_over_between_calls(self, chain2_file, capsys):
+        # A pooled vertex solve to stdout, then a usage error, then a plain
+        # solve: the last call must print what a fresh process prints.
+        code, out, _ = run(
+            capsys,
+            "solve", str(chain2_file), "--workers", "2", "--target", "vertex",
+            "--json", "-",
+        )
+        assert code == EXIT_OK and json.loads(out)["target"] == "vertex"
+        code, out, err = run(capsys, "solve", str(chain2_file), "--target", "both")
+        assert code == EXIT_USAGE
+        assert out == "" and "invalid choice: 'both'" in err
+        code, out, err = run(capsys, "solve", str(chain2_file))
+        fresh = self.child("-m", "silires", "solve", str(chain2_file))
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert out.startswith("edge metric dimension: 5 ")
+
     @staticmethod
     def child(*args):
         """Run a fresh interpreter that imports the same silires as this
@@ -410,6 +437,17 @@ class TestTopLevel:
             "-c",
             "import sys, silires, silires.cli; "
             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'}))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_import_loads_no_pool_machinery(self):
+        # Only a solve with more than one worker starts a process pool, so
+        # only such a solve should pay for loading its modules.
+        proc = self.child(
+            "-c",
+            "import sys, silires, silires.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))",
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from silires import (
+    DisconnectedGraphError,
     GraphInputError,
     all_pairs_distances,
+    build_graph,
     edge_code,
     edge_code_table,
     is_edge_resolving,
@@ -240,6 +242,21 @@ class TestVertexResolving:
         result = is_vertex_resolving(path_graph(3), [])
         assert not result.resolving
         assert result.witness == (0, 1)
+
+
+class TestDisconnectedGraph:
+    @pytest.mark.parametrize("check", [is_edge_resolving, is_vertex_resolving])
+    @pytest.mark.parametrize("landmarks", [[], [0], [2, 3]])
+    def test_every_set_raises(self, check, landmarks):
+        # The empty set is measured like any other, so it raises too.
+        g = build_graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(DisconnectedGraphError):
+            check(g, landmarks)
+
+    @pytest.mark.parametrize("table", [landmark_rows, edge_code_table, vertex_code_table])
+    def test_empty_set_tables_raise(self, table):
+        with pytest.raises(DisconnectedGraphError):
+            table(build_graph(4, [(0, 1), (2, 3)]), [])
 
 
 class TestGivenDistanceMatrix:

@@ -1,5 +1,6 @@
 """Silicate generators: counts, degrees, vertex numbering, skeleton expansion."""
 
+import numpy as np
 import pytest
 
 from silires import (
@@ -13,6 +14,7 @@ from silires import (
     cyclic_silicate,
     silicate_of_skeleton,
 )
+from silires.silicates import _assemble
 
 from conftest import cycle_graph, path_graph, star_graph
 
@@ -213,3 +215,27 @@ class TestBuildSilicate:
         for sil in (chain_silicate(5), cyclic_silicate(5)):
             for tet in sil.tetrahedra:
                 assert tuple(sorted(tet)) == tet
+
+    @pytest.mark.parametrize(
+        "sil",
+        [
+            chain_silicate(1),
+            chain_silicate(6),
+            cyclic_silicate(3),
+            cyclic_silicate(6),
+            silicate_of_skeleton(path_graph(2)),
+            silicate_of_skeleton(star_graph(3)),
+            silicate_of_skeleton(cycle_graph(5)),
+        ],
+    )
+    def test_private_vertices_are_ascending_cubic_vertices(self, sil):
+        degree = sil.graph.degree
+        for tet, private in zip(sil.tetrahedra, sil.private_vertices):
+            assert private == tuple(v for v in tet if degree(v) == 3)
+            assert list(private) == sorted(private)
+
+    def test_private_vertices_ascending_whatever_the_emission_order(self):
+        # One tetrahedron emitted backwards, glued to one emitted forwards.
+        sil = _assemble(7, np.array([[3, 2, 1, 0], [3, 4, 5, 6]]))
+        assert sil.tetrahedra == ((0, 1, 2, 3), (3, 4, 5, 6))
+        assert sil.private_vertices == ((0, 1, 2), (4, 5, 6))

@@ -1,5 +1,6 @@
 """Exact minimum resolving-set search: certificates, pruning, determinism."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import multiprocessing
@@ -438,7 +439,8 @@ class TestWorkerPool:
     def test_pool_has_at_most_one_worker_per_vertex(self, monkeypatch):
         # No level of chain 2 (7 vertices) has more than 7 blocks, so 16
         # workers would start 9 that never get one.  A thread pool stands
-        # in for the process pool and records its size.
+        # in for the process pool and records its size; the solver imports
+        # the pool class from ``concurrent.futures`` when a pool starts.
         sizes = []
 
         class Recording(ThreadPoolExecutor):
@@ -446,7 +448,7 @@ class TestWorkerPool:
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(silires.solver, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(silires.solver, "_WORKER_CTX", None)
         g = family_graph(CHAIN, 2)
         one = exact_edge_metric_dimension(g, SolveOptions(start_size=1))
