@@ -94,6 +94,8 @@ Edge = tuple[int, int]
 # Neighbour pairs looked up per block in simplicial_vertices: bounds the
 # block's arrays to a few MB on dense graphs.
 _PAIR_BLOCK = 1 << 18
+# Output elements per block in _min_columns: bounds its temporaries.
+_ROW_BLOCK = 1 << 18
 
 
 class _Arcs(NamedTuple):
@@ -336,18 +338,41 @@ def simplicial_vertices(g: Graph) -> int:
     return int.from_bytes(flags.tobytes(), "little")
 
 
-def _min_rows(
-    table: np.ndarray, flat: np.ndarray, sizes: np.ndarray, axis: int = 0
-) -> np.ndarray:
-    """Slice i along ``axis`` is the elementwise minimum of the slices of
-    ``table`` listed by group i of ``flat``, cut into consecutive groups of
-    ``sizes`` (none 0): one in-place ``np.minimum`` per position within a
-    group, a shorter group repeating its last member."""
+def _group_members(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """Member j of every group, for each position j: ``flat`` cut into
+    consecutive groups of ``sizes`` (none 0), a shorter group repeating its
+    last member."""
     starts = sizes.cumsum() - sizes
-    out = table.take(flat[starts], axis=axis)
+    members = [flat[starts]]
     for j in range(1, int(sizes.max(initial=1))):
-        member = flat[starts + np.minimum(j, sizes - 1)]
-        np.minimum(out, table.take(member, axis=axis), out=out)
+        members.append(flat[starts + np.minimum(j, sizes - 1)])
+    return members
+
+
+def _min_rows(table: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Row i is the elementwise minimum of the rows of ``table`` listed by
+    group i of ``flat`` (:func:`_group_members`): one in-place
+    ``np.minimum`` per position within a group."""
+    first, *rest = _group_members(flat, sizes)
+    out = table.take(first, axis=0)
+    for member in rest:
+        np.minimum(out, table.take(member, axis=0), out=out)
+    return out
+
+
+def _min_columns(table: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Column i is the elementwise minimum of the columns of ``table``
+    listed by group i of ``flat``, as in :func:`_min_rows`, filled in blocks
+    of rows of about ``_ROW_BLOCK`` elements so that each temporary is one
+    block."""
+    first, *rest = _group_members(flat, sizes)
+    out = np.empty((len(table), len(first)), dtype=table.dtype)
+    step = max(1, _ROW_BLOCK // max(len(first), 1))
+    for lo in range(0, len(table), step):
+        rows, part = table[lo : lo + step], out[lo : lo + step]
+        rows.take(first, axis=1, out=part, mode="clip")  # every index is valid
+        for member in rest:
+            np.minimum(part, rows.take(member, axis=1), out=part)
     return out
 
 
@@ -457,7 +482,7 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
         rows = _min_rows(full, head[into][~inside], near_count[outer])
         rows += 1
         full[outer] = rows
-        out = _min_rows(full, seeds, size, axis=1)
+        out = _min_columns(full, seeds, size)
         out += simplicial[src]
     else:
         out = np.ones((n, k), dtype=dtype)

@@ -4,14 +4,33 @@ A landmark set is an ordered tuple of distinct vertex ids; the code of a
 vertex (or edge) is its vector of distances to the landmarks in that order.
 A set resolves the vertices (edges) when all codes are pairwise distinct.
 
-Verification packs each code into bytes and runs a sort-based duplicate
-scan that also names the lexicographically first colliding pair.  The exact
-solver does not call it per candidate set: it checks whole batches of sets
-with integer keys, and runs the check here once, on its final witness.
+Verification never builds the whole code table.  It gathers the codes a
+bounded block of items at a time into one reused buffer, whose rows are the
+codes' bytes padded with zeros to whole 64-bit words, and reduces each row
+to one *fingerprint*: the sum of its words times fixed odd weights,
+wrapping mod 2^64.  The sum is taken in integer arithmetic (a ``uint64``
+sum of products), never in floating point, where a BLAS dot product may add
+the terms of two equal rows in different orders and round them apart.
+Addition mod 2^64 is exact in any order, so equal codes always get equal
+fingerprints.  Hence if all fingerprints differ, the set resolves.
+Otherwise only the items whose fingerprint another item shares are gathered
+again, and the exact sort-based duplicate scan runs on them alone.  Every
+pair of equal codes lies among them, so the scan finds the same
+lexicographically first colliding pair as a scan of the whole table.  A
+fingerprint collision of unequal codes therefore costs time, never
+correctness: at worst every item collides (as with the empty set, or one
+landmark on a long path) and the scan covers all of them, as a scan of the
+whole table would.  The weights come from a fixed formula, so every run
+takes the same path.
+
+The exact solver does not call the check per candidate set: it checks
+whole batches of sets with integer keys, and runs the check here once, on
+its final witness.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,6 +40,10 @@ from .errors import GraphInputError
 from .graphs import DistanceMatrix, Edge, Graph, distance_rows, edge_ends, vertex_ids
 
 Code = tuple[int, ...]
+
+# Bytes of padded codes fingerprinted per block: bounds each buffer of the
+# fingerprint pass to about this size, beside the landmark rows.
+_CODE_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -89,18 +112,30 @@ def edge_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
     return np.minimum(out, rows.take(v, axis=1), out=out)
 
 
-def _edge_codes(g: Graph, rows: np.ndarray) -> np.ndarray:
-    """The codes of :func:`edge_rows` one row per edge: ``(m, len(rows))``,
-    gathered from the rows of ``rows.T``."""
+def _edge_gather(g: Graph):
+    """``gather(rows, ids, out)``: writes the codes of the canonical edges
+    ``ids`` (an index array or a slice of the edge order), gathered from the
+    landmark ``rows``, into ``out``, one row per edge."""
     u, v = edge_ends(g)
-    by_vertex = rows.T
-    out = by_vertex[u]
-    return np.minimum(out, by_vertex[v], out=out)
+
+    def gather(rows: np.ndarray, ids, out: np.ndarray) -> None:
+        by_vertex = rows.T
+        np.minimum(by_vertex.take(u[ids], axis=0), by_vertex.take(v[ids], axis=0), out=out)
+
+    return gather
+
+
+def _vertex_gather(rows: np.ndarray, ids, out: np.ndarray) -> None:
+    """The ``gather`` of :func:`_edge_gather` for the vertices ``ids``."""
+    out[...] = rows.T[ids]
 
 
 def edge_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
     """Codes of every canonical edge, one row per edge: ``(m, k)``."""
-    return _edge_codes(g, landmark_rows(g, landmarks))
+    rows = landmark_rows(g, landmarks)
+    table = np.empty((g.edge_count, len(rows)), dtype=rows.dtype)
+    _edge_gather(g)(rows, slice(None), table)
+    return table
 
 
 def vertex_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
@@ -129,20 +164,67 @@ def first_duplicate_rows(table: np.ndarray) -> Optional[tuple[int, int]]:
     return min(equal, default=None)
 
 
+@functools.lru_cache(maxsize=64)
+def _weights(count: int) -> np.ndarray:
+    """``count`` odd 64-bit fingerprint weights, read-only: the splitmix64
+    finaliser of 1, 2, ..., ``count``, with the low bit set."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    z |= np.uint64(1)
+    z.setflags(write=False)
+    return z
+
+
+def _fingerprints(rows: np.ndarray, count: int, gather) -> np.ndarray:
+    """The fingerprint (module docstring) of the code of each of ``count``
+    items, gathered ``_CODE_BLOCK`` bytes of codes at a time."""
+    k = len(rows)
+    words = -(-k * rows.itemsize // 8)
+    block = min(count, max(1, _CODE_BLOCK // max(8 * words, 1)))
+    packed = np.zeros((block, words), dtype=np.uint64)
+    codes = packed.view(rows.dtype)[:, :k]  # the padding stays zero
+    weights = _weights(words)
+    out = np.empty(count, dtype=np.uint64)
+    for lo in range(0, count, block):
+        size = min(block, count - lo)
+        gather(rows, slice(lo, lo + size), codes[:size])
+        np.einsum("ij,j->i", packed[:size], weights, out=out[lo : lo + size])
+    return out
+
+
+def _shared(fingerprints: np.ndarray) -> np.ndarray:
+    """The ids, ascending, of the items whose fingerprint another shares."""
+    order = fingerprints.argsort()
+    ranked = fingerprints[order]
+    same = ranked[1:] == ranked[:-1]
+    shared = np.zeros(len(order), dtype=bool)
+    shared[order[1:][same]] = True
+    shared[order[:-1][same]] = True
+    return shared.nonzero()[0]
+
+
 def _check(
-    g: Graph, landmarks: Sequence[int], dist: Optional[DistanceMatrix], items, codes
+    g: Graph, landmarks: Sequence[int], dist: Optional[DistanceMatrix], items, gather
 ) -> VerificationResult:
     """Whether ``landmarks`` gives the ``items`` (vertices or canonical
-    edges, in order) pairwise distinct codes; ``codes`` turns the landmark
-    rows into the code table, one row per item."""
+    edges, in order) pairwise distinct codes; ``gather(rows, ids, out)``
+    writes the codes of the items ``ids``, as :func:`_edge_gather` does."""
     lm = validate_landmarks(g, landmarks)
     if len(items) <= 1:
         return VerificationResult(resolving=True, witness=None)
     rows = landmark_rows(g, lm) if dist is None else _matrix_rows(g, dist, lm)
-    dup = first_duplicate_rows(codes(rows))
+    ids = _shared(_fingerprints(rows, len(items), gather))
+    if not len(ids):
+        return VerificationResult(resolving=True, witness=None)
+    table = np.empty((len(ids), len(lm)), dtype=rows.dtype)
+    gather(rows, ids, table)
+    dup = first_duplicate_rows(table)
     if dup is None:
         return VerificationResult(resolving=True, witness=None)
-    i, j = dup
+    i, j = ids[list(dup)].tolist()
     return VerificationResult(resolving=False, witness=(items[i], items[j]))
 
 
@@ -155,12 +237,12 @@ def is_edge_resolving(
     canonical edges.  An empty landmark set fails on any connected graph
     with two or more edges, with the first two edges as witness; on a
     disconnected graph it raises
-    :class:`~silires.errors.DisconnectedGraphError` like any other set.
-    ``dist``, the
-    all-pairs matrix of ``g``, replaces the BFS from each landmark; a
-    matrix of another size raises :class:`~silires.errors.GraphInputError`.
+    :class:`~silires.errors.DisconnectedGraphError`, like any other set.
+    ``dist``, the all-pairs matrix of ``g``, replaces the distance rows
+    from the landmarks; a matrix of another size raises
+    :class:`~silires.errors.GraphInputError`.
     """
-    return _check(g, landmarks, dist, g.edges, lambda rows: _edge_codes(g, rows))
+    return _check(g, landmarks, dist, g.edges, _edge_gather(g))
 
 
 def is_vertex_resolving(
@@ -168,4 +250,4 @@ def is_vertex_resolving(
 ) -> VerificationResult:
     """Check whether ``landmarks`` distinguishes every pair of vertices;
     ``dist`` as for :func:`is_edge_resolving`."""
-    return _check(g, landmarks, dist, range(g.vertex_count), np.transpose)
+    return _check(g, landmarks, dist, range(g.vertex_count), _vertex_gather)

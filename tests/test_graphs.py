@@ -343,6 +343,19 @@ class TestDistanceRows:
         assert rows.shape == (len(sources), g.vertex_count)
         assert rows.tolist() == expected
 
+    @pytest.mark.parametrize("block", [1, 64, 300])
+    def test_column_blocks_give_the_same_rows(self, monkeypatch, block):
+        # With 4, 14 and 30 sources: one row per block, a few, or many.
+        cases = [
+            (family_graph(CYCLIC, 8), [5, 0, 17, 3]),
+            (family_graph(CHAIN, 9), range(0, 28, 2)),
+            (random_connected_graph(random.Random(3), 30), range(30)),
+        ]
+        whole = [distance_rows(g, sources) for g, sources in cases]
+        monkeypatch.setattr(graphs, "_ROW_BLOCK", block)
+        for (g, sources), rows in zip(cases, whole):
+            assert np.array_equal(distance_rows(g, sources), rows)
+
     def test_thread_sums_do_not_wrap(self):
         # The core is a path of 32766 vertices: i + d(a, y) passes 32767.
         g = path_graph(32768)

@@ -1,6 +1,8 @@
 """Vertex/edge codes and resolving-set verification."""
 
 import itertools
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from silires import (
     DisconnectedGraphError,
     GraphInputError,
     all_pairs_distances,
+    SilicateSpec,
     build_graph,
+    construct_for_spec,
     edge_code,
     edge_code_table,
     is_edge_resolving,
@@ -18,6 +22,7 @@ from silires import (
     vertex_code,
     vertex_code_table,
 )
+from silires import resolving
 from silires.resolving import (
     edge_rows,
     first_duplicate_rows,
@@ -30,7 +35,9 @@ from conftest import (
     family_graph,
     oracle_distance_matrix,
     oracle_edge_codes,
+    oracle_vertex_codes,
     path_graph,
+    random_connected_graph,
 )
 
 
@@ -275,3 +282,112 @@ class TestGivenDistanceMatrix:
         for landmarks in ([0], []):  # the empty set is checked like any other
             with pytest.raises(GraphInputError, match="distance matrix"):
                 check(path_graph(6), landmarks, dist=other)
+
+
+def brute_first_collision(items, codes):
+    """The lexicographically first pair of ``items`` with equal ``codes``."""
+    pairs = itertools.combinations(range(len(items)), 2)
+    return next(((items[i], items[j]) for i, j in pairs if codes[i] == codes[j]), None)
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The row count of each table the exact duplicate scan is given."""
+    counts, scan = [], resolving.first_duplicate_rows
+
+    def counting(table):
+        counts.append(len(table))
+        return scan(table)
+
+    monkeypatch.setattr(resolving, "first_duplicate_rows", counting)
+    return counts
+
+
+class TestFingerprints:
+    def test_weights_are_odd_distinct_and_fixed(self):
+        weights = resolving._weights(500)
+        assert weights.dtype == np.uint64
+        assert (weights & np.uint64(1)).all()
+        assert len(set(weights.tolist())) == 500
+        assert np.array_equal(resolving._weights(7), weights[:7])
+
+    def test_equal_codes_give_equal_fingerprints(self):
+        # Codes whose bytes are not a whole number of words, with large values.
+        rows = np.array([[3, 3, 1, 2, 3], [40000, 40000, 5, 5, 40000], [0, 0, 7, 7, 0]])
+        rows = rows.astype(np.int32)  # vertices 0, 1 and 4 share a code
+        fingerprints = resolving._fingerprints(rows, 5, resolving._vertex_gather)
+        assert fingerprints[0] == fingerprints[1] == fingerprints[4]
+        assert len({fingerprints[0], fingerprints[2], fingerprints[3]}) == 3
+        assert resolving._shared(fingerprints).tolist() == [0, 1, 4]
+
+    def test_blocks_give_the_fingerprints_of_one_block(self, monkeypatch):
+        g = family_graph("chain", 30)
+        rows = landmark_rows(g, range(0, g.vertex_count, 3))
+        gather = resolving._edge_gather(g)
+        whole = resolving._fingerprints(rows, g.edge_count, gather)
+        monkeypatch.setattr(resolving, "_CODE_BLOCK", 1)  # one item per block
+        assert np.array_equal(resolving._fingerprints(rows, g.edge_count, gather), whole)
+
+
+class TestAgainstBruteForce:
+    """Both checks against the brute-force first colliding pair.  With
+    every weight 0 all items share one fingerprint, so each check falls
+    back to the exact scan over all of its items."""
+
+    @pytest.fixture
+    def zero_weights(self, monkeypatch):
+        monkeypatch.setattr(resolving, "_weights", lambda count: np.zeros(count, dtype=np.uint64))
+
+    @pytest.mark.parametrize("weights", ["fixed", "zero"])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_verdict_witness_and_scan(self, request, scanned, weights, seed):
+        if weights == "zero":
+            request.getfixturevalue("zero_weights")
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(2, 9))
+        n = g.vertex_count
+        oracle = oracle_distance_matrix(g)
+        dist = all_pairs_distances(g)
+        for size in (0, 1, rng.randint(2, n)):
+            landmarks = rng.sample(range(n), min(size, n))
+            for check, items, coder in (
+                (is_edge_resolving, g.edges, oracle_edge_codes),
+                (is_vertex_resolving, range(n), oracle_vertex_codes),
+            ):
+                codes = coder(g, oracle, landmarks)
+                expected = brute_first_collision(items, codes)
+                colliding = sum(codes.count(c) > 1 for c in codes)
+                if len(items) < 2:
+                    scan = []
+                elif weights == "zero":
+                    scan = [len(items)]
+                else:
+                    scan = [colliding] if colliding else []
+                for given in (None, dist):
+                    scanned.clear()
+                    result = check(g, landmarks, dist=given)
+                    assert result.resolving == (expected is None)
+                    assert result.witness == expected
+                    assert scanned == scan
+
+    def test_long_path_with_one_end(self, zero_weights, scanned):
+        g = path_graph(300)
+        assert is_edge_resolving(g, [0]).resolving
+        assert is_vertex_resolving(g, [299]).resolving
+        assert is_vertex_resolving(g, [150]).witness == (1, 299)
+        assert scanned == [299, 300, 300]
+
+
+@pytest.mark.parametrize("family", ["chain", "cyclic"])
+def test_edge_check_memory_is_bounded_by_the_landmark_rows(family):
+    # The code table alone is about twice the landmark rows at n = 1000.
+    silicate, landmarks = construct_for_spec(SilicateSpec(family=family, n=1000))
+    g = silicate.graph
+    rows = landmark_rows(g, landmarks).nbytes
+    tracemalloc.start()
+    try:
+        assert is_edge_resolving(g, landmarks).resolving
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * rows, f"peak {peak} bytes, landmark rows {rows} bytes"
