@@ -50,6 +50,17 @@ sets are never evaluated, so the evaluation order, ``subsets_examined``,
 budget trips, witnesses and certificates are those of the walk without the
 bound; only the number of nodes visited drops.
 
+Every block of a level (the k-sets sharing a smallest member b, reached by
+excluding 0..b-1 and picking b) hangs off one root, the node that has
+picked and excluded nothing.  No mask is forced there and each slice is a
+whole mask, so the bound at the root is the greedy packing over all masks,
+whatever k is.  It is computed once per solve, with the search context, and
+a level of size k below it is cut at its root by the argument above: one
+node and one bound prune, no block searched and nothing submitted to a
+pool.  Vertex solves, and edge solves of graphs without a recognized
+family, start at size 1, so on graphs with many masks most of their sizes
+end there.
+
 A node whose bound equals ``need`` has no slack, so the walk steps over the
 vertices in no mask that come next without visiting them.  Such a vertex
 lies in no slice and is never forced, so picking it leaves every slice
@@ -120,7 +131,9 @@ class SolveOptions:
     processes, at most one per vertex (no level has more blocks).  The
     certificate and counters are those of one worker, the solve returns or
     raises only after every worker has exited, and a worker that dies
-    makes it raise ``BrokenProcessPool``.  The process-pool machinery
+    makes it raise ``BrokenProcessPool``.  A level below the counting bound
+    at its root is refuted without a block, so it submits nothing to the
+    pool.  The process-pool machinery
     (``concurrent.futures``, ``multiprocessing``) is imported only when
     such a pool starts, so a one-worker solve never loads it.
     """
@@ -157,8 +170,10 @@ class SolveStats:
     counting bound, a vertex stepped over at zero slack counting as the cut
     of its include branch.  The bound runs only at nodes with two or more
     members left to pick; the last level is decided by its exact mask test,
-    so no cut is counted there.  All three are identical for any worker
-    count; only ``subsets_examined`` enters the serialized certificate.
+    so no cut is counted there.  A size level below the bound at its root
+    counts one node and one prune, that root.  All three are identical for
+    any worker count; only ``subsets_examined`` enters the serialized
+    certificate.
     """
 
     subsets_examined: int
@@ -239,13 +254,31 @@ def _extend_labels(labels: np.ndarray, span: int, row: np.ndarray, base: int):
     return np.add(keys, row, dtype=np.int64), span * base
 
 
+def _packing_bound(parts) -> int:
+    """Sum of ``|s| - 1`` over a greedy packing of the bitmasks ``parts``:
+    largest first (in the given order among equal sizes), each taken when
+    it misses every part taken so far (module docstring)."""
+    bit_count = int.bit_count
+    bound = packed = 0
+    for part in sorted(parts, key=bit_count, reverse=True):
+        size = bit_count(part)
+        if size <= 1:
+            break
+        if not part & packed:
+            packed |= part
+            bound += size - 1
+    return bound
+
+
 def _context(rows: np.ndarray, masks: Sequence[int]):
     """Search context: (code rows, one per vertex; masks; the vertices in
-    some mask, as one bitmask; base).  Every code entry lies below base."""
+    some mask, as one bitmask; base; root bound).  Every code entry lies
+    below base; the root bound is the counting bound at the root of every
+    level, where nothing is picked, excluded or forced."""
     covered = 0
     for m in masks:
         covered |= m
-    return rows, tuple(masks), covered, int(rows.max()) + 1
+    return rows, tuple(masks), covered, int(rows.max()) + 1, _packing_bound(masks)
 
 
 def _search_block(ctx, k: int, block: int):
@@ -260,7 +293,7 @@ def _search_block(ctx, k: int, block: int):
     frame is popped and its exclude branch, the node one position on, comes
     next.
     """
-    rows, masks, covered, base = ctx
+    rows, masks, covered, base, _ = ctx
     n = len(rows)
     bit_count = int.bit_count
     evaluated = nodes = prunes = 0
@@ -283,15 +316,7 @@ def _search_block(ctx, k: int, block: int):
                     return None
                 forced |= m & fut
         free = fut & ~forced
-        bound = bit_count(forced)
-        packed = 0
-        for part in sorted([m & free for m in masks], key=bit_count, reverse=True):
-            size = bit_count(part)
-            if size <= 1:
-                break
-            if not part & packed:
-                packed |= part
-                bound += size - 1
+        bound = bit_count(forced) + _packing_bound([m & free for m in masks])
         if bound > need:
             prunes += 1
             return None
@@ -380,7 +405,10 @@ def _search_level(ctx, k: int, pool, remaining: Optional[int]):
 
     Returns (witness, counts, budget_tripped), where counts sums
     (evaluated, nodes, bound prunes) over the blocks up to the one that
-    ended the level.  One loop consumes the block results in block order:
+    ended the level.  After the budget check, a level below the root bound
+    of ``ctx`` is cut at its root (module docstring): it counts one node and
+    one prune, searches no block and submits nothing to ``pool``.  One loop
+    consumes the block results in block order:
     without a pool they are computed one by one as the loop asks; with a
     pool every block of the level is submitted at once.  The budget is
     checked only at block boundaries, so the outcome and the counts are
@@ -389,10 +417,14 @@ def _search_level(ctx, k: int, pool, remaining: Optional[int]):
     is cancelled; blocks a worker has already taken run to completion and
     their results are dropped.
     """
-    blocks = len(ctx[0]) - k + 1
+    rows, *_, root_bound = ctx
+    blocks = len(rows) - k + 1
     counts = [0, 0, 0]
     if remaining is not None and remaining <= 0:
         return None, counts, True
+    if k < root_bound:
+        # Every block hangs off the level's root, and the bound cuts it.
+        return None, [0, 1, 1], False
     futures = []
     if pool is None:
         results = (_search_block(ctx, k, b) for b in range(blocks))

@@ -23,6 +23,7 @@ from silires import (
     SilicateSpec,
     SolveOptions,
     StructureError,
+    build_graph,
     build_silicate,
     classify_silicate,
     construct_for_spec,
@@ -33,6 +34,7 @@ from silires import (
     is_edge_resolving,
     is_minimal,
     is_vertex_resolving,
+    silicate_of_skeleton,
 )
 from silires.construction import predicted_dimension
 from silires.solver import (
@@ -44,6 +46,7 @@ from silires.solver import (
     _KEY_LIMIT,
     _context,
     _extend_labels,
+    _packing_bound,
     _search_block,
     edge_infeasibility_masks,
     vertex_infeasibility_masks,
@@ -394,6 +397,36 @@ class TestDeterminism:
         if opts.budget_subsets is not None:
             assert results[0][0] in (STATUS_PARTIAL, STATUS_CONDITIONAL)
 
+    @pytest.mark.parametrize(
+        "g,opts",
+        [
+            # Levels 1-6 cut at their roots, the witness at 7.
+            (family_graph(CHAIN, 5), SolveOptions()),
+            # A spider whose three legs of length 1 (3, 4, 6) are false
+            # twins: root bound 2, so level 1 is cut; levels 2 and 3 are
+            # walked, and the budget trips in level 3.
+            (
+                build_graph(
+                    8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (1, 5), (2, 7)]
+                ),
+                SolveOptions(budget_subsets=10),
+            ),
+        ],
+        ids=["chain-5", "spider-budget-10"],
+    )
+    def test_vertex_counters_identical_for_one_two_and_four_workers(self, g, opts):
+        # A root cut counts one node and one prune for any worker count, and
+        # a cut level submits nothing to the pool.
+        results = []
+        for workers in (1, 2, 4):
+            cert = exact_metric_dimension(
+                g, dataclasses.replace(opts, parallel_workers=workers)
+            )
+            stats = dataclasses.replace(cert.stats, elapsed_seconds=0.0)
+            results.append((_outcome(cert), stats))
+        assert results[1:] == results[:1] * 2
+        assert results[0][1].bound_prunes > 0
+
     def test_repeat_runs_identical(self):
         g = family_graph(CYCLIC, 4)
         a = exact_edge_metric_dimension(g)
@@ -541,6 +574,27 @@ class TestPruningMasks:
         cert = exact_edge_metric_dimension(g)
         assert (cert.dimension, cert.witness) == (dim, witness)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(relabeled_instances(), vertex_instances()))
+    def test_root_bound_is_at_most_the_dimension(self, case):
+        # Sizes below the packing bound over all masks are cut at their
+        # roots, so no resolving set may be smaller.  The naive oracle
+        # takes seconds above 13 vertices; larger instances are covered by
+        # test_bound_never_changes_what_is_evaluated, which compares whole
+        # solves with plain enumeration.
+        g, _ = case
+        assume(g.vertex_count <= 13)
+        for target in (EDGE, VERTEX):
+            root_bound = _packing_bound(self.masks_of[target](g))
+            assert root_bound <= naive_minimum_resolving(g, target)[0], target
+
+    def test_root_bound_is_at_most_the_dimension_on_the_corpus(self, small_corpus):
+        for name, g in small_corpus:
+            for target in (EDGE, VERTEX):
+                root_bound = _packing_bound(self.masks_of[target](g))
+                dimension = naive_minimum_resolving(g, target)[0]
+                assert root_bound <= dimension, (name, target)
+
     @settings(max_examples=30, deadline=None)
     @given(relabeled_instances())
     def test_bound_never_changes_what_is_evaluated(self, case):
@@ -660,9 +714,10 @@ class TestExactKeys:
 
     def test_full_universe_shares_rows(self):
         rows = np.arange(12, dtype=np.int16).reshape(3, 4)
-        rows_of, masks, covered, base = _context(rows, [0b110, 0b1001])
+        rows_of, masks, covered, base, root = _context(rows, [0b110, 0b1001])
         assert rows_of is rows
-        assert (masks, covered, base) == ((0b110, 0b1001), 0b1111, 12)
+        # Two disjoint pairs: each set passing both masks holds one of each.
+        assert (masks, covered, base, root) == ((0b110, 0b1001), 0b1111, 12, 2)
 
     def test_labels_that_cannot_fit_raise(self):
         labels = np.arange(5, dtype=np.int64)
@@ -746,10 +801,15 @@ def optimal_for_one_and_two_workers(solve, g):
 
 
 class TestSearchCounters:
-    # The counting bound and the zero-slack step bring chain 13 to 54 nodes
+    # The counting bound and the zero-slack step bring chain 13 to 34 nodes
     # and cyclic 13 to 58; without the bound the chain 13 proof walks 3.9
-    # million nodes.
-    @pytest.mark.parametrize("family,n,nodes", [(CHAIN, 13, 54), (CYCLIC, 13, 58)])
+    # million nodes.  The solve starts at the dimension d (21 and 20), whose
+    # walk takes 33 and 35 nodes, the last evaluating the witness.  Level
+    # d - 1 is the confirmation.  On chain 13 the root bound is 21, so it is
+    # one root cut: 33 + 1 (its walk took 21 nodes before the cut).  On
+    # cyclic 13 the root bound is 19, as the greedy packing of an odd cycle
+    # of masks is one short of d, so level 19 is still walked: 35 + 23.
+    @pytest.mark.parametrize("family,n,nodes", [(CHAIN, 13, 34), (CYCLIC, 13, 58)])
     def test_edge_solve_node_count(self, family, n, nodes):
         g = family_graph(family, n)
         cert = optimal_for_one_and_two_workers(exact_edge_metric_dimension, g)
@@ -759,11 +819,15 @@ class TestSearchCounters:
     @pytest.mark.parametrize("n", [100, 200])
     def test_zero_slack_steps_over_hinges(self, family, n):
         # With no slack the walk steps over the hinges, which lie in no
-        # mask, instead of visiting two nodes for each: 4n + 1 nodes on
-        # chain 100 and 200 (6n - 1 when each hinge was visited).
+        # mask, instead of visiting two nodes for each: level d takes 5n/2
+        # nodes on chain n = 100 and 200 and 5n/2 - 1 on cyclic n.  At even
+        # n the root bound of both families is d, so the confirmation at
+        # d - 1 is one root cut: 5n/2 + 1 and 5n/2 nodes.  (Before the root
+        # cut that level walked 3n/2 + 1 and 3n/2 + 2 nodes, 4n + 1 in all;
+        # 6n - 1 when each hinge was visited.)
         g = family_graph(family, n)
         cert = optimal_for_one_and_two_workers(exact_edge_metric_dimension, g)
-        assert cert.stats.nodes_visited == 4 * n + 1
+        assert cert.stats.nodes_visited == 5 * n // 2 + (family == CHAIN)
 
     @pytest.mark.parametrize("family,n,dimension", [(CHAIN, 340, 512), (CYCLIC, 340, 510)])
     def test_deep_walk_does_not_recurse_per_vertex(self, family, n, dimension):
@@ -789,17 +853,62 @@ class TestSearchCounters:
     def test_vertex_solve_guard(self):
         # The benchmark's canonical vertex chain 5 and cyclic 7: the twin
         # masks and the bound leave one set to evaluate (16350 and 138504
-        # without them), the witnesses are the same.
+        # without them), the witnesses are the same.  Both have dimension 7
+        # and root bound 7, so levels 1-6 are six root cuts, one node and
+        # one prune each, and level 7 walks 15 and 18 nodes with 7 and 10
+        # prunes: 21 and 24 nodes, 13 and 16 prunes (96 and 129 nodes when
+        # the six levels were walked block by block).
         cases = [
-            (CHAIN, 5, (0, 1, 4, 7, 10, 13, 14), 96),
-            (CYCLIC, 7, (1, 4, 7, 10, 13, 16, 19), 129),
+            (CHAIN, 5, (0, 1, 4, 7, 10, 13, 14), 21, 13),
+            (CYCLIC, 7, (1, 4, 7, 10, 13, 16, 19), 24, 16),
         ]
-        for family, n, witness, nodes in cases:
+        for family, n, witness, nodes, prunes in cases:
             g = family_graph(family, n)
             cert = optimal_for_one_and_two_workers(exact_metric_dimension, g)
             assert cert.witness == witness
-            assert cert.stats.subsets_examined == 1
-            assert cert.stats.nodes_visited == nodes
+            stats = cert.stats
+            assert stats.subsets_examined == 1
+            assert (stats.nodes_visited, stats.bound_prunes) == (nodes, prunes)
+
+    def test_skeleton_edge_solve_guard(self):
+        # The benchmark's edge solve of the skeleton expansion of K4 (16
+        # vertices, no recognized family, so it starts at 1): the masks
+        # leave one set to evaluate (58604 without them).  Root bound 8, so
+        # levels 1-7 are seven root cuts, one node and one prune each;
+        # levels 8 and 9 walk 11 and 30 nodes with 7 and 23 prunes, and
+        # level 10 90 nodes with 46 prunes up to the witness: 138 nodes and
+        # 83 prunes.
+        g = silicate_of_skeleton(complete_graph(4)).graph
+        cert = optimal_for_one_and_two_workers(exact_edge_metric_dimension, g)
+        assert cert.witness == (4, 5, 6, 7, 8, 10, 12, 13, 14, 15)
+        assert (cert.start_size, cert.stats.subsets_examined) == (1, 1)
+        assert (cert.stats.nodes_visited, cert.stats.bound_prunes) == (138, 83)
+
+    @pytest.mark.parametrize(
+        "solve,family,n,searched",
+        [
+            # Starts at 1; root bound 7, the dimension: levels 1-6 are cut.
+            (exact_metric_dimension, CHAIN, 5, [7]),
+            # Starts at the family bound 17, the dimension; root bound 17,
+            # so the confirmation at 16 is cut.
+            (exact_edge_metric_dimension, CHAIN, 10, [17]),
+        ],
+        ids=["vertex-chain-5", "edge-chain-10"],
+    )
+    def test_level_below_the_root_bound_runs_no_block(
+        self, solve, family, n, searched, monkeypatch
+    ):
+        sizes = []
+        block_search = silires.solver._search_block
+
+        def recorded(ctx, k, block):
+            sizes.append(k)
+            return block_search(ctx, k, block)
+
+        monkeypatch.setattr(silires.solver, "_search_block", recorded)
+        cert = solve(family_graph(family, n))
+        assert cert.status == STATUS_OPTIMAL
+        assert sorted(set(sizes)) == searched == [cert.dimension]
 
     def test_vertex_target_prunes(self):
         # The twin masks {0, 1, 2} and {4, 5, 6} need 4 landmarks, so the
