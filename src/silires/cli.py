@@ -36,7 +36,9 @@ from .serialization import (
 )
 from .silicates import CHAIN, CYCLIC, SKELETON, SilicateSpec, build_silicate
 from .solver import (
+    EDGE,
     STATUS_OPTIMAL,
+    VERTEX,
     SolveOptions,
     exact_edge_metric_dimension,
     exact_metric_dimension,
@@ -121,7 +123,7 @@ def _cmd_generate(parser: _Parser, args) -> int:
 def _cmd_verify(parser: _Parser, args) -> int:
     g = _load_graph(args.graph)
     landmarks = _parse_id_list(args.set)
-    check = is_edge_resolving if args.target == "edge" else is_vertex_resolving
+    check = is_edge_resolving if args.target == EDGE else is_vertex_resolving
     result = check(g, landmarks)
     report = verification_report(
         g, landmarks, args.target, result, include_codes=args.codes
@@ -144,7 +146,7 @@ def _cmd_solve(parser: _Parser, args) -> int:
         parallel_workers=args.workers,
         budget_subsets=args.budget_subsets,
     )
-    if args.target == "edge":
+    if args.target == EDGE:
         cert = exact_edge_metric_dimension(g, opts)
     else:
         cert = exact_metric_dimension(g, opts)
@@ -245,7 +247,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument(
         "--set", required=True, help="landmark ids, comma or space separated"
     )
-    p_ver.add_argument("--target", choices=("edge", "vertex"), default="edge")
+    p_ver.add_argument("--target", choices=(EDGE, VERTEX), default=EDGE)
     p_ver.add_argument("--json", default=None, metavar="PATH")
     p_ver.add_argument(
         "--codes", action="store_true", help="include the full code table"
@@ -256,7 +258,7 @@ def build_parser() -> _Parser:
         "solve", help="compute the exact minimum resolving set"
     )
     p_solve.add_argument("graph", help="edge-list file")
-    p_solve.add_argument("--target", choices=("edge", "vertex"), default="edge")
+    p_solve.add_argument("--target", choices=(EDGE, VERTEX), default=EDGE)
     p_solve.add_argument("--start-size", type=int, default=None)
     p_solve.add_argument("--max-size", type=int, default=None)
     p_solve.add_argument("--workers", type=int, default=1)

@@ -133,21 +133,6 @@ class Graph:
         return v in self.adjacency[u]
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """All-pairs hop distances of a connected graph.
-
-    ``d`` is a read-only ``n x n`` array of type :func:`distance_dtype`:
-    int16 while every distance (at most ``n - 1``) fits, int32 beyond.
-    """
-
-    n: int
-    d: np.ndarray
-
-    def distance(self, u: int, v: int) -> int:
-        return int(self.d[u, v])
-
-
 def distance_dtype(vertex_count: int) -> type:
     """Smallest integer type holding every hop distance of a connected
     graph on ``vertex_count`` vertices: int16 up to 32768 vertices (largest
@@ -492,19 +477,24 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
     return out.T
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Distance rows from every vertex, as a read-only ``(n, n)`` matrix
-    (also for ``n = 0``) of type :func:`distance_dtype`."""
-    n = g.vertex_count
-    d = distance_rows(g, range(n))
+def all_pairs_distances(g: Graph) -> np.ndarray:
+    """Distance rows from every vertex, as a read-only ``(n, n)`` array
+    (also for ``n = 0``) of type :func:`distance_dtype`: int16 while every
+    distance (at most ``n - 1``) fits, int32 beyond.  This is the matrix the
+    checkers take as ``dist=``.  Every graph is checked for connectivity,
+    whatever its size: a disconnected one raises
+    :class:`DisconnectedGraphError`, as :func:`distance_rows` does, so the
+    checkers see the same error with ``dist=`` as without it."""
+    d = distance_rows(g, range(g.vertex_count))
     d.setflags(write=False)
-    return DistanceMatrix(n=n, d=d)
+    return d
 
 
-def edge_vertex_distance(dist: DistanceMatrix, edge: Edge, u: int) -> int:
-    """Distance from an edge to a vertex: the smaller endpoint distance."""
+def edge_vertex_distance(dist: np.ndarray, edge: Edge, u: int) -> int:
+    """Distance from an edge to a vertex: the smaller endpoint distance in
+    the all-pairs matrix ``dist``."""
     a, b = edge
-    return int(min(dist.d[a, u], dist.d[b, u]))
+    return int(min(dist[a, u], dist[b, u]))
 
 
 def is_connected(g: Graph) -> bool:

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GraphInputError
-from .graphs import DistanceMatrix, Edge, Graph, distance_rows, edge_ends, vertex_ids
+from .graphs import Edge, Graph, distance_rows, edge_ends, vertex_ids
 
 Code = tuple[int, ...]
 
@@ -72,16 +72,18 @@ def validate_landmarks(g: Graph, landmarks: Sequence[int]) -> tuple[int, ...]:
     return lm
 
 
-def vertex_code(dist: DistanceMatrix, v: int, landmarks: Sequence[int]) -> Code:
-    """Distances from vertex ``v`` to each landmark, in landmark order."""
-    return tuple(int(dist.d[v, u]) for u in landmarks)
+def vertex_code(dist: np.ndarray, v: int, landmarks: Sequence[int]) -> Code:
+    """Distances from vertex ``v`` to each landmark, in landmark order, read
+    from the all-pairs matrix ``dist``."""
+    return tuple(int(dist[v, u]) for u in landmarks)
 
 
-def edge_code(dist: DistanceMatrix, edge: Edge, landmarks: Sequence[int]) -> Code:
-    """Per-landmark minimum of the two endpoint distances of ``edge``."""
+def edge_code(dist: np.ndarray, edge: Edge, landmarks: Sequence[int]) -> Code:
+    """Per-landmark minimum of the two endpoint distances of ``edge``, read
+    from the all-pairs matrix ``dist``."""
     a, b = edge
-    da = dist.d[a]
-    db = dist.d[b]
+    da = dist[a]
+    db = dist[b]
     return tuple(int(min(da[u], db[u])) for u in landmarks)
 
 
@@ -91,15 +93,15 @@ def landmark_rows(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
     return distance_rows(g, landmarks)
 
 
-def _matrix_rows(g: Graph, dist: DistanceMatrix, lm: tuple[int, ...]) -> np.ndarray:
+def _matrix_rows(g: Graph, dist: np.ndarray, lm: tuple[int, ...]) -> np.ndarray:
     """The landmark rows sliced from ``dist``, which must be ``g``'s matrix
     (only its size can be checked here)."""
-    if dist.d.shape != (g.vertex_count, g.vertex_count):
+    if dist.shape != (g.vertex_count, g.vertex_count):
         raise GraphInputError(
-            f"distance matrix of shape {dist.d.shape} given for a graph of "
+            f"distance matrix of shape {dist.shape} given for a graph of "
             f"{g.vertex_count} vertices"
         )
-    return dist.d.T.take(list(lm), axis=1).T  # laid out as distance_rows
+    return dist.T.take(list(lm), axis=1).T  # laid out as distance_rows
 
 
 def edge_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
@@ -180,10 +182,11 @@ def _weights(count: int) -> np.ndarray:
 
 def _fingerprints(rows: np.ndarray, count: int, gather) -> np.ndarray:
     """The fingerprint (module docstring) of the code of each of ``count``
-    items, gathered ``_CODE_BLOCK`` bytes of codes at a time."""
+    items, gathered ``_CODE_BLOCK`` bytes of codes at a time (a block of
+    one when there are no items)."""
     k = len(rows)
     words = -(-k * rows.itemsize // 8)
-    block = min(count, max(1, _CODE_BLOCK // max(8 * words, 1)))
+    block = max(1, min(count, _CODE_BLOCK // max(8 * words, 1)))
     packed = np.zeros((block, words), dtype=np.uint64)
     codes = packed.view(rows.dtype)[:, :k]  # the padding stays zero
     weights = _weights(words)
@@ -207,14 +210,19 @@ def _shared(fingerprints: np.ndarray) -> np.ndarray:
 
 
 def _check(
-    g: Graph, landmarks: Sequence[int], dist: Optional[DistanceMatrix], items, gather
+    g: Graph, landmarks: Sequence[int], dist: Optional[np.ndarray], items, gather
 ) -> VerificationResult:
     """Whether ``landmarks`` gives the ``items`` (vertices or canonical
     edges, in order) pairwise distinct codes; ``gather(rows, ids, out)``
-    writes the codes of the items ``ids``, as :func:`_edge_gather` does."""
+    writes the codes of the items ``ids``, as :func:`_edge_gather` does.
+
+    Every landmark set takes this one path, whatever the item count: its
+    rows are computed (so a disconnected graph raises
+    :class:`~silires.errors.DisconnectedGraphError`) or sliced from
+    ``dist`` (so a matrix of another size raises
+    :class:`~silires.errors.GraphInputError`).  Zero or one item then gets
+    no shared fingerprint and resolves with no witness."""
     lm = validate_landmarks(g, landmarks)
-    if len(items) <= 1:
-        return VerificationResult(resolving=True, witness=None)
     rows = landmark_rows(g, lm) if dist is None else _matrix_rows(g, dist, lm)
     ids = _shared(_fingerprints(rows, len(items), gather))
     if not len(ids):
@@ -229,24 +237,26 @@ def _check(
 
 
 def is_edge_resolving(
-    g: Graph, landmarks: Sequence[int], *, dist: Optional[DistanceMatrix] = None
+    g: Graph, landmarks: Sequence[int], *, dist: Optional[np.ndarray] = None
 ) -> VerificationResult:
     """Check whether ``landmarks`` distinguishes every pair of edges.
 
     On failure the witness is the lexicographically first colliding pair of
     canonical edges.  An empty landmark set fails on any connected graph
-    with two or more edges, with the first two edges as witness; on a
-    disconnected graph it raises
-    :class:`~silires.errors.DisconnectedGraphError`, like any other set.
-    ``dist``, the all-pairs matrix of ``g``, replaces the distance rows
-    from the landmarks; a matrix of another size raises
-    :class:`~silires.errors.GraphInputError`.
+    with two or more edges, with the first two edges as witness.  Every
+    landmark set, the empty one included and whatever the edge count, is
+    checked for connectivity: on a disconnected graph it raises
+    :class:`~silires.errors.DisconnectedGraphError`.  ``dist``, the
+    read-only array :func:`~silires.graphs.all_pairs_distances` returns for
+    ``g`` (which made that check), replaces the distance rows from the
+    landmarks; a matrix of another size raises
+    :class:`~silires.errors.GraphInputError`, whatever the edge count.
     """
     return _check(g, landmarks, dist, g.edges, _edge_gather(g))
 
 
 def is_vertex_resolving(
-    g: Graph, landmarks: Sequence[int], *, dist: Optional[DistanceMatrix] = None
+    g: Graph, landmarks: Sequence[int], *, dist: Optional[np.ndarray] = None
 ) -> VerificationResult:
     """Check whether ``landmarks`` distinguishes every pair of vertices;
     ``dist`` as for :func:`is_edge_resolving`."""

@@ -24,7 +24,7 @@ from .resolving import (
     vertex_code_table,
 )
 from .silicates import LabeledSilicate, SilicateSpec
-from .solver import Certificate
+from .solver import EDGE, Certificate
 
 EDGE_LIST_HEADER = "p"
 
@@ -44,17 +44,19 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; blank lines and ``#`` comments are skipped.
 
     Raises :class:`EdgeListFormatError` naming the offending line, and both
-    lines for a pair that repeats an earlier one in either orientation (the
-    graph would silently lose an edge against the header count).  A pair
-    with u > v, or one that does not sort after the pair before it, is
+    lines for a pair that repeats the pair before it in either orientation
+    (the graph would silently lose an edge against the header count).  A
+    pair with u > v, or one that does not sort after the pair before it, is
     rejected too: re-emitting it would reorder the text and break the byte
-    round trip.  Vertex-id and self-loop violations propagate from graph
+    round trip.  Pairs are thus canonical and non-decreasing, so only the
+    previous pair and its line are kept: a repeat of an older pair is out
+    of order.  Vertex-id and self-loop violations propagate from graph
     construction.
     """
     header: Optional[tuple[int, int]] = None
     edges: list[tuple[int, int]] = []
-    first_line: dict[tuple[int, int], int] = {}
     previous: Optional[tuple[int, int]] = None
+    previous_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -89,10 +91,10 @@ def parse_edge_list(text: str) -> Graph:
                 f"line {lineno}: non-integer vertex id in {line!r}"
             ) from None
         key = canonical_edge(u, v)
-        if key in first_line:
+        if key == previous:
             raise EdgeListFormatError(
                 f"line {lineno}: pair {line!r} repeats the edge {key} "
-                f"of line {first_line[key]}"
+                f"of line {previous_line}"
             )
         if u > v:
             raise EdgeListFormatError(
@@ -103,8 +105,7 @@ def parse_edge_list(text: str) -> Graph:
                 f"line {lineno}: pair {line!r} does not sort after "
                 f"the previous pair {previous[0]} {previous[1]}"
             )
-        first_line[key] = lineno
-        previous = (u, v)
+        previous, previous_line = key, lineno
         edges.append((u, v))
     if header is None:
         raise EdgeListFormatError("missing header line")
@@ -151,13 +152,13 @@ def verification_report(
     }
     if result.witness is not None:
         a, b = result.witness
-        if target == "edge":
+        if target == EDGE:
             report["witness"] = [list(a), list(b)]
         else:
             report["witness"] = [a, b]
     if include_codes:
         ordered = validate_landmarks(g, landmarks)
-        if target == "edge":
+        if target == EDGE:
             table = edge_code_table(g, ordered)
             report["codes"] = [
                 {"edge": list(e), "code": [int(x) for x in table[j]]}

@@ -475,8 +475,7 @@ def vertex_infeasibility_masks(g: Graph) -> list[int]:
 
 def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     t0 = time.perf_counter()
-    apsp = all_pairs_distances(g)
-    dist = apsp.d
+    dist = all_pairs_distances(g)
     if target == EDGE:
         item_count = g.edge_count
         rows = edge_rows(g, dist)
@@ -528,7 +527,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
                 k += 1
 
     checker = is_edge_resolving if target == EDGE else is_vertex_resolving
-    if best is not None and not checker(g, best, dist=apsp).resolving:
+    if best is not None and not checker(g, best, dist=dist).resolving:
         raise SolverInternalError(
             f"internal error: search returned a non-resolving witness {best!r}"
         )

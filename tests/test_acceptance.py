@@ -299,7 +299,7 @@ def _type1_cases(g, dist, tet):
     v1, v2, v3 = sorted(tet.cubic_vertices)
     members = set(tet.vertices)
     s = min(v for v in range(g.vertex_count) if v not in members)
-    x = int(dist.d[s, v0])
+    x = int(dist[s, v0])
     landmarks = (s, v1, v2)
     expected = {
         (v0, v1): (x, 0, 1),
@@ -320,15 +320,15 @@ def _type2_cases(g, dist, tet):
     s = min(
         v
         for v in range(g.vertex_count)
-        if v not in members and dist.d[v, u0] < dist.d[v, u1]
+        if v not in members and dist[v, u0] < dist[v, u1]
     )
     t = min(
         v
         for v in range(g.vertex_count)
-        if v not in members and dist.d[v, u1] < dist.d[v, u0]
+        if v not in members and dist[v, u1] < dist[v, u0]
     )
-    x = int(dist.d[s, u0])
-    y = int(dist.d[t, u1])
+    x = int(dist[s, u0])
+    y = int(dist[t, u1])
     landmarks = (s, t, u2)
     expected = {
         (u0, u1): (x, y, 1),

@@ -166,6 +166,17 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "line 2" in err
 
+    def test_disconnected_one_edge_graph_is_usage_error(self, tmp_path, capsys):
+        # One edge is verified like many: vertex 2 is unreachable, as for solve.
+        path = tmp_path / "isolated.txt"
+        path.write_text("p 3 1\n0 1\n")
+        verify = run(capsys, "verify", str(path), "--set", "0")
+        solve = run(capsys, "solve", str(path))
+        assert verify == solve
+        code, out, err = verify
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "vertex 2 is unreachable" in err
+
     def test_distances_beyond_int16(self, tmp_path, capsys):
         # The far end of a 40000-vertex path is 39999 hops from landmark 0.
         count = 40000

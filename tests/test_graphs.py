@@ -179,7 +179,7 @@ class TestBfsDistances:
             g = family_graph(family, n)
             expected = oracle_distance_matrix(g)
             dist = all_pairs_distances(g)
-            assert np.array_equal(np.asarray(dist.d), expected)
+            assert np.array_equal(np.asarray(dist), expected)
 
     def test_matches_oracle_on_random_graphs(self):
         import random
@@ -189,20 +189,26 @@ class TestBfsDistances:
             g = random_connected_graph(rng, rng.randint(2, 30))
             expected = oracle_distance_matrix(g)
             dist = all_pairs_distances(g)
-            assert np.array_equal(np.asarray(dist.d), expected)
+            assert np.array_equal(np.asarray(dist), expected)
 
     def test_cyclic_3_diameter_is_two(self):
         dist = all_pairs_distances(family_graph("cyclic", 3))
-        assert int(np.max(dist.d)) == 2
+        assert int(np.max(dist)) == 2
 
     def test_empty_graph_matrix_is_square(self):
-        assert all_pairs_distances(build_graph(0, [])).d.shape == (0, 0)
+        assert all_pairs_distances(build_graph(0, [])).shape == (0, 0)
+
+    def test_matrix_is_a_read_only_array(self):
+        for g in (build_graph(0, []), path_graph(5), family_graph("cyclic", 4)):
+            dist = all_pairs_distances(g)
+            assert type(dist) is np.ndarray
+            assert not dist.flags.writeable
 
     def test_distance_type_widens_past_int16(self):
         # Distances reach vertex_count - 1, so int16 holds up to 32768 vertices.
         assert distance_dtype(32768) is np.int16
         assert distance_dtype(32769) is np.int32
-        assert all_pairs_distances(path_graph(5)).d.dtype == np.int16
+        assert all_pairs_distances(path_graph(5)).dtype == np.int16
 
 
 def subdivided(base, rng):
@@ -439,7 +445,7 @@ class TestDistanceMatrixInvariants:
     @pytest.mark.parametrize("family,n", [("chain", 50), ("cyclic", 50)])
     def test_metric_axioms_and_adjacency(self, family, n):
         g = build_silicate(SilicateSpec(family=family, n=n)).graph
-        d = np.asarray(all_pairs_distances(g).d)
+        d = np.asarray(all_pairs_distances(g))
         assert np.array_equal(d, d.T)
         assert np.array_equal(np.diag(d), np.zeros(g.vertex_count, dtype=d.dtype))
         # Triangle inequality through every intermediate vertex.
@@ -461,7 +467,7 @@ class TestEdgeVertexDistance:
     def test_is_min_over_endpoints(self):
         g = family_graph("cyclic", 4)
         dist = all_pairs_distances(g)
-        d = np.asarray(dist.d)
+        d = np.asarray(dist)
         for edge in g.edges:
             for w in range(g.vertex_count):
                 assert edge_vertex_distance(dist, edge, w) == min(

@@ -260,6 +260,14 @@ class TestDisconnectedGraph:
         with pytest.raises(DisconnectedGraphError):
             check(g, landmarks)
 
+    @pytest.mark.parametrize("landmarks", [[], [2]])
+    def test_one_edge_raises(self, landmarks):
+        # One edge is checked like many: its rows are computed, so the
+        # isolated vertex 2 is found.
+        g = build_graph(3, [(0, 1)])
+        with pytest.raises(DisconnectedGraphError):
+            is_edge_resolving(g, landmarks)
+
     @pytest.mark.parametrize("table", [landmark_rows, edge_code_table, vertex_code_table])
     def test_empty_set_tables_raise(self, table):
         with pytest.raises(DisconnectedGraphError):
@@ -279,9 +287,11 @@ class TestGivenDistanceMatrix:
     @pytest.mark.parametrize("check", [is_edge_resolving, is_vertex_resolving])
     def test_matrix_of_another_graph_rejected(self, check):
         other = all_pairs_distances(path_graph(5))
-        for landmarks in ([0], []):  # the empty set is checked like any other
-            with pytest.raises(GraphInputError, match="distance matrix"):
-                check(path_graph(6), landmarks, dist=other)
+        # The empty set, and a graph of one edge, are checked like any other.
+        for g in (path_graph(6), path_graph(2)):
+            for landmarks in ([0], []):
+                with pytest.raises(GraphInputError, match="distance matrix"):
+                    check(g, landmarks, dist=other)
 
 
 def brute_first_collision(items, codes):

@@ -91,6 +91,17 @@ class TestEdgeListFormat:
         message = str(excinfo.value)
         assert "line 6" in message and "line 4" in message
 
+    @pytest.mark.parametrize(
+        "repeat,reason", [("0 1", "does not sort after"), ("1 0", "smaller id first")]
+    )
+    def test_repeat_of_an_older_pair_rejected_naming_its_line(self, repeat, reason):
+        # Only the previous pair is remembered: a repeat of an older one
+        # fails the order check, or, reversed, the smaller-id-first check.
+        with pytest.raises(EdgeListFormatError) as excinfo:
+            parse_edge_list(f"p 3 3\n0 1\n1 2\n{repeat}\n")
+        message = str(excinfo.value)
+        assert message.startswith("line 4: ") and reason in message
+
 
 class TestReports:
     def test_structure_report_fields(self):
