@@ -73,9 +73,21 @@ connected and only a cycle with no branch vertex would lead back to x.
 :func:`distance_rows` therefore runs a BFS inside the core, only from the
 branch vertices some source needs and from the two ends of each thread
 holding a needed vertex; the rows of the thread vertices follow from the
-lemma.  The columns of simplicial vertices and the rows of simplicial
-sources are ``1 + min`` over core neighbours, and each row is then set to
-1 at its source's neighbours and 0 at the source.
+lemma.  The output is built with one row per vertex and one column per
+source, and every step gathers whole rows:
+
+1. Sources on the core block.  A core source is seeded by itself, a
+   simplicial one by its core neighbours.  The core rows of each source's
+   seeds are reduced to their minimum: one row per source, at core size.
+2. One transpose.  That block, transposed, is written in as the rows of
+   the core vertices.
+3. Targets in blocks.  The row of each simplicial target is ``1 + min``
+   over the rows of its core neighbours, filled a bounded block of
+   targets at a time through one buffer.
+
+A simplicial source then adds 1 to its column (the second fact from the
+source's side; adding 1 commutes with the minimum of step 3), and each
+column is set to 1 at its source's neighbours and 0 at the source.
 """
 
 from __future__ import annotations
@@ -83,7 +95,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -94,7 +106,8 @@ Edge = tuple[int, int]
 # Neighbour pairs looked up per block in simplicial_vertices: bounds the
 # block's arrays to a few MB on dense graphs.
 _PAIR_BLOCK = 1 << 18
-# Output elements per block in _min_columns: bounds its temporaries.
+# Output elements per block of simplicial rows in distance_rows: bounds
+# the block buffer and each temporary of its fill.
 _ROW_BLOCK = 1 << 18
 
 
@@ -334,30 +347,17 @@ def _group_members(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
     return members
 
 
-def _min_rows(table: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Row i is the elementwise minimum of the rows of ``table`` listed by
-    group i of ``flat`` (:func:`_group_members`): one in-place
-    ``np.minimum`` per position within a group."""
-    first, *rest = _group_members(flat, sizes)
-    out = table.take(first, axis=0)
+def _min_rows(
+    table: np.ndarray, members: list[np.ndarray], out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Row i is the elementwise minimum of the rows of ``table`` listed at
+    position i of ``members`` (as :func:`_group_members` gives them): one
+    in-place ``np.minimum`` per position within a group, written into
+    ``out`` when it is given."""
+    first, *rest = members
+    out = table.take(first, axis=0, out=out, mode="clip")  # every index is valid
     for member in rest:
         np.minimum(out, table.take(member, axis=0), out=out)
-    return out
-
-
-def _min_columns(table: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Column i is the elementwise minimum of the columns of ``table``
-    listed by group i of ``flat``, as in :func:`_min_rows`, filled in blocks
-    of rows of about ``_ROW_BLOCK`` elements so that each temporary is one
-    block."""
-    first, *rest = _group_members(flat, sizes)
-    out = np.empty((len(table), len(first)), dtype=table.dtype)
-    step = max(1, _ROW_BLOCK // max(len(first), 1))
-    for lo in range(0, len(table), step):
-        rows, part = table[lo : lo + step], out[lo : lo + step]
-        rows.take(first, axis=1, out=part, mode="clip")  # every index is valid
-        for member in rest:
-            np.minimum(part, rows.take(member, axis=1), out=part)
     return out
 
 
@@ -453,21 +453,31 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
     src = np.array(sources, dtype=np.intp)
     # Built one row per vertex and one column per source, then transposed.
     if c:
-        # A core source seeds its own column, a simplicial one the columns
-        # of its core neighbours; the own columns follow ``near`` in ``pool``.
+        # A core source seeds its own row, a simplicial one the rows of its
+        # core neighbours; the own rows follow ``near`` in ``pool``.
         own = in_core[src]
         size = np.where(own, 1, near_count[src])
         first = np.where(own, len(near) + index[src], (near_count.cumsum() - near_count)[src])
         pool = np.concatenate((near, np.arange(c)))
         needed, seeds = _distinct(pool[_ragged(first, size)], c)
-        # Distances from the needed core vertices to every vertex.
-        full = np.empty((n, len(needed)), dtype=dtype)
-        full[core] = _core_rows(adjacency, near_count[core], needed.tolist(), dtype).T
+        # Distances from the needed core vertices to the core, reduced to
+        # one row per source, then written in as the core's rows.
+        out = np.empty((n, k), dtype=dtype)
+        out[core] = _min_rows(
+            _core_rows(adjacency, near_count[core], needed.tolist(), dtype),
+            _group_members(seeds, size),
+        ).T
+        # The rows of simplicial targets, a block at a time.
         outer = simplicial.nonzero()[0]
-        rows = _min_rows(full, head[into][~inside], near_count[outer])
-        rows += 1
-        full[outer] = rows
-        out = _min_columns(full, seeds, size)
+        members = _group_members(head[into][~inside], near_count[outer])
+        step = max(1, _ROW_BLOCK // k)
+        block = np.empty((min(step, len(outer)), k), dtype=dtype)
+        for lo in range(0, len(outer), step):
+            rows = outer[lo : lo + step]
+            part = block[: len(rows)]
+            _min_rows(out, [member[lo : lo + step] for member in members], part)
+            part += 1
+            out[rows] = part
         out += simplicial[src]
     else:
         out = np.ones((n, k), dtype=dtype)

@@ -37,7 +37,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GraphInputError
-from .graphs import Edge, Graph, distance_rows, edge_ends, vertex_ids
+from .graphs import (
+    Edge,
+    Graph,
+    bfs_distances,
+    distance_rows,
+    edge_ends,
+    is_connected,
+    vertex_ids,
+)
 
 Code = tuple[int, ...]
 
@@ -95,12 +103,17 @@ def landmark_rows(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
 
 def _matrix_rows(g: Graph, dist: np.ndarray, lm: tuple[int, ...]) -> np.ndarray:
     """The landmark rows sliced from ``dist``, which must be ``g``'s matrix
-    (only its size can be checked here)."""
+    (only its size can be checked here).  ``g`` is tested for connectivity
+    as :func:`landmark_rows` would test it: a disconnected graph raises
+    :class:`~silires.errors.DisconnectedGraphError` with the same message,
+    whatever the matrix holds."""
     if dist.shape != (g.vertex_count, g.vertex_count):
         raise GraphInputError(
             f"distance matrix of shape {dist.shape} given for a graph of "
             f"{g.vertex_count} vertices"
         )
+    if not is_connected(g):
+        bfs_distances(g, lm[0] if lm else 0)  # raises, naming the first vertex it misses
     return dist.T.take(list(lm), axis=1).T  # laid out as distance_rows
 
 
@@ -248,9 +261,11 @@ def is_edge_resolving(
     checked for connectivity: on a disconnected graph it raises
     :class:`~silires.errors.DisconnectedGraphError`.  ``dist``, the
     read-only array :func:`~silires.graphs.all_pairs_distances` returns for
-    ``g`` (which made that check), replaces the distance rows from the
-    landmarks; a matrix of another size raises
-    :class:`~silires.errors.GraphInputError`, whatever the edge count.
+    ``g``, replaces the distance rows from the landmarks; a matrix of
+    another size raises :class:`~silires.errors.GraphInputError`, whatever
+    the edge count, and the graph is still tested for connectivity, so a
+    hand-made matrix of a disconnected graph raises as the call without
+    ``dist`` does.
     """
     return _check(g, landmarks, dist, g.edges, _edge_gather(g))
 

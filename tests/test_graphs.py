@@ -34,6 +34,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
     relabeled,
+    star_graph,
 )
 
 
@@ -351,16 +352,63 @@ class TestDistanceRows:
 
     @pytest.mark.parametrize("block", [1, 64, 300])
     def test_column_blocks_give_the_same_rows(self, monkeypatch, block):
-        # With 4, 14 and 30 sources: one row per block, a few, or many.
+        # With 4 to 30 sources the simplicial rows are filled one per
+        # block, a few per block, or many.  A tetrahedron with another one
+        # hanging off each of three corners has a simplicial fourth corner
+        # with three core neighbours (a skeleton expansion has at most two).
+        pendant = [(0, 1, 2, 3), (0, 4, 5, 6), (1, 7, 8, 9), (2, 10, 11, 12)]
+        pendant = build_graph(13, [e for t in pendant for e in itertools.combinations(t, 2)])
+        star = build_silicate(SilicateSpec(family=SKELETON, skeleton=star_graph(5))).graph
         cases = [
             (family_graph(CYCLIC, 8), [5, 0, 17, 3]),
             (family_graph(CHAIN, 9), range(0, 28, 2)),
             (random_connected_graph(random.Random(3), 30), range(30)),
+            (family_graph(CHAIN, 9), [4, 5, 10, 11]),  # twins: privates of one tetrahedron
+            (pendant, [3, 0, 5, 3, 12, 1]),  # 3 has three core neighbours
+            (pendant, range(13)),
+            (star, [0, 7, 1, 15, 8]),  # core and simplicial sources mixed
         ]
         whole = [distance_rows(g, sources) for g, sources in cases]
         monkeypatch.setattr(graphs, "_ROW_BLOCK", block)
         for (g, sources), rows in zip(cases, whole):
             assert np.array_equal(distance_rows(g, sources), rows)
+
+    @pytest.mark.parametrize("family", [CHAIN, CYCLIC])
+    def test_rows_at_scale_match_bfs(self, family):
+        # The core block is written in transposed; check it well past the
+        # graph sizes the property tests draw.
+        silicate, landmarks = construct_for_spec(SilicateSpec(family=family, n=1000))
+        g = silicate.graph
+        rows = distance_rows(g, landmarks)
+        picked = sorted({0, len(landmarks) - 1, *range(0, len(landmarks), 100)})
+        for i in picked:
+            assert rows[i].tolist() == bfs_distances(g, landmarks[i])
+
+    @staticmethod
+    def peak_over_output(g, sources):
+        """The tracemalloc peak of ``distance_rows(g, sources)`` over the
+        size of its output."""
+        tracemalloc.start()
+        try:
+            rows = distance_rows(g, sources)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / rows.nbytes
+
+    @pytest.mark.parametrize("family", [CHAIN, CYCLIC])
+    def test_memory_at_scale(self, family):
+        # About 2.15 times the output; a vertex-by-needed-core array beside
+        # the output reads 2.21 times.
+        silicate, landmarks = construct_for_spec(SilicateSpec(family=family, n=1000))
+        assert self.peak_over_output(silicate.graph, landmarks) <= 2.5
+
+    def test_simplicial_rows_fill_in_blocks(self):
+        # Around a core of one vertex nearly every row is simplicial:
+        # filling them in one gather holds about two outputs more (2.04
+        # times the output), the blocked fill a bounded part (1.10 times).
+        star = build_silicate(SilicateSpec(family=SKELETON, skeleton=star_graph(1000))).graph
+        assert self.peak_over_output(star, range(1, star.vertex_count, 2)) <= 1.5
 
     def test_thread_sums_do_not_wrap(self):
         # The core is a path of 32766 vertices: i + d(a, y) passes 32767.

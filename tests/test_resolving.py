@@ -293,6 +293,19 @@ class TestGivenDistanceMatrix:
                 with pytest.raises(GraphInputError, match="distance matrix"):
                     check(g, landmarks, dist=other)
 
+    @pytest.mark.parametrize("check", [is_edge_resolving, is_vertex_resolving])
+    @pytest.mark.parametrize("landmarks", [[], [0, 2], [3]])
+    def test_matrix_of_disconnected_graph_raises_as_bfs(self, check, landmarks):
+        # A hand-made matrix cannot stand in for the connectivity test: the
+        # call raises with the message of the call without dist=.
+        g = build_graph(4, [(0, 1), (2, 3)])
+        dist = np.array([[0, 1, 9, 9], [1, 0, 9, 9], [9, 9, 0, 1], [9, 9, 1, 0]], dtype=np.int16)
+        with pytest.raises(DisconnectedGraphError) as expected:
+            check(g, landmarks)
+        with pytest.raises(DisconnectedGraphError) as raised:
+            check(g, landmarks, dist=dist)
+        assert str(raised.value) == str(expected.value)
+
 
 def brute_first_collision(items, codes):
     """The lexicographically first pair of ``items`` with equal ``codes``."""
