@@ -111,7 +111,7 @@ def _cmd_generate(parser: _Parser, args) -> int:
         sidecar = args.output + ".json"
     if sidecar is not None:
         _write_json(sidecar, structure_report(silicate, spec))
-    if args.output != STDOUT:
+    if STDOUT not in (args.output, sidecar):
         g = silicate.graph
         print(
             f"wrote {args.output} ({g.vertex_count} vertices, "

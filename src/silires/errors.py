@@ -14,9 +14,10 @@ class EdgeListFormatError(ValueError):
 
 
 class StructureError(ValueError):
-    """Raised when the greedy cover pass finds no edge-disjoint tetrahedron
-    cover.  The pass covers every chain, cyclic and skeleton expansion; on
-    other graphs it may miss one that exists (see ``find_tetrahedra``)."""
+    """Raised when some edge lies in no tetrahedron N[p] of a cubic corner p,
+    or in two of them.  These forced tetrahedra cover every chain, cyclic
+    and skeleton expansion; a graph covered only by K4s without such a
+    corner (K13) raises too (see ``find_tetrahedra``)."""
 
 
 class ConstructionError(ValueError):

@@ -50,8 +50,8 @@ def parse_edge_list(text: str) -> Graph:
     rejected too: re-emitting it would reorder the text and break the byte
     round trip.  Pairs are thus canonical and non-decreasing, so only the
     previous pair and its line are kept: a repeat of an older pair is out
-    of order.  Vertex-id and self-loop violations propagate from graph
-    construction.
+    of order.  A self-loop, or an id outside ``[0, vertices)`` of the
+    header, is rejected naming its line as well.
     """
     header: Optional[tuple[int, int]] = None
     edges: list[tuple[int, int]] = []
@@ -78,7 +78,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListFormatError(
                     f"line {lineno}: negative counts in header {line!r}"
                 )
-            header = counts
+            header = vertex_count, edge_count = counts
             continue
         if len(fields) != 2:
             raise EdgeListFormatError(
@@ -96,9 +96,17 @@ def parse_edge_list(text: str) -> Graph:
                 f"line {lineno}: pair {line!r} repeats the edge {key} "
                 f"of line {previous_line}"
             )
-        if u > v:
+        if u >= v:
+            if u == v:
+                raise EdgeListFormatError(
+                    f"line {lineno}: self-loop {line!r} is not allowed"
+                )
             raise EdgeListFormatError(
                 f"line {lineno}: pair {line!r} must list the smaller id first"
+            )
+        if u < 0 or v >= vertex_count:
+            raise EdgeListFormatError(
+                f"line {lineno}: pair {line!r} uses an id outside [0, {vertex_count})"
             )
         if previous is not None and (u, v) < previous:
             raise EdgeListFormatError(
@@ -109,7 +117,6 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
     if header is None:
         raise EdgeListFormatError("missing header line")
-    vertex_count, edge_count = header
     if len(edges) != edge_count:
         raise EdgeListFormatError(
             f"header promises {edge_count} edges, found {len(edges)}"

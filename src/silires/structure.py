@@ -27,13 +27,14 @@ edge-disjoint K4 cover.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import StructureError, UnsupportedFamilyError
-from .graphs import Graph, canonical_edge, is_connected
+from .graphs import Graph, is_connected
 from .silicates import CHAIN, CYCLIC, SilicateSpec
 
 
@@ -99,55 +100,33 @@ def _classify(g: Graph, vertices: tuple[int, ...]) -> Tetrahedron:
 
 
 def find_tetrahedra(g: Graph) -> list[Tetrahedron]:
-    """Recover an edge-disjoint tetrahedron cover by one greedy pass.
+    """Read the edge-disjoint tetrahedron cover off the cubic corners.
 
-    The edges at degree-3 vertices come first, then the rest, each group in
-    canonical order; each uncovered edge is completed to the first K4 (its
-    other two vertices taken in ascending order) whose six edges are all
-    still uncovered.  A degree-3 vertex lies in exactly one tetrahedron of
-    any cover, its closed neighbourhood, so taking those first leaves the
-    cover unchanged wherever the canonical order finds one.  It also covers
-    every chain, cyclic and skeleton expansion: each tetrahedron of an
-    expansion holds a degree-3 vertex (both of its vertices that are not
-    base vertices), so the first group takes them all and a K4 of the base
-    is never taken.  The pass never backtracks, so it can still miss a
-    cover on other graphs.  Raises :class:`StructureError` naming the first
-    edge the pass cannot cover.  The result is sorted by vertex tuple.
+    A corner is a degree-3 vertex p whose three neighbours are pairwise
+    adjacent.  p lies in exactly one K4, its closed neighbourhood N[p], so
+    every edge-disjoint K4 cover holds N[p].  Every tetrahedron of a chain,
+    cyclic or skeleton expansion has two or more corners (its vertices that
+    are not base vertices among them), so these forced tetrahedra are the
+    whole cover there, and a K4 of the base is never taken.  Returns the
+    distinct N[p], sorted by vertex tuple.  Raises :class:`StructureError`
+    naming the first edge, in edge order, that lies in no forced
+    tetrahedron (a graph covered by corner-free K4s, such as K13, raises
+    too) or in two of them (then no cover exists).
     """
-    adj = [set(ns) for ns in g.adjacency]
-    covered: set[tuple[int, int]] = set()
-    tetrahedra: list[tuple[int, ...]] = []
-    corner_edges = [(u, v) for u, v in g.edges if 3 in (len(adj[u]), len(adj[v]))]
-    for u, v in chain(corner_edges, g.edges):
-        if (u, v) in covered:
-            continue
-        common = sorted(adj[u] & adj[v])
-        completion = None
-        for a, b in combinations(common, 2):
-            if b not in adj[a]:
-                continue
-            cell = [
-                (u, v),
-                canonical_edge(u, a),
-                canonical_edge(u, b),
-                canonical_edge(v, a),
-                canonical_edge(v, b),
-                (a, b),
-            ]
-            if any(e in covered for e in cell):
-                continue
-            completion = (a, b, cell)
-            break
-        if completion is None:
+    cells = sorted({
+        tuple(sorted((p, *ns)))
+        for p, ns in enumerate(g.adjacency)
+        if len(ns) == 3 and all(g.has_edge(a, b) for a, b in combinations(ns, 2))
+    })
+    uses = Counter(e for cell in cells for e in combinations(cell, 2))
+    for e in g.edges:
+        if uses[e] != 1:
+            where = f"{uses[e]} corner tetrahedra" if uses[e] else "no corner tetrahedron"
             raise StructureError(
-                f"edge ({u}, {v}) cannot be covered by an unused tetrahedron; "
-                "the greedy pass found no edge-disjoint K4 cover"
+                f"edge {e} lies in {where}; the cover read off "
+                "the cubic corners needs exactly one"
             )
-        a, b, cell = completion
-        covered.update(cell)
-        tetrahedra.append(tuple(sorted((u, v, a, b))))
-    tetrahedra.sort()
-    return [_classify(g, t) for t in tetrahedra]
+    return [_classify(g, cell) for cell in cells]
 
 
 def find_twins(g: Graph, tetrahedra: Sequence[Tetrahedron]) -> list[TwinTetrahedron]:
@@ -246,14 +225,18 @@ def classify_silicate(g: Graph) -> Optional[SilicateSpec]:
 
     Returns ``None`` when :func:`find_tetrahedra` finds no cover, when the
     graph is disconnected, or when the hinge structure is neither a path
-    nor a cycle of distinct hinges.  Once the cover holds every edge, the
-    graph is connected exactly when every vertex lies in a tetrahedron and
-    shared vertices join the tetrahedra into one piece.
-    Cover tetrahedra share at most one vertex, so a tetrahedron has one
-    twin per other tetrahedron through each of its vertices.  Those counts
-    sum to twice the number of vertices in two tetrahedra only when none
-    lies in three, so the counts of a path (1, 1, 2, ...) or a cycle
-    (2, 2, ...) with n - 1 or n such hinges leave each hinge one twin.
+    nor a cycle of distinct hinges.  Once every edge lies in exactly one
+    cover tetrahedron, a vertex v lies in degree(v) / 3 of them, and the
+    graph is connected exactly when every vertex lies in one and shared
+    vertices join the tetrahedra into one piece.  Cover tetrahedra share
+    at most one vertex, so a tetrahedron has one twin per other tetrahedron
+    through each of its vertices.  Those counts sum to twice the number of
+    vertices in two tetrahedra (degree 6) only when none lies in three, so
+    the counts of a path (1, 1, 2, ...) or a cycle (2, 2, ...) with n - 1
+    or n such hinges leave each hinge one twin.  In every graph accepted
+    here a tetrahedron has at most two hinges, so its other vertices are
+    cubic corners: each cover tetrahedron is forced, and the graph has no
+    other edge-disjoint K4 cover.
     """
     try:
         tetrahedra = find_tetrahedra(g)
@@ -262,14 +245,10 @@ def classify_silicate(g: Graph) -> Optional[SilicateSpec]:
     count = len(tetrahedra)
     if count == 0 or not is_connected(g):
         return None
-    through: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for i, t in enumerate(tetrahedra):
-        for v in t.vertices:
-            through[v].append(i)
     if count == 1:
         return SilicateSpec(family=CHAIN, n=1)
-    hinges = sum(len(ts) == 2 for ts in through)
-    twins = sorted(sum(len(through[v]) - 1 for v in t.vertices) for t in tetrahedra)
+    hinges = sum(len(ns) == 6 for ns in g.adjacency)
+    twins = sorted(sum(g.degree(v) // 3 - 1 for v in t.vertices) for t in tetrahedra)
     if hinges == count - 1 and twins[:2] == [1, 1] and all(c == 2 for c in twins[2:]):
         return SilicateSpec(family=CHAIN, n=count)
     if count >= 3 and hinges == count and all(c == 2 for c in twins):

@@ -72,6 +72,20 @@ class TestGenerate:
         assert sidecar["family"] == "cyclic"
         assert len(sidecar["tetrahedra"]) == 4
 
+    def test_sidecar_to_stdout_is_the_only_output(self, tmp_path, capsys):
+        path = tmp_path / "chain3.txt"
+        code, out, _ = run(
+            capsys,
+            "generate", "--family", "chain", "-n", "3", "-o", str(path), "--sidecar", "-",
+        )
+        assert code == EXIT_OK
+        assert parse_edge_list(path.read_text()).edge_count == 18
+        # One JSON document and nothing after it: json.loads rejects any
+        # trailing text as extra data.
+        sidecar = json.loads(out)
+        assert sidecar["family"] == "chain"
+        assert len(sidecar["tetrahedra"]) == 3
+
     def test_regeneration_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         run(capsys, "generate", "--family", "chain", "-n", "6", "-o", str(a))

@@ -103,6 +103,20 @@ class TestEdgeListFormat:
         assert message.startswith("line 4: ") and reason in message
 
 
+    def test_self_loop_rejected_naming_its_line(self):
+        with pytest.raises(EdgeListFormatError) as excinfo:
+            parse_edge_list("p 3 2\n0 1\n2 2\n")
+        message = str(excinfo.value)
+        assert message.startswith("line 3: ") and "self-loop" in message
+
+    @pytest.mark.parametrize("pair", ["1 3", "-1 0"])
+    def test_id_outside_the_header_range_rejected_naming_its_line(self, pair):
+        with pytest.raises(EdgeListFormatError) as excinfo:
+            parse_edge_list(f"p 3 2\n0 1\n{pair}\n")
+        message = str(excinfo.value)
+        assert message.startswith("line 3: ") and "outside [0, 3)" in message
+
+
 class TestReports:
     def test_structure_report_fields(self):
         spec = SilicateSpec(family=CHAIN, n=2)

@@ -526,7 +526,7 @@ class TestPruningMasks:
     @settings(max_examples=60, deadline=None)
     @given(structure_cases())
     def test_forbidden_pairs_equal_the_twin_rule_on_covered_graphs(self, case):
-        # Where the greedy pass finds a cover, the simplicial members of
+        # Where the corner rule finds a cover, the simplicial members of
         # N[v] are the cubic vertices of the tetrahedra through v, so the
         # masks forbid the twin rule's vertex pairs and the solver evaluates
         # the same sets.  Where a vertex lies in three or more tetrahedra the

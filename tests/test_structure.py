@@ -1,5 +1,8 @@
 """Tetrahedron decomposition, twins, cubic-set conditions, lower bounds."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from silires import (
@@ -19,6 +22,7 @@ from silires import (
     dimension_lower_bound,
     find_tetrahedra,
     find_twins,
+    is_connected,
     is_edge_resolving,
     silicate_of_skeleton,
 )
@@ -32,6 +36,7 @@ from conftest import (
     cycle_graph,
     family_graph,
     path_graph,
+    relabeled,
     star_graph,
     structure_cases,
     twin_classify_silicate,
@@ -44,6 +49,16 @@ def disjoint_union(*graphs):
         edges += [(u + shift, v + shift) for u, v in g.edges]
         shift += g.vertex_count
     return build_graph(shift, edges)
+
+
+def connected_bases(max_vertices):
+    """Every connected labeled graph on 2 to ``max_vertices`` vertices."""
+    for n in range(2, max_vertices + 1):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1, 1 << len(pairs)):
+            g = build_graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+            if is_connected(g):
+                yield g
 
 
 def decompose(family, n):
@@ -102,12 +117,13 @@ class TestFindTetrahedra:
         with pytest.raises(StructureError):
             find_tetrahedra(cycle_graph(6))
 
-    def test_greedy_pass_covers_the_k4_skeleton(self):
-        # The edges at degree-3 vertices come first, so the pass takes the
-        # expansion's own tetrahedra, one per base edge, and never the base
-        # K4 {0, 1, 2, 3}; the graph is neither chain nor cyclic.  The masks
-        # need no cover: the cubic pair of each tetrahedron, and the six
-        # cubic vertices of the three tetrahedra through each base vertex.
+    def test_corner_rule_covers_the_k4_skeleton(self):
+        # Each tetrahedron of the expansion, one per base edge, has two
+        # cubic corners, so the rule takes those and never the base K4
+        # {0, 1, 2, 3}, which has none; the graph is neither chain nor
+        # cyclic.  The masks need no cover: the cubic pair of each
+        # tetrahedron, and the six cubic vertices of the three tetrahedra
+        # through each base vertex.
         sil = silicate_of_skeleton(complete_graph(4))
         g = sil.graph
         assert [t.vertices for t in find_tetrahedra(g)] == sorted(sil.tetrahedra)
@@ -118,6 +134,45 @@ class TestFindTetrahedra:
         ]
         assert edge_infeasibility_masks(g) == sorted(cubic + through)
         assert classify_silicate(g) is None
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(13),  # 13 edge-disjoint K4s, but no cubic corner
+            # two K4s on the edge (0, 1), both forced by their corners
+            build_graph(6, [*combinations((0, 1, 2, 3), 2), *combinations((0, 1, 4, 5), 2)]),
+        ],
+        ids=["K13", "two-K4s-on-an-edge"],
+    )
+    def test_edge_outside_one_corner_tetrahedron_raises(self, g):
+        with pytest.raises(StructureError) as excinfo:
+            find_tetrahedra(g)
+        assert "(0, 1)" in str(excinfo.value)
+        assert classify_silicate(g) is None
+
+    def test_every_expansion_of_a_small_base(self):
+        # All 771 connected labeled bases on 2-5 vertices, each expansion
+        # under a uniform relabeling: the cover is the generator's
+        # tetrahedra, and the family is the shape of the base.
+        rng = random.Random(20261019)
+        bases = list(connected_bases(5))
+        assert len(bases) == 771
+        for base in bases:
+            sil = build_silicate(SilicateSpec(family=SKELETON, skeleton=base))
+            perm = list(range(sil.graph.vertex_count))
+            rng.shuffle(perm)
+            g = build_graph(len(perm), [(perm[u], perm[v]) for u, v in sil.graph.edges])
+            expected = sorted(tuple(sorted(perm[v] for v in t)) for t in sil.tetrahedra)
+            assert [t.vertices for t in find_tetrahedra(g)] == expected, base.edges
+            degrees = sorted(map(len, base.adjacency))
+            m = base.edge_count
+            if m == base.vertex_count - 1 and degrees[-1] <= 2:
+                shape = SilicateSpec(family=CHAIN, n=m)
+            elif m == base.vertex_count and degrees == [2] * m:
+                shape = SilicateSpec(family=CYCLIC, n=m)
+            else:
+                shape = None
+            assert classify_silicate(g) == shape, base.edges
 
 
 class TestFindTwins:
@@ -263,6 +318,13 @@ class TestClassifySilicate:
         spec = classify_silicate(g)
         assert spec is not None
         assert (spec.family, spec.n) == (family, n)
+
+    @pytest.mark.parametrize("family,first", [(CHAIN, 1), (CYCLIC, 3)])
+    def test_relabeled_families_recognized(self, family, first):
+        rng = random.Random(7)
+        for n in range(first, 41):
+            g = relabeled(family_graph(family, n), rng)
+            assert classify_silicate(g) == SilicateSpec(family=family, n=n), n
 
     def test_non_silicates_rejected(self):
         assert classify_silicate(path_graph(5)) is None
