@@ -1,28 +1,24 @@
 """Structural analysis of silicate networks.
 
 A silicate network is a graph whose edges split into vertex-sharing
-complete graphs on four vertices (tetrahedra).  This module recovers that
-decomposition, enumerates twin tetrahedra (pairs glued at one hinge
-vertex), and evaluates the cubic-vertex conditions that bound the edge
-metric dimension:
+complete graphs on four vertices (tetrahedra).  This module reads that
+decomposition off the cubic corners (:func:`find_tetrahedra`), recognizes
+chain and cyclic silicates (:func:`classify_silicate`), and gives the
+paper's lower bound on their edge metric dimension
+(:func:`dimension_lower_bound`).
 
-* necessary: an edge resolving set may omit at most one degree-3 vertex of
-  any twin, because two omitted ones p, q make the hinge edges to p and q
-  indistinguishable from everywhere else (two omitted degree-3 vertices
-  of one tetrahedron fail the same way).  The solver prunes by the general
-  form of this lemma, read off the graph's neighbourhoods without a cover
-  (see :mod:`silires.solver`); :func:`find_twins` serves the condition
-  checks here;
-* sufficient (validated empirically on the generated families): at most one
-  cubic vertex missing per twin, at least two chosen per three-cubic
-  tetrahedron, at least one per two-cubic tetrahedron.
-
-The sufficiency conditions are not universally valid: the smallest cyclic
-silicate (n = 3) is a counterexample, because its three corner-corner
-edges receive identical codes from every degree-3 vertex, so no cubic-only
-set resolves the edges no matter how the conditions are met.  The
-necessary condition, by contrast, is proven for every graph with an
-edge-disjoint K4 cover.
+The bound counts *cubic sets*: the degree-3 vertices of one tetrahedron,
+or of a *twin*, two tetrahedra sharing one hinge vertex.  An edge resolving
+set leaves out at most one member of each.  On chain and cyclic silicates
+the cubic sets with two or more members are exactly the edge masks of
+:func:`silires.solver.edge_infeasibility_masks`: the simplicial members of
+N[p] for a corner p, and of N[h] for a hinge h.  The solver proves the rule
+for the masks of every graph and prunes by it.  For a set of cubic vertices,
+leaving out at most one member of every mask is also sufficient on every
+chain silicate and on cyclic silicates with n >= 4 (checked by sampling,
+not proven), but not on the smallest cycle (n = 3): its three
+corner-corner edges receive identical codes from every cubic vertex, so no
+cubic-only set resolves its edges.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import StructureError, UnsupportedFamilyError
 from .graphs import Graph, is_connected
@@ -52,41 +48,6 @@ class Tetrahedron:
     vertices: tuple[int, int, int, int]
     cubic_vertices: tuple[int, ...]
     kind: TetrahedronKind
-
-
-@dataclass(frozen=True)
-class TwinTetrahedron:
-    """Two tetrahedra sharing exactly one vertex (the hinge)."""
-
-    left: Tetrahedron
-    right: Tetrahedron
-    hinge: int
-    cubic_set: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Result of the sufficiency check for a cubic landmark set.
-
-    ``sufficient`` is true exactly when all violation lists are empty.
-    Landmarks that are not degree-3 vertices do not participate in the
-    conditions and are reported in ``ignored_non_cubic``.
-    """
-
-    twin_violations: tuple[TwinTetrahedron, ...]
-    type1_violations: tuple[Tetrahedron, ...]
-    type2_violations: tuple[Tetrahedron, ...]
-    lone_violations: tuple[Tetrahedron, ...]
-    ignored_non_cubic: tuple[int, ...]
-
-    @property
-    def sufficient(self) -> bool:
-        return not (
-            self.twin_violations
-            or self.type1_violations
-            or self.type2_violations
-            or self.lone_violations
-        )
 
 
 def _classify(g: Graph, vertices: tuple[int, ...]) -> Tetrahedron:
@@ -127,75 +88,6 @@ def find_tetrahedra(g: Graph) -> list[Tetrahedron]:
                 "the cubic corners needs exactly one"
             )
     return [_classify(g, cell) for cell in cells]
-
-
-def find_twins(g: Graph, tetrahedra: Sequence[Tetrahedron]) -> list[TwinTetrahedron]:
-    """All unordered pairs of tetrahedra sharing exactly one vertex.
-
-    Every hinge-sharing pair is returned, not only an edge-disjoint pairing:
-    the exclusion bound applies to each such pair independently.
-    """
-    twins: list[TwinTetrahedron] = []
-    for left, right in combinations(tetrahedra, 2):
-        shared = set(left.vertices) & set(right.vertices)
-        if len(shared) != 1:
-            continue
-        hinge = shared.pop()
-        cubic = tuple(sorted(set(left.cubic_vertices) | set(right.cubic_vertices)))
-        twins.append(
-            TwinTetrahedron(left=left, right=right, hinge=hinge, cubic_set=cubic)
-        )
-    return twins
-
-
-def check_necessary(
-    landmarks: Sequence[int], twins: Sequence[TwinTetrahedron]
-) -> list[TwinTetrahedron]:
-    """Twins excluding two or more cubic vertices from the landmark set.
-
-    A non-empty result proves the set cannot resolve the edges; an empty
-    result is necessary but not sufficient.
-    """
-    chosen = set(landmarks)
-    return [t for t in twins if len(set(t.cubic_set) - chosen) >= 2]
-
-
-def check_sufficient(
-    g: Graph,
-    landmarks: Sequence[int],
-    tetrahedra: Sequence[Tetrahedron],
-    twins: Sequence[TwinTetrahedron],
-) -> ConditionReport:
-    """Evaluate the cubic-vertex sufficiency conditions for ``landmarks``.
-
-    The conditions are stated for sets of degree-3 vertices; other members
-    are ignored and reported.  An isolated all-cubic tetrahedron (a lone K4)
-    needs three of its four vertices, matching its known dimension.
-    ``sufficient=true`` implies edge-resolving on chain silicates and on
-    cyclic silicates with n >= 4, but not on the n = 3 cycle (see module
-    docstring).
-    """
-    ignored = tuple(sorted(v for v in landmarks if g.degree(v) != 3))
-    chosen = {v for v in landmarks if g.degree(v) == 3}
-    twin_bad = tuple(check_necessary(chosen, twins))
-    type1_bad = []
-    type2_bad = []
-    lone_bad = []
-    for tet in tetrahedra:
-        hit = len(chosen.intersection(tet.cubic_vertices))
-        if tet.kind is TetrahedronKind.TYPE_I and hit < 2:
-            type1_bad.append(tet)
-        elif tet.kind is TetrahedronKind.TYPE_II and hit < 1:
-            type2_bad.append(tet)
-        elif tet.kind is TetrahedronKind.ALL_CUBIC and hit < 3:
-            lone_bad.append(tet)
-    return ConditionReport(
-        twin_violations=twin_bad,
-        type1_violations=tuple(type1_bad),
-        type2_violations=tuple(type2_bad),
-        lone_violations=tuple(lone_bad),
-        ignored_non_cubic=ignored,
-    )
 
 
 def dimension_lower_bound(spec: SilicateSpec) -> int:

@@ -8,9 +8,9 @@ reference built from their definitions on a boolean adjacency matrix
 (cliques, twin classes), and a lemma-free check: the distinguishing sets
 of every pair of items, from the oracle distances.  The structure
 references recover the twin rule's masks and the family from the
-tetrahedron cover and every pair of tetrahedra sharing a hinge (from
-``find_twins``); the library reads the family off the cover vertex by
-vertex and its masks off the neighbourhoods instead.
+tetrahedron cover and every pair of tetrahedra sharing one hinge vertex
+(a twin); the library reads the family off the cover vertex by vertex and
+its masks off the neighbourhoods instead.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from silires import (
     build_graph,
     build_silicate,
     find_tetrahedra,
-    find_twins,
 )
 
 
@@ -148,6 +147,17 @@ def mask_pairs(masks) -> set[int]:
 # structure references: the twin rule
 
 
+def _twins(tets):
+    """``(left, right, hinge)`` for every pair of tetrahedra sharing exactly
+    one vertex, the hinge."""
+    twins = []
+    for left, right in itertools.combinations(tets, 2):
+        shared = set(left.vertices) & set(right.vertices)
+        if len(shared) == 1:
+            twins.append((left, right, shared.pop()))
+    return twins
+
+
 def twin_rule_masks(g: Graph) -> list[int]:
     """Bitmasks of the cubic sets, with two or more members, of every cover
     tetrahedron and of every twin; ``[]`` when no cover is found."""
@@ -156,7 +166,7 @@ def twin_rule_masks(g: Graph) -> list[int]:
     except StructureError:
         return []
     cubic_sets = [t.cubic_vertices for t in tets]
-    cubic_sets += [t.cubic_set for t in find_twins(g, tets)]
+    cubic_sets += [left.cubic_vertices + right.cubic_vertices for left, right, _ in _twins(tets)]
     return sorted({sum(1 << v for v in c) for c in cubic_sets if len(c) >= 2})
 
 
@@ -172,13 +182,13 @@ def twin_classify_silicate(g: Graph):
         return None
     if count == 1:
         return SilicateSpec(family=CHAIN, n=1)
-    twins = find_twins(g, tets)
+    twins = _twins(tets)
     degree = {t.vertices: 0 for t in tets}
-    for twin in twins:
-        degree[twin.left.vertices] += 1
-        degree[twin.right.vertices] += 1
+    for left, right, _ in twins:
+        degree[left.vertices] += 1
+        degree[right.vertices] += 1
     counts = sorted(degree.values())
-    hinges = len({twin.hinge for twin in twins})
+    hinges = len({hinge for _, _, hinge in twins})
     if len(twins) == count - 1 == hinges:
         if counts[:2] == [1, 1] and all(c == 2 for c in counts[2:]):
             return SilicateSpec(family=CHAIN, n=count)

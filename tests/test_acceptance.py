@@ -25,18 +25,15 @@ from silires import (
     build_silicate,
     canonical_json_bytes,
     certificate_report,
-    check_necessary,
-    check_sufficient,
     construct_for_spec,
     dimension_lower_bound,
     edge_code,
     exact_edge_metric_dimension,
     find_tetrahedra,
-    find_twins,
     is_edge_resolving,
     predicted_dimension,
 )
-from silires.solver import STATUS_OPTIMAL
+from silires.solver import STATUS_OPTIMAL, edge_infeasibility_masks
 from silires.structure import TetrahedronKind
 
 from conftest import family_graph, naive_minimum_resolving
@@ -179,9 +176,21 @@ def _decompositions(family, n_range):
     out = {}
     for n in n_range:
         g = family_graph(family, n)
-        tets = find_tetrahedra(g)
-        out[n] = (g, tets, find_twins(g, tets))
+        out[n] = (g, find_tetrahedra(g), edge_infeasibility_masks(g))
     return out
+
+
+def _members(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _short_masks(masks, landmarks):
+    """The masks leaving two or more members out of ``landmarks``: a set
+    that some mask leaves short cannot resolve the edges (solver lemma).
+    On chain and cyclic silicates the masks are the cubic sets of the
+    tetrahedra and of the twins (two tetrahedra on one hinge)."""
+    chosen = sum(1 << v for v in landmarks)
+    return [m for m in masks if (m & ~chosen).bit_count() >= 2]
 
 
 def test_criterion_06_twin_necessity_on_random_sets(solved):
@@ -202,57 +211,57 @@ def test_criterion_06_twin_necessity_on_random_sets(solved):
         # Random edge-resolving sets: a witness plus random extra vertices.
         for _ in range(1000):
             n = rng.choice(list(n_range))
-            g, tets, twins = parts[n]
+            g, _, masks = parts[n]
             outside = [v for v in range(g.vertex_count) if v not in bases[n]]
             extras = rng.sample(outside, rng.randint(0, min(5, len(outside))))
             landmarks = sorted(set(bases[n]) | set(extras))
             if not is_edge_resolving(g, landmarks).resolving:
                 problems.append(f"{family} n={n}: superset of a witness not resolving")
                 continue
-            violations = check_necessary(landmarks, twins)
+            violations = _short_masks(masks, landmarks)
             if violations:
                 problems.append(
                     f"{family} n={n}: resolving set {landmarks} flagged as violating"
                 )
-        # Conversely: leave two cubic vertices of one twin out; the check
-        # must flag the set and verification must fail.
+        # Conversely: leave two members of one mask out; the check must
+        # flag the set and verification must fail.
         for _ in range(250):
             n = rng.choice([m for m in n_range if m >= 2])
-            g, tets, twins = parts[n]
-            twin = rng.choice(twins)
-            dropped = rng.sample(twin.cubic_set, 2)
+            g, _, masks = parts[n]
+            mask = rng.choice(masks)
+            dropped = rng.sample(_members(mask), 2)
             pool = [v for v in range(g.vertex_count) if v not in dropped]
             size = rng.randint(1, len(pool))
             landmarks = sorted(rng.sample(pool, size))
-            if not check_necessary(landmarks, twins):
+            if not _short_masks(masks, landmarks):
                 problems.append(
                     f"{family} n={n}: violating set {landmarks} not flagged"
                 )
             if is_edge_resolving(g, landmarks).resolving:
                 problems.append(
-                    f"{family} n={n}: set missing cubics {sorted(dropped)} of a twin "
+                    f"{family} n={n}: set missing cubics {sorted(dropped)} of a mask "
                     f"still resolves"
                 )
     assert not problems, "; ".join(problems[:10])
 
 
-def _sample_condition_set(rng, g, tets, twins):
-    """Random cubic landmark set satisfying the per-tetra and twin minima."""
-    minimum = {
-        TetrahedronKind.TYPE_I: 2,
-        TetrahedronKind.TYPE_II: 1,
-        TetrahedronKind.ALL_CUBIC: 3,
-    }
+def _sample_condition_set(rng, tets, masks):
+    """Random cubic landmark set leaving out at most one member of every
+    mask.  Each tetrahedron's cubic set with two or more members is a mask,
+    so it first takes all of those but at most one (two of a type-I end's
+    three, one of a type-II pair, three of a lone K4), then adds a member
+    of a random short mask until none is short."""
     chosen = set()
     for tet in tets:
-        take = rng.randint(minimum[tet.kind], len(tet.cubic_vertices))
-        chosen.update(rng.sample(tet.cubic_vertices, take))
+        cubic = tet.cubic_vertices
+        take = rng.randint(len(cubic) - 1, len(cubic))
+        chosen.update(rng.sample(cubic, take))
     while True:
-        short = [t for t in twins if len(set(t.cubic_set) - chosen) >= 2]
+        short = _short_masks(masks, chosen)
         if not short:
             break
-        twin = rng.choice(short)
-        chosen.add(rng.choice(sorted(set(twin.cubic_set) - chosen)))
+        mask = rng.choice(short)
+        chosen.add(rng.choice([v for v in _members(mask) if v not in chosen]))
     return sorted(chosen)
 
 
@@ -265,10 +274,9 @@ def test_criterion_07_cubic_sufficiency_sampling():
         parts = _decompositions(family, n_range)
         for _ in range(1000):
             n = rng.choice(list(n_range))
-            g, tets, twins = parts[n]
-            landmarks = _sample_condition_set(rng, g, tets, twins)
-            report = check_sufficient(g, landmarks, tets, twins)
-            assert report.sufficient, "sampler produced a non-conforming set"
+            g, tets, masks = parts[n]
+            landmarks = _sample_condition_set(rng, tets, masks)
+            assert not _short_masks(masks, landmarks), "sampler produced a non-conforming set"
             result = is_edge_resolving(g, landmarks)
             if (family, n) == EXCEPTION:
                 # No cubic-only set resolves here: every cubic vertex is at

@@ -253,7 +253,7 @@ class TestSolve:
     def test_structure_recovered_once(self, chain2_file, capsys, monkeypatch, target):
         calls = collections.Counter()
         for module in (silires.cli, silires.solver, silires.structure):
-            for name in ("find_tetrahedra", "find_twins", "classify_silicate"):
+            for name in ("find_tetrahedra", "classify_silicate"):
                 fn = getattr(module, name, None)
                 if fn is None:
                     continue

@@ -4,7 +4,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from silires import (
+    GraphInputError,
     all_pairs_distances,
     edge_code,
     format_edge_list,
@@ -99,6 +102,26 @@ def test_failure_witness_really_collides(case):
     if not vertex_result.resolving:
         u, v = vertex_result.witness
         assert vertex_code(dist, u, landmarks) == vertex_code(dist, v, landmarks)
+
+
+@SETTINGS
+@given(graphs_with_landmarks(), st.data())
+def test_changed_landmark_row_raises_or_agrees(case, data):
+    # One entry of a landmark's row of a dist= matrix, changed to any value
+    # (its own included): the call raises, or it gives the verdict and
+    # witness of the call without dist=.
+    g, landmarks = case
+    n = g.vertex_count
+    dist = all_pairs_distances(g).copy()
+    row = data.draw(st.sampled_from(landmarks))
+    column = data.draw(st.integers(0, n - 1))
+    dist[row, column] = data.draw(st.integers(-2, n + 1))
+    for check in (is_edge_resolving, is_vertex_resolving):
+        try:
+            result = check(g, landmarks, dist=dist)
+        except GraphInputError:
+            continue
+        assert result == check(g, landmarks)
 
 
 @SETTINGS

@@ -32,6 +32,7 @@ from silires.resolving import (
 
 from conftest import (
     complete_graph,
+    cycle_graph,
     family_graph,
     oracle_distance_matrix,
     oracle_edge_codes,
@@ -292,6 +293,45 @@ class TestGivenDistanceMatrix:
             for landmarks in ([0], []):
                 with pytest.raises(GraphInputError, match="distance matrix"):
                     check(g, landmarks, dist=other)
+
+    def test_wrong_landmark_row_rejected(self):
+        # On the path 0-1-2-3 a matrix giving d(1, 2) = 3 would tell 0 from
+        # 2 by the landmark 1 alone; the row is checked, not trusted.
+        g = path_graph(4)
+        dist = all_pairs_distances(g).copy()
+        dist[1, 2] = dist[2, 1] = 3
+        assert is_vertex_resolving(g, [1]).witness == (0, 2)
+        for check in (is_edge_resolving, is_vertex_resolving):
+            with pytest.raises(GraphInputError, match="row 1 of the distance matrix"):
+                check(g, [1], dist=dist)
+
+    @pytest.mark.parametrize(
+        "graph,row,dtype",
+        [
+            (path_graph, [1, 2, 3, 4], np.int16),  # not 0 at the landmark
+            (path_graph, [0, 1, 3, 4], np.int16),  # a step of 2 along the edge (1, 2)
+            (path_graph, [0, 1, 1, 2], np.int16),  # 2 has no neighbour one nearer
+            (path_graph, [0, 255, 254, 253], np.uint8),  # steps of 1 only mod 256
+            (path_graph, [0, 0.5, 1.5, 2.5], np.float64),  # steps of 1 from 1 on
+            # the long way round the 4-cycle: a step of 3 along (0, 3)
+            (cycle_graph, [0, 1, 2, 3], np.int16),
+        ],
+    )
+    def test_each_row_condition_checked(self, graph, row, dtype):
+        g = graph(4)
+        dist = all_pairs_distances(g).astype(dtype)
+        dist[0] = row
+        with pytest.raises(GraphInputError, match="row 0 of the distance matrix"):
+            is_edge_resolving(g, [2, 0], dist=dist)
+        assert is_edge_resolving(g, [2], dist=dist) == is_edge_resolving(g, [2])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64, object])
+    def test_exact_matrix_of_another_type_accepted(self, dtype):
+        g = family_graph("chain", 3)
+        dist = all_pairs_distances(g).astype(dtype)
+        for landmarks in ([0, 4], [0, 1, 8, 9]):
+            for check in (is_edge_resolving, is_vertex_resolving):
+                assert check(g, landmarks, dist=dist) == check(g, landmarks)
 
     @pytest.mark.parametrize("check", [is_edge_resolving, is_vertex_resolving])
     @pytest.mark.parametrize("landmarks", [[], [0, 2], [3]])

@@ -1,4 +1,5 @@
-"""Tetrahedron decomposition, twins, cubic-set conditions, lower bounds."""
+"""Tetrahedron decomposition, cubic sets as edge masks, lower bounds, and
+family recognition."""
 
 import random
 from itertools import combinations
@@ -15,13 +16,10 @@ from silires import (
     UnsupportedFamilyError,
     build_graph,
     build_silicate,
-    check_necessary,
-    check_sufficient,
     classify_silicate,
     construct_for_spec,
     dimension_lower_bound,
     find_tetrahedra,
-    find_twins,
     is_connected,
     is_edge_resolving,
     silicate_of_skeleton,
@@ -63,8 +61,33 @@ def connected_bases(max_vertices):
 
 def decompose(family, n):
     g = family_graph(family, n)
-    tets = find_tetrahedra(g)
-    return g, tets, find_twins(g, tets)
+    return g, find_tetrahedra(g), edge_infeasibility_masks(g)
+
+
+def bits(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def members(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def short_masks(masks, landmarks):
+    """The masks leaving two or more members out of ``landmarks``: some
+    mask is short exactly when the cubic-set rule fails."""
+    chosen = bits(landmarks)
+    return [m for m in masks if (m & ~chosen).bit_count() >= 2]
+
+
+def twin_masks(masks):
+    """The masks of the twins of a chain or cyclic silicate with n >= 2:
+    a twin's cubic set has four or more members, a tetrahedron's at most
+    three."""
+    return [m for m in masks if m.bit_count() >= 4]
+
+
+def cubic_vertices(g):
+    return [v for v in range(g.vertex_count) if g.degree(v) == 3]
 
 
 class TestFindTetrahedra:
@@ -176,118 +199,137 @@ class TestFindTetrahedra:
 
 
 class TestFindTwins:
+    """Twins, two tetrahedra sharing one hinge vertex h, as edge masks: the
+    twin's cubic set is the simplicial part of N[h]."""
+
     def test_twin_counts(self):
         for family, n, expected in [(CHAIN, 2, 1), (CHAIN, 6, 5), (CYCLIC, 3, 3), (CYCLIC, 6, 6)]:
-            _, _, twins = decompose(family, n)
-            assert len(twins) == expected
+            g, _, masks = decompose(family, n)
+            hinges = sum(g.degree(v) == 6 for v in range(g.vertex_count))
+            assert len(twin_masks(masks)) == hinges == expected
 
     def test_no_twins_in_lone_tetrahedron(self):
-        _, _, twins = decompose(CHAIN, 1)
-        assert twins == []
+        # The one mask is the whole K4: a set must keep three of it.
+        _, tets, masks = decompose(CHAIN, 1)
+        assert masks == [bits(tets[0].vertices)] == [0b1111]
 
     def test_hinge_is_the_shared_vertex(self):
-        _, _, twins = decompose(CHAIN, 4)
-        for twin in twins:
-            shared = set(twin.left.vertices) & set(twin.right.vertices)
-            assert shared == {twin.hinge}
+        g, tets, masks = decompose(CHAIN, 4)
+        hinges = [v for v in range(g.vertex_count) if g.degree(v) == 6]
+        cubic_around = [bits(w for w in g.adjacency[h] if g.degree(w) == 3) for h in hinges]
+        assert sorted(cubic_around) == twin_masks(masks)
+        for h in hinges:
+            left, right = [t for t in tets if h in t.vertices]
+            assert set(left.vertices) & set(right.vertices) == {h}
 
     def test_cubic_set_union(self):
-        _, _, twins = decompose(CYCLIC, 4)
-        for twin in twins:
-            assert set(twin.cubic_set) == set(twin.left.cubic_vertices) | set(
-                twin.right.cubic_vertices
-            )
+        _, tets, masks = decompose(CYCLIC, 4)
+        unions = [
+            bits(left.cubic_vertices + right.cubic_vertices)
+            for left, right in combinations(tets, 2)
+            if len(set(left.vertices) & set(right.vertices)) == 1
+        ]
+        assert sorted(unions) == twin_masks(masks)
 
     def test_interior_twin_sizes_chain_6(self):
         # Pairing consecutive tetrahedra (1,2), (3,4), (5,6): the end pairs
         # carry five cubic vertices, the interior pair four.
         sil = build_silicate(SilicateSpec(family=CHAIN, n=6))
-        _, tets, twins = decompose(CHAIN, 6)
-        by_pair = {
-            (twin.left.vertices, twin.right.vertices): len(twin.cubic_set)
-            for twin in twins
-        }
+        g, _, masks = decompose(CHAIN, 6)
         t = sil.tetrahedra
-        assert by_pair[(t[0], t[1])] == 5
-        assert by_pair[(t[2], t[3])] == 4
-        assert by_pair[(t[4], t[5])] == 5
+
+        def twin_size(left, right):
+            mask = bits(v for v in left + right if g.degree(v) == 3)
+            assert mask in masks
+            return mask.bit_count()
+
+        assert twin_size(t[0], t[1]) == 5
+        assert twin_size(t[2], t[3]) == 4
+        assert twin_size(t[4], t[5]) == 5
 
     def test_consecutive_twin_cubic_sizes_in_range(self):
-        for family, n in [(CHAIN, 3), (CHAIN, 8), (CYCLIC, 4), (CYCLIC, 9)]:
-            _, _, twins = decompose(family, n)
-            assert all(len(t.cubic_set) in (4, 5) for t in twins)
+        # One mask per tetrahedron (its two or three cubic vertices) and one
+        # per twin (four or five; six only at chain 2, below).
+        for family, first in ((CHAIN, 3), (CYCLIC, 3)):
+            for n in range(first, 41):
+                _, tets, masks = decompose(family, n)
+                twins = twin_masks(masks)
+                assert len(twins) == n - (family == CHAIN), (family, n)
+                assert all(m.bit_count() in (4, 5) for m in twins), (family, n)
+                rest = sorted(set(masks) - set(twins))
+                assert rest == sorted(bits(t.cubic_vertices) for t in tets), (family, n)
 
     def test_two_tetrahedron_chain_twin_has_six_cubics(self):
-        # Both halves are 3-cubic tetrahedra, so the union has six members.
-        _, _, twins = decompose(CHAIN, 2)
-        assert len(twins) == 1
-        assert len(twins[0].cubic_set) == 6
+        # Both halves are 3-cubic tetrahedra, so the twin's mask is all six.
+        g, _, masks = decompose(CHAIN, 2)
+        assert [m.bit_count() for m in masks] == [3, 3, 6]
+        assert twin_masks(masks) == [bits(cubic_vertices(g))]
 
 
 class TestCheckNecessary:
+    """A set that leaves two members of one mask out does not resolve."""
+
     def test_all_cubics_pass(self):
-        g, tets, twins = decompose(CHAIN, 4)
-        cubics = [v for v in range(g.vertex_count) if g.degree(v) == 3]
-        assert check_necessary(cubics, twins) == []
+        g, _, masks = decompose(CHAIN, 4)
+        assert short_masks(masks, cubic_vertices(g)) == []
 
     def test_two_missing_cubics_flagged_and_really_failing(self):
-        g, _, twins = decompose(CHAIN, 2)
+        # 1 and 2 are cubic corners of the first tetrahedron: its mask and
+        # the twin's are short.
+        g, _, masks = decompose(CHAIN, 2)
         landmarks = [v for v in range(g.vertex_count) if v not in (1, 2)]
-        violations = check_necessary(landmarks, twins)
-        assert len(violations) == 1
+        assert short_masks(masks, landmarks) == [0b111, 0b1110111]
         assert not is_edge_resolving(g, landmarks).resolving
 
     def test_one_cubic_per_tetrahedron_fails_everywhere(self):
-        g, tets, twins = decompose(CYCLIC, 4)
+        g, tets, masks = decompose(CYCLIC, 4)
         landmarks = [t.cubic_vertices[0] for t in tets]
-        violations = check_necessary(landmarks, twins)
-        assert len(violations) == len(twins) == 4
+        violations = short_masks(masks, landmarks)
+        assert violations == twin_masks(masks)
+        assert len(violations) == 4
         assert not is_edge_resolving(g, landmarks).resolving
 
 
 class TestCheckSufficient:
+    """Cubic sets leaving at most one member of every mask out resolve the
+    edges of every chain and of every cycle but the smallest."""
+
     def test_constructed_set_is_sufficient_chain_6(self):
         sil, ers = construct_for_spec(SilicateSpec(family=CHAIN, n=6))
-        tets = find_tetrahedra(sil.graph)
-        twins = find_twins(sil.graph, tets)
-        report = check_sufficient(sil.graph, ers, tets, twins)
-        assert report.sufficient
-        assert report.ignored_non_cubic == ()
+        assert all(sil.graph.degree(v) == 3 for v in ers)
+        assert short_masks(edge_infeasibility_masks(sil.graph), ers) == []
 
     def test_all_cubics_sufficient_cyclic_8(self):
-        g, tets, twins = decompose(CYCLIC, 8)
-        cubics = [v for v in range(g.vertex_count) if g.degree(v) == 3]
-        report = check_sufficient(g, cubics, tets, twins)
-        assert report.sufficient
+        g, _, masks = decompose(CYCLIC, 8)
+        cubics = cubic_vertices(g)
+        assert short_masks(masks, cubics) == []
         assert is_edge_resolving(g, cubics).resolving
 
     def test_emptied_interior_tetrahedron_flagged(self):
-        g, tets, twins = decompose(CHAIN, 5)
-        cubics = {v for v in range(g.vertex_count) if g.degree(v) == 3}
+        g, tets, masks = decompose(CHAIN, 5)
         interior = next(t for t in tets if t.kind is TetrahedronKind.TYPE_II)
-        landmarks = sorted(cubics - set(interior.cubic_vertices))
-        report = check_sufficient(g, landmarks, tets, twins)
-        assert not report.sufficient
-        assert interior in report.type2_violations
+        landmarks = sorted(set(cubic_vertices(g)) - set(interior.cubic_vertices))
+        assert bits(interior.cubic_vertices) in short_masks(masks, landmarks)
+        assert not is_edge_resolving(g, landmarks).resolving
 
     def test_non_cubic_members_ignored_and_reported(self):
-        g, tets, twins = decompose(CHAIN, 3)
-        cubics = [v for v in range(g.vertex_count) if g.degree(v) == 3]
-        report = check_sufficient(g, cubics + [3, 6], tets, twins)
-        assert report.sufficient
-        assert report.ignored_non_cubic == (3, 6)
+        # The masks hold cubic vertices only, so hinges change no count.
+        g, _, masks = decompose(CHAIN, 3)
+        cubics = cubic_vertices(g)
+        assert set().union(*map(members, masks)) == set(cubics)
+        assert short_masks(masks, cubics + [3, 6]) == short_masks(masks, cubics) == []
+        assert is_edge_resolving(g, cubics + [3, 6]).resolving
 
     def test_lone_tetrahedron_needs_three(self):
-        g, tets, twins = decompose(CHAIN, 1)
-        assert not check_sufficient(g, [0, 1], tets, twins).sufficient
-        assert check_sufficient(g, [0, 1, 2], tets, twins).sufficient
+        _, _, masks = decompose(CHAIN, 1)
+        assert short_masks(masks, [0, 1]) == [0b1111]
+        assert short_masks(masks, [0, 1, 2]) == []
 
     def test_sufficient_but_not_resolving_on_smallest_cycle(self):
-        # The documented exception: conditions hold, the set still fails.
-        g, tets, twins = decompose(CYCLIC, 3)
-        cubics = [v for v in range(g.vertex_count) if g.degree(v) == 3]
-        report = check_sufficient(g, cubics, tets, twins)
-        assert report.sufficient
+        # The documented exception: no mask is short, the set still fails.
+        g, _, masks = decompose(CYCLIC, 3)
+        cubics = cubic_vertices(g)
+        assert short_masks(masks, cubics) == []
         assert not is_edge_resolving(g, cubics).resolving
 
 
