@@ -10,7 +10,8 @@ way).
 Exit codes: 0 success (verify: resolving; solve: optimal), 1 verified set is
 not resolving, 2 solver stopped before proving optimality, 64 malformed
 input or bad usage, 70 internal error (the solver's witness failed the
-independent resolving check).
+resolving check, which recomputes the witness's distance rows from the
+graph and shares nothing else with the search).
 """
 
 from __future__ import annotations
@@ -125,10 +126,10 @@ def _cmd_verify(parser: _Parser, args) -> int:
     landmarks = _parse_id_list(args.set)
     check = is_edge_resolving if args.target == EDGE else is_vertex_resolving
     result = check(g, landmarks)
-    report = verification_report(
-        g, landmarks, args.target, result, include_codes=args.codes
-    )
-    if args.json is not None:
+    if args.json is not None:  # the report, codes included, only when written
+        report = verification_report(
+            g, landmarks, args.target, result, include_codes=args.codes
+        )
         _write_json(args.json, report)
     if args.json != STDOUT:
         if result.resolving:

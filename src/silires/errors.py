@@ -30,4 +30,6 @@ class UnsupportedFamilyError(ValueError):
 
 class SolverInternalError(RuntimeError):
     """Raised when the exact search returns a witness that fails the
-    independent resolving check: a defect in the solver, not in its input."""
+    resolving check, which recomputes the witness's distance rows from the
+    graph rather than reading the search's matrix: a defect in the solver
+    (its distances included), not in its input."""

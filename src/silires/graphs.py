@@ -490,11 +490,11 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Distance rows from every vertex, as a read-only ``(n, n)`` array
     (also for ``n = 0``) of type :func:`distance_dtype`: int16 while every
-    distance (at most ``n - 1``) fits, int32 beyond.  This is the matrix the
-    checkers take as ``dist=``.  Every graph is checked for connectivity,
+    distance (at most ``n - 1``) fits, int32 beyond.  The exact solver
+    searches over this matrix; the resolving checkers compute their own
+    landmark rows instead.  Every graph is checked for connectivity,
     whatever its size: a disconnected one raises
-    :class:`DisconnectedGraphError`, as :func:`distance_rows` does, so the
-    checkers see the same error with ``dist=`` as without it."""
+    :class:`DisconnectedGraphError`, as :func:`distance_rows` does."""
     d = distance_rows(g, range(g.vertex_count))
     d.setflags(write=False)
     return d

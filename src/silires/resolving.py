@@ -4,7 +4,10 @@ A landmark set is an ordered tuple of distinct vertex ids; the code of a
 vertex (or edge) is its vector of distances to the landmarks in that order.
 A set resolves the vertices (edges) when all codes are pairwise distinct.
 
-Verification never builds the whole code table.  It gathers the codes a
+Verification takes one path for every landmark set: the landmarks'
+distance rows are computed from the graph (:func:`landmark_rows`), never
+taken from a caller, so a verdict depends on the graph and the landmarks
+alone.  It never builds the whole code table.  It gathers the codes a
 bounded block of items at a time into one reused buffer, whose rows are the
 codes' bytes padded with zeros to whole 64-bit words, and reduces each row
 to one *fingerprint*: the sum of its words times fixed odd weights,
@@ -25,7 +28,8 @@ takes the same path.
 
 The exact solver does not call the check per candidate set: it checks
 whole batches of sets with integer keys, and runs the check here once, on
-its final witness.
+its final witness.  That check recomputes the witness's rows, so it shares
+nothing with the search but the graph.
 """
 
 from __future__ import annotations
@@ -37,25 +41,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GraphInputError
-from .graphs import (
-    Edge,
-    Graph,
-    bfs_distances,
-    distance_dtype,
-    distance_rows,
-    edge_ends,
-    is_connected,
-    vertex_ids,
-)
+from .graphs import Edge, Graph, distance_rows, edge_ends, vertex_ids
 
 Code = tuple[int, ...]
 
 # Bytes of padded codes fingerprinted per block: bounds each buffer of the
 # fingerprint pass to about this size, beside the landmark rows.
 _CODE_BLOCK = 1 << 17
-
-# Bytes of row differences per block of the test of given distance rows.
-_ROW_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -103,77 +95,6 @@ def landmark_rows(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
     """Distance rows, one per landmark, as a ``(k, n)`` array of type
     :func:`~silires.graphs.distance_dtype`."""
     return distance_rows(g, landmarks)
-
-
-def _matrix_rows(g: Graph, dist: np.ndarray, lm: tuple[int, ...]) -> np.ndarray:
-    """The landmark rows sliced from ``dist``, which must be ``g``'s matrix
-    (of any numeric type), in the type :func:`landmark_rows` gives: one of
-    another size raises :class:`~silires.errors.GraphInputError`, as does a
-    landmark row :func:`_check_rows` rejects.  ``g`` is tested for
-    connectivity first, as :func:`landmark_rows` would test it: a
-    disconnected graph raises :class:`~silires.errors.DisconnectedGraphError`
-    with the same message, whatever the matrix holds."""
-    if dist.shape != (g.vertex_count, g.vertex_count):
-        raise GraphInputError(
-            f"distance matrix of shape {dist.shape} given for a graph of "
-            f"{g.vertex_count} vertices"
-        )
-    if not is_connected(g):
-        bfs_distances(g, lm[0] if lm else 0)  # raises, naming the first vertex it misses
-    rows = dist.T.take(list(lm), axis=1).T  # laid out as distance_rows
-    _check_rows(g, rows, lm)
-    return rows.astype(distance_dtype(g.vertex_count), copy=False)
-
-
-def _check_rows(g: Graph, rows: np.ndarray, lm: tuple[int, ...]) -> None:
-    """Raises :class:`~silires.errors.GraphInputError`, naming the first
-    landmark whose row is wrong, unless each of ``rows`` holds the hop
-    distances from its landmark in the connected graph ``g``.
-
-    A row r passes when its values are whole numbers in [0, n), it is 0 at
-    its landmark, it changes by at most 1 along every edge, and it has at
-    every other vertex a neighbour where it is one smaller.  Then r is the
-    distance d from the landmark: being 0 there and changing by at most 1
-    per edge give r <= d along a shortest path, and stepping to a neighbour
-    one smaller lowers r each time, so from any vertex v the steps repeat
-    no vertex and end at the landmark after r(v) steps, which gives
-    d <= r.  Values in [0, n) fit
-    :func:`~silires.graphs.distance_dtype`, and so do their differences, so
-    the O(k m) test runs in that type, ``_ROW_BLOCK`` bytes of differences
-    (one per arc and landmark) at a time."""
-    n = g.vertex_count
-    degree, _, head = g._arcs
-    dtype = distance_dtype(n)
-    starts = degree.cumsum() - degree
-    by_vertex = rows.T
-    block = max(1, _ROW_BLOCK // max(len(head) * np.dtype(dtype).itemsize, 1))
-    for lo in range(0, len(lm), block):
-        given = by_vertex[:, lo : lo + block]
-        width = given.shape[1]
-        with np.errstate(invalid="ignore"):  # a NaN cast to dtype
-            r = given.astype(dtype)
-            bad = ((given < 0) | (given >= n) | (r != given)).any(axis=0)
-        # r at each arc's tail minus r at its head; each edge gives both
-        # signs, so no step above 1 means none above 1 in size.
-        step = np.repeat(r, degree, axis=0)
-        step -= r.take(head, axis=0)
-        # The flags of each vertex's arcs (arcs run by tail), OR-ed eight
-        # landmarks to a word, the row padded to whole words.
-        nearer = np.zeros((len(head), -(-width // 8) * 8), dtype=bool)
-        np.equal(step, 1, out=nearer[:, :width])
-        lower = np.zeros(r.shape, dtype=bool)  # a neighbour one smaller
-        if len(head):  # every vertex has an arc (n >= 2, connected)
-            words = np.bitwise_or.reduceat(nearer.view(np.uint64), starts, axis=0)
-            lower[...] = words.view(bool)[:, :width]
-        own = np.array(lm[lo : lo + block], dtype=np.intp), np.arange(width)
-        lower[own] = r[own] == 0
-        bad |= ~lower.all(axis=0) | (step > 1).any(axis=0)
-        if bad.any():
-            v = lm[lo + int(bad.argmax())]
-            raise GraphInputError(
-                f"row {v} of the distance matrix is not the hop distances "
-                f"from vertex {v}"
-            )
 
 
 def edge_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
@@ -281,21 +202,17 @@ def _shared(fingerprints: np.ndarray) -> np.ndarray:
     return shared.nonzero()[0]
 
 
-def _check(
-    g: Graph, landmarks: Sequence[int], dist: Optional[np.ndarray], items, gather
-) -> VerificationResult:
+def _check(g: Graph, landmarks: Sequence[int], items, gather) -> VerificationResult:
     """Whether ``landmarks`` gives the ``items`` (vertices or canonical
     edges, in order) pairwise distinct codes; ``gather(rows, ids, out)``
     writes the codes of the items ``ids``, as :func:`_edge_gather` does.
 
     Every landmark set takes this one path, whatever the item count: its
-    rows are computed (so a disconnected graph raises
-    :class:`~silires.errors.DisconnectedGraphError`) or sliced from
-    ``dist`` (so a matrix of another size, or a wrong landmark row, raises
-    :class:`~silires.errors.GraphInputError`).  Zero or one item then gets
-    no shared fingerprint and resolves with no witness."""
+    rows are computed from ``g`` (so a disconnected graph raises
+    :class:`~silires.errors.DisconnectedGraphError`), and zero or one item
+    then gets no shared fingerprint and resolves with no witness."""
     lm = validate_landmarks(g, landmarks)
-    rows = landmark_rows(g, lm) if dist is None else _matrix_rows(g, dist, lm)
+    rows = landmark_rows(g, lm)
     ids = _shared(_fingerprints(rows, len(items), gather))
     if not len(ids):
         return VerificationResult(resolving=True, witness=None)
@@ -308,31 +225,22 @@ def _check(
     return VerificationResult(resolving=False, witness=(items[i], items[j]))
 
 
-def is_edge_resolving(
-    g: Graph, landmarks: Sequence[int], *, dist: Optional[np.ndarray] = None
-) -> VerificationResult:
+def is_edge_resolving(g: Graph, landmarks: Sequence[int]) -> VerificationResult:
     """Check whether ``landmarks`` distinguishes every pair of edges.
 
     On failure the witness is the lexicographically first colliding pair of
     canonical edges.  An empty landmark set fails on any connected graph
-    with two or more edges, with the first two edges as witness.  Every
-    landmark set, the empty one included and whatever the edge count, is
-    checked for connectivity: on a disconnected graph it raises
-    :class:`~silires.errors.DisconnectedGraphError`.  ``dist``, the
-    read-only array :func:`~silires.graphs.all_pairs_distances` returns for
-    ``g``, replaces the distance rows from the landmarks.  A matrix of
-    another size, or one whose landmark rows are not the hop distances from
-    their landmarks, raises :class:`~silires.errors.GraphInputError`,
-    whatever the edge count, and the graph is still tested for
-    connectivity, so a hand-made matrix of a disconnected graph raises as
-    the call without ``dist`` does.
+    with two or more edges, with the first two edges as witness.  The
+    landmarks' distance rows are always computed from ``g``, never taken
+    from a caller, so the verdict rests on the graph alone.  Every landmark
+    set, the empty one included and whatever the edge count, is checked
+    for connectivity: on a disconnected graph it raises
+    :class:`~silires.errors.DisconnectedGraphError`.
     """
-    return _check(g, landmarks, dist, g.edges, _edge_gather(g))
+    return _check(g, landmarks, g.edges, _edge_gather(g))
 
 
-def is_vertex_resolving(
-    g: Graph, landmarks: Sequence[int], *, dist: Optional[np.ndarray] = None
-) -> VerificationResult:
-    """Check whether ``landmarks`` distinguishes every pair of vertices;
-    ``dist`` as for :func:`is_edge_resolving`."""
-    return _check(g, landmarks, dist, range(g.vertex_count), _vertex_gather)
+def is_vertex_resolving(g: Graph, landmarks: Sequence[int]) -> VerificationResult:
+    """Check whether ``landmarks`` distinguishes every pair of vertices,
+    from rows computed as for :func:`is_edge_resolving`."""
+    return _check(g, landmarks, range(g.vertex_count), _vertex_gather)

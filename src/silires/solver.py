@@ -527,7 +527,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
                 k += 1
 
     checker = is_edge_resolving if target == EDGE else is_vertex_resolving
-    if best is not None and not checker(g, best, dist=dist).resolving:
+    if best is not None and not checker(g, best).resolving:
         raise SolverInternalError(
             f"internal error: search returned a non-resolving witness {best!r}"
         )

@@ -233,6 +233,17 @@ def path_graph(n: int) -> Graph:
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def wrong_path_matrix(g: Graph) -> np.ndarray:
+    """A stand-in for ``all_pairs_distances`` on the path 0-1-2-3, wrong in
+    rows 0 and 1: by it the landmark 0 alone does not resolve the vertices
+    (1 and 2 both read 1), and the landmark 1 alone does, which the true
+    distances deny (d(1, 0) = d(1, 2) = 1)."""
+    assert list(g.edges) == [(0, 1), (1, 2), (2, 3)]
+    d = np.array([[0, 1, 1, 3], [9, 0, 5, 7], [2, 1, 0, 1], [3, 2, 1, 0]], dtype=np.int16)
+    d.setflags(write=False)
+    return d
+
+
 def cycle_graph(n: int) -> Graph:
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 

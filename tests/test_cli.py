@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import silires.cli
+import silires.serialization
 import silires.solver
 import silires.structure
 from silires import (
@@ -34,7 +35,7 @@ from silires.cli import (
 )
 from silires.resolving import VerificationResult
 
-from conftest import family_graph, random_connected_graph
+from conftest import family_graph, random_connected_graph, wrong_path_matrix
 
 
 def run(capsys, *argv):
@@ -158,6 +159,28 @@ class TestVerify:
         report = json.loads(out)
         assert len(report["codes"]) == 12
 
+    @pytest.mark.parametrize(
+        "target,landmarks,line",
+        [
+            ("edge", "0,1,2,4,5", "resolving (edge target, 5 landmarks)\n"),
+            ("vertex", "0,1,4,5", "resolving (vertex target, 4 landmarks)\n"),
+        ],
+    )
+    def test_codes_without_json_build_no_table(
+        self, chain2_file, capsys, monkeypatch, target, landmarks, line
+    ):
+        # With no --json there is no report to write, so no code table is
+        # built; stdout and the exit code are those of a call without --codes.
+        def unwanted(*args, **kwargs):
+            raise AssertionError("code table built for a report never written")
+
+        monkeypatch.setattr(silires.serialization, "edge_code_table", unwanted)
+        monkeypatch.setattr(silires.serialization, "vertex_code_table", unwanted)
+        code, out, err = run(
+            capsys, "verify", str(chain2_file), "--set", landmarks, "--target", target, "--codes"
+        )
+        assert (code, out, err) == (EXIT_OK, line, "")
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "/no/such/file", "--set", "0")
         assert code == EXIT_USAGE
@@ -234,20 +257,31 @@ class TestSolve:
         assert (report["status"], report["dimension"]) == ("optimal", 5)
 
     def test_failed_witness_check_exits_seventy(self, chain2_file, capsys, monkeypatch):
-        # A witness the independent check rejects is a solver defect: one
+        # A witness the resolving check rejects is a solver defect: one
         # line on stderr and its own exit code, not a traceback.
         monkeypatch.setattr(
             silires.solver,
             "is_edge_resolving",
-            lambda g, landmarks, dist=None: VerificationResult(
-                resolving=False, witness=None
-            ),
+            lambda g, landmarks: VerificationResult(resolving=False, witness=None),
         )
         code, out, err = run(capsys, "solve", str(chain2_file))
         assert code == EXIT_INTERNAL == 70
         assert out == ""
         assert err.count("\n") == 1 and "non-resolving witness" in err
         assert "Traceback" not in err
+
+    def test_wrong_search_matrix_exits_seventy(self, tmp_path, capsys, monkeypatch):
+        # A defect in the solver's own distance matrix is an internal error,
+        # not malformed input: the witness check recomputes its rows from
+        # the graph and rejects the witness the wrong matrix led to.
+        monkeypatch.setattr(silires.solver, "all_pairs_distances", wrong_path_matrix)
+        path = tmp_path / "path4.txt"
+        path.write_text("p 4 3\n0 1\n1 2\n2 3\n")
+        code, out, err = run(
+            capsys, "solve", str(path), "--target", "vertex", "--start-size", "1"
+        )
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err == "silires: internal error: search returned a non-resolving witness (1,)\n"
 
     @pytest.mark.parametrize("target", ["edge", "vertex"])
     def test_structure_recovered_once(self, chain2_file, capsys, monkeypatch, target):

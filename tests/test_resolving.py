@@ -32,7 +32,6 @@ from silires.resolving import (
 
 from conftest import (
     complete_graph,
-    cycle_graph,
     family_graph,
     oracle_distance_matrix,
     oracle_edge_codes,
@@ -275,76 +274,13 @@ class TestDisconnectedGraph:
             table(build_graph(4, [(0, 1), (2, 3)]), [])
 
 
-class TestGivenDistanceMatrix:
-    @pytest.mark.parametrize("check", [is_edge_resolving, is_vertex_resolving])
-    def test_same_verdict_and_witness_as_bfs(self, check):
-        g = family_graph("cyclic", 4)
-        dist = all_pairs_distances(g)
-        for landmarks in [(), *itertools.combinations(range(0, g.vertex_count, 2), 3)]:
-            assert check(g, landmarks, dist=dist) == check(g, landmarks)
-        full = tuple(range(g.vertex_count))
-        assert check(g, full, dist=dist) == check(g, full)
-
-    @pytest.mark.parametrize("check", [is_edge_resolving, is_vertex_resolving])
-    def test_matrix_of_another_graph_rejected(self, check):
-        other = all_pairs_distances(path_graph(5))
-        # The empty set, and a graph of one edge, are checked like any other.
-        for g in (path_graph(6), path_graph(2)):
-            for landmarks in ([0], []):
-                with pytest.raises(GraphInputError, match="distance matrix"):
-                    check(g, landmarks, dist=other)
-
-    def test_wrong_landmark_row_rejected(self):
-        # On the path 0-1-2-3 a matrix giving d(1, 2) = 3 would tell 0 from
-        # 2 by the landmark 1 alone; the row is checked, not trusted.
-        g = path_graph(4)
-        dist = all_pairs_distances(g).copy()
-        dist[1, 2] = dist[2, 1] = 3
-        assert is_vertex_resolving(g, [1]).witness == (0, 2)
-        for check in (is_edge_resolving, is_vertex_resolving):
-            with pytest.raises(GraphInputError, match="row 1 of the distance matrix"):
-                check(g, [1], dist=dist)
-
-    @pytest.mark.parametrize(
-        "graph,row,dtype",
-        [
-            (path_graph, [1, 2, 3, 4], np.int16),  # not 0 at the landmark
-            (path_graph, [0, 1, 3, 4], np.int16),  # a step of 2 along the edge (1, 2)
-            (path_graph, [0, 1, 1, 2], np.int16),  # 2 has no neighbour one nearer
-            (path_graph, [0, 255, 254, 253], np.uint8),  # steps of 1 only mod 256
-            (path_graph, [0, 0.5, 1.5, 2.5], np.float64),  # steps of 1 from 1 on
-            # the long way round the 4-cycle: a step of 3 along (0, 3)
-            (cycle_graph, [0, 1, 2, 3], np.int16),
-        ],
-    )
-    def test_each_row_condition_checked(self, graph, row, dtype):
-        g = graph(4)
-        dist = all_pairs_distances(g).astype(dtype)
-        dist[0] = row
-        with pytest.raises(GraphInputError, match="row 0 of the distance matrix"):
-            is_edge_resolving(g, [2, 0], dist=dist)
-        assert is_edge_resolving(g, [2], dist=dist) == is_edge_resolving(g, [2])
-
-    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64, object])
-    def test_exact_matrix_of_another_type_accepted(self, dtype):
-        g = family_graph("chain", 3)
-        dist = all_pairs_distances(g).astype(dtype)
-        for landmarks in ([0, 4], [0, 1, 8, 9]):
-            for check in (is_edge_resolving, is_vertex_resolving):
-                assert check(g, landmarks, dist=dist) == check(g, landmarks)
-
-    @pytest.mark.parametrize("check", [is_edge_resolving, is_vertex_resolving])
-    @pytest.mark.parametrize("landmarks", [[], [0, 2], [3]])
-    def test_matrix_of_disconnected_graph_raises_as_bfs(self, check, landmarks):
-        # A hand-made matrix cannot stand in for the connectivity test: the
-        # call raises with the message of the call without dist=.
-        g = build_graph(4, [(0, 1), (2, 3)])
-        dist = np.array([[0, 1, 9, 9], [1, 0, 9, 9], [9, 9, 0, 1], [9, 9, 1, 0]], dtype=np.int16)
-        with pytest.raises(DisconnectedGraphError) as expected:
-            check(g, landmarks)
-        with pytest.raises(DisconnectedGraphError) as raised:
-            check(g, landmarks, dist=dist)
-        assert str(raised.value) == str(expected.value)
+@pytest.mark.parametrize("check", [is_edge_resolving, is_vertex_resolving])
+def test_no_distance_matrix_is_taken(check):
+    # The landmark rows are always computed from the graph: the checkers
+    # take no matrix that could stand in for them.
+    g = path_graph(4)
+    with pytest.raises(TypeError, match="dist"):
+        check(g, [0], dist=all_pairs_distances(g))
 
 
 def brute_first_collision(items, codes):
@@ -410,7 +346,6 @@ class TestAgainstBruteForce:
         g = random_connected_graph(rng, rng.randint(2, 9))
         n = g.vertex_count
         oracle = oracle_distance_matrix(g)
-        dist = all_pairs_distances(g)
         for size in (0, 1, rng.randint(2, n)):
             landmarks = rng.sample(range(n), min(size, n))
             for check, items, coder in (
@@ -426,12 +361,11 @@ class TestAgainstBruteForce:
                     scan = [len(items)]
                 else:
                     scan = [colliding] if colliding else []
-                for given in (None, dist):
-                    scanned.clear()
-                    result = check(g, landmarks, dist=given)
-                    assert result.resolving == (expected is None)
-                    assert result.witness == expected
-                    assert scanned == scan
+                scanned.clear()
+                result = check(g, landmarks)
+                assert result.resolving == (expected is None)
+                assert result.witness == expected
+                assert scanned == scan
 
     def test_long_path_with_one_end(self, zero_weights, scanned):
         g = path_graph(300)

@@ -22,6 +22,7 @@ from silires import (
     SKELETON,
     SilicateSpec,
     SolveOptions,
+    SolverInternalError,
     StructureError,
     build_graph,
     build_silicate,
@@ -66,6 +67,7 @@ from conftest import (
     relabeled,
     structure_cases,
     twin_rule_masks,
+    wrong_path_matrix,
 )
 
 
@@ -224,10 +226,10 @@ class TestOptimalCertificates:
         assert cert.infeasible_size_checked == 5
 
     @pytest.mark.parametrize("solve", [exact_edge_metric_dimension, exact_metric_dimension])
-    def test_witness_check_reuses_the_distance_matrix(self, solve, monkeypatch):
+    def test_witness_check_computes_its_own_rows(self, solve, monkeypatch):
         # One call to the distance kernel covers every vertex to build the
-        # matrix; the final witness check slices its rows instead of asking
-        # for landmark rows.
+        # search's matrix; the final witness check then asks for the rows of
+        # exactly the witness, sharing nothing with the search but the graph.
         calls = []
         rows = silires.graphs.distance_rows
 
@@ -240,7 +242,14 @@ class TestOptimalCertificates:
         g = family_graph(CHAIN, 3)
         cert = solve(g)
         assert cert.status == STATUS_OPTIMAL and cert.witness
-        assert calls == [list(range(g.vertex_count))]
+        assert calls == [list(range(g.vertex_count)), list(cert.witness)]
+
+    def test_wrong_search_matrix_is_an_internal_error(self, monkeypatch):
+        # A defect in the solver's own distance matrix is the solver's, not
+        # its input's: the witness it leads to fails the check from the graph.
+        monkeypatch.setattr(silires.solver, "all_pairs_distances", wrong_path_matrix)
+        with pytest.raises(SolverInternalError, match=r"non-resolving witness \(1,\)"):
+            exact_metric_dimension(path_graph(4), SolveOptions(start_size=1))
 
     def test_path_dimension_one(self):
         cert = exact_edge_metric_dimension(path_graph(7))
