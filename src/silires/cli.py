@@ -104,6 +104,8 @@ def _spec_from_args(parser: _Parser, args) -> SilicateSpec:
 
 
 def _cmd_generate(parser: _Parser, args) -> int:
+    if args.output == STDOUT and args.sidecar == STDOUT:
+        parser.error("-o/--output and --sidecar cannot both be - (standard output)")
     spec = _spec_from_args(parser, args)
     silicate = build_silicate(spec)
     _write_text(args.output, format_edge_list(silicate.graph))

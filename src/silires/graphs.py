@@ -73,12 +73,17 @@ connected and only a cycle with no branch vertex would lead back to x.
 :func:`distance_rows` therefore runs a BFS inside the core, only from the
 branch vertices some source needs and from the two ends of each thread
 holding a needed vertex; the rows of the thread vertices follow from the
-lemma.  The output is built with one row per vertex and one column per
-source, and every step gathers whole rows:
+lemma.  It works in two parts.  The *set-up*, run once per call, finds the
+simplicial vertices and the core adjacency, tests connectivity, walks the
+threads and runs the BFS at every needed root (the connectivity test's
+BFS, from core vertex 0, serves for that root).  The *fill* then writes the
+rows of any range of source columns into a caller's buffer, with one row
+per vertex and one column per source, and every step gathers whole rows:
 
 1. Sources on the core block.  A core source is seeded by itself, a
-   simplicial one by its core neighbours.  The core rows of each source's
-   seeds are reduced to their minimum: one row per source, at core size.
+   simplicial one by its core neighbours.  The core rows of the range's
+   seeds, from the thread lemma, are reduced to their minimum: one row per
+   source, at core size.
 2. One transpose.  That block, transposed, is written in as the rows of
    the core vertices.
 3. Targets in blocks.  The row of each simplicial target is ``1 + min``
@@ -87,7 +92,11 @@ source, and every step gathers whole rows:
 
 A simplicial source then adds 1 to its column (the second fact from the
 source's side; adding 1 commutes with the minimum of step 3), and each
-column is set to 1 at its source's neighbours and 0 at the source.
+column is set to 1 at its source's neighbours and 0 at the source.  Every
+column depends on its own source alone, so filling the columns in ranges
+gives the rows of one fill of them all, and each fill's temporaries grow
+with its own range: :func:`distance_rows` fills every column at once, and
+the resolving checks fill a bounded chunk of landmark columns at a time.
 """
 
 from __future__ import annotations
@@ -361,17 +370,13 @@ def _min_rows(
     return out
 
 
-def _core_rows(
-    adjacency: Sequence[Sequence[int]],
-    degree: np.ndarray,
-    targets: Sequence[int],
-    dtype: type,
-) -> np.ndarray:
-    """Rows of hop distances from each of ``targets`` over a connected
-    graph with the given ``adjacency`` and ``degree`` array, as a
-    ``(len(targets), c)`` array of ``dtype``, from a BFS at the needed
-    branch vertices and thread ends only (the thread lemma in the module
-    docstring)."""
+def _threads(
+    adjacency: Sequence[Sequence[int]], degree: np.ndarray, dtype: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """The threads of a connected graph with the given ``adjacency`` and
+    ``degree`` array (module docstring), as arrays of ``dtype``: ``along``,
+    the segment and the position of each vertex, ``(2, c)``, and ``ends``,
+    the ends a and b and the length L of each segment, ``(3, segments)``."""
     c = len(adjacency)
     branch = (degree != 2).nonzero()[0].tolist() or [0]
     # Every vertex lies on one segment: each branch vertex on its own
@@ -391,21 +396,119 @@ def _core_rows(
                 prev, cur = cur, y if x == prev else x
             if i:
                 ends.append((a, cur, i + 1))
-    # i + d(a, y) reaches 2(c - 1), past the range of distance_dtype(c).
-    wide = distance_dtype(2 * c)
-    along = np.array((segment, position), dtype=wide)
-    seg, i = along[:, targets]
-    ends_of = np.array(ends, dtype=wide)[seg].T  # a, b and L
-    roots, rows = _distinct(ends_of[:2], c)  # BFS at the needed ends
-    length = ends_of[2]
-    reach = np.array([_bfs(adjacency, r) for r in roots.tolist()], dtype=wide)
-    near = reach[rows]  # d(a, y) and d(b, y)
-    near[0] += i[:, None]  # i + d(a, y)
-    near[1] += (length - i)[:, None]  # L - i + d(b, y)
-    out = np.minimum(near[0], near[1], out=near[0])
-    same = seg[:, None] == along[0]  # y = p_j on x's own segment
-    np.minimum(out, np.abs(i[:, None] - along[1]), out=out, where=same)
-    return out.astype(dtype, copy=False)
+    return np.array((segment, position), dtype=dtype), np.array(ends, dtype=dtype).T.copy()
+
+
+class _RowFill:
+    """:func:`distance_rows` in two parts (module docstring).  Making the
+    object is the set-up, run once per source list: it checks the sources
+    and the graph as :func:`distance_rows` documents, finds the core, walks
+    its threads and runs the core BFS at every root some source needs.
+    :meth:`fill` then writes the rows of any range of source columns, with
+    temporaries in proportion to that range."""
+
+    def __init__(self, g: Graph, sources: Sequence[int]) -> None:
+        n = g.vertex_count
+        self.dtype = distance_dtype(n)
+        sources = vertex_ids(sources, "source")
+        if sources and not 0 <= sources[0] < n:
+            raise GraphInputError(f"source {sources[0]} outside [0, {n})")
+        degree, tail, head = g._arcs
+        simplicial = _simplicial(g)
+        in_core = ~simplicial
+        core = in_core.nonzero()[0]
+        c = len(core)
+        index = in_core.cumsum() - 1  # the core index of each core vertex
+        # The arcs into the core, by tail: the core neighbours of every
+        # vertex, as core indices, and the core's own adjacency.
+        into = in_core[head]
+        near_tail, near_head = tail[into], head[into]
+        near = index[near_head]
+        near_count = np.bincount(near_tail, minlength=n)
+        inside = in_core[near_tail]
+        adjacency = _runs(near[inside], near_count[core])
+        if c:  # connected iff the core is and every simplicial vertex meets it
+            first = _bfs(adjacency, 0)  # also the BFS at core vertex 0 if it is a root
+            connected = near_count[simplicial].all() and -1 not in first
+        else:  # connected iff complete
+            connected = 2 * g.edge_count == n * (n - 1)
+        if not connected:
+            bfs_distances(g, sources[0] if sources else 0)  # raises, naming the first vertex it misses
+        if sources and (min(sources) < 0 or max(sources) >= n):
+            s = next(s for s in sources if not 0 <= s < n)
+            raise GraphInputError(f"source {s} outside [0, {n})")
+        self.count = len(sources)
+        src = self._src = np.array(sources, dtype=np.intp)
+        self._simplicial, self._core = simplicial, core
+        self._head, self._degree, self._arc_start = head, degree, degree.cumsum() - degree
+        if not (c and len(src)):
+            return
+        # A core source is seeded by its own core index, a simplicial one by
+        # those of its core neighbours; the own indices follow ``near`` in
+        # ``pool``.  Source j's seeds end at ``_seed_end[j]``.
+        own = in_core[src]
+        self._size = np.where(own, 1, near_count[src])
+        start = np.where(own, len(near) + index[src], (near_count.cumsum() - near_count)[src])
+        pool = np.concatenate((near, np.arange(c)))
+        self._seeds = pool[_ragged(start, self._size)]
+        self._seed_end = self._size.cumsum()
+        # i + d(a, y) reaches 2(c - 1), past the range of distance_dtype(c).
+        self._along, self._ends = _threads(adjacency, near_count[core], distance_dtype(2 * c))
+        root = np.zeros(c, dtype=bool)  # the ends of the threads of the seeds
+        root[self._ends[:2].take(self._along[0].take(self._seeds), axis=1)] = True
+        self._root_row = root.cumsum() - 1  # the row of ``_reach`` of each root
+        roots = root.nonzero()[0].tolist()
+        reach = [first if r == 0 else _bfs(adjacency, r) for r in roots]
+        self._reach = np.array(reach, dtype=self._along.dtype)
+        self._outer = simplicial.nonzero()[0]
+        self._members = _group_members(near_head[~inside], near_count[self._outer])
+
+    def _core_rows(self, needed: np.ndarray) -> np.ndarray:
+        """Hop distances from each of the ``needed`` core indices to the
+        core, as a ``(len(needed), c)`` array of :attr:`dtype`, from the
+        BFS rows of the thread ends (the thread lemma)."""
+        along = self._along
+        seg, i = along.take(needed, axis=1)
+        ends_of = self._ends.take(seg, axis=1)  # a, b and L
+        near = self._reach.take(self._root_row.take(ends_of[:2]), axis=0)  # d(a, y), d(b, y)
+        near[0] += i[:, None]  # i + d(a, y)
+        near[1] += (ends_of[2] - i)[:, None]  # L - i + d(b, y)
+        out = np.minimum(near[0], near[1], out=near[0])
+        same = seg[:, None] == along[0]  # y = p_j on x's own segment
+        np.minimum(out, np.abs(i[:, None] - along[1]), out=out, where=same)
+        return out.astype(self.dtype, copy=False)
+
+    def fill(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Writes the rows of sources ``lo`` to ``hi - 1`` (``lo < hi``)
+        into ``out``, a C-ordered ``(n, hi - lo)`` buffer of :attr:`dtype`
+        with one row per vertex and one column per source, and returns it."""
+        src = self._src[lo:hi]
+        k = len(src)
+        if len(self._core):
+            # Distances from the needed core vertices to the core, reduced
+            # to one row per source, then written in as the core's rows.
+            seeds = self._seeds[self._seed_end[lo] - self._size[lo] : self._seed_end[hi - 1]]
+            needed, seeds = _distinct(seeds, len(self._core))
+            out[self._core] = _min_rows(
+                self._core_rows(needed), _group_members(seeds, self._size[lo:hi])
+            ).T
+            # The rows of simplicial targets, a block at a time.
+            outer = self._outer
+            step = max(1, _ROW_BLOCK // k)
+            block = np.empty((min(step, len(outer)), k), dtype=out.dtype)
+            for start in range(0, len(outer), step):
+                rows = outer[start : start + step]
+                part = block[: len(rows)]
+                _min_rows(out, [member[start : start + step] for member in self._members], part)
+                part += 1
+                out[rows] = part
+            out += self._simplicial[src]
+        else:
+            out[...] = 1
+        deg = self._degree[src]
+        out[self._head[_ragged(self._arc_start[src], deg)], np.arange(k).repeat(deg)] = 1
+        out[src, np.arange(k)] = 0
+        return out
 
 
 def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
@@ -419,72 +522,11 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
     from the first source (from vertex 0 when there is none, so no source
     list escapes the test); then the other sources are checked.
     """
-    n = g.vertex_count
-    dtype = distance_dtype(n)
-    sources = vertex_ids(sources, "source")
-    k = len(sources)
-    if k and not 0 <= sources[0] < n:
-        raise GraphInputError(f"source {sources[0]} outside [0, {n})")
-    degree, tail, head = g._arcs
-    simplicial = _simplicial(g)
-    in_core = ~simplicial
-    core = in_core.nonzero()[0]
-    c = len(core)
-    index = in_core.cumsum() - 1  # the core index of each core vertex
-    # The arcs into the core, by tail: the core neighbours of every vertex,
-    # as core indices, and the core's own adjacency.
-    into = in_core[head]
-    near_tail = tail[into]
-    near = index[head[into]]
-    near_count = np.bincount(near_tail, minlength=n)
-    inside = in_core[near_tail]
-    adjacency = _runs(near[inside], near_count[core])
-    if c:  # connected iff the core is and every simplicial vertex meets it
-        connected = near_count[simplicial].all() and -1 not in _bfs(adjacency, 0)
-    else:  # connected iff complete
-        connected = 2 * g.edge_count == n * (n - 1)
-    if not connected:
-        bfs_distances(g, sources[0] if k else 0)  # raises, naming the first vertex it misses
-    if not k:
-        return np.zeros((0, n), dtype=dtype)
-    if min(sources) < 0 or max(sources) >= n:
-        s = next(s for s in sources if not 0 <= s < n)
-        raise GraphInputError(f"source {s} outside [0, {n})")
-    src = np.array(sources, dtype=np.intp)
-    # Built one row per vertex and one column per source, then transposed.
-    if c:
-        # A core source seeds its own row, a simplicial one the rows of its
-        # core neighbours; the own rows follow ``near`` in ``pool``.
-        own = in_core[src]
-        size = np.where(own, 1, near_count[src])
-        first = np.where(own, len(near) + index[src], (near_count.cumsum() - near_count)[src])
-        pool = np.concatenate((near, np.arange(c)))
-        needed, seeds = _distinct(pool[_ragged(first, size)], c)
-        # Distances from the needed core vertices to the core, reduced to
-        # one row per source, then written in as the core's rows.
-        out = np.empty((n, k), dtype=dtype)
-        out[core] = _min_rows(
-            _core_rows(adjacency, near_count[core], needed.tolist(), dtype),
-            _group_members(seeds, size),
-        ).T
-        # The rows of simplicial targets, a block at a time.
-        outer = simplicial.nonzero()[0]
-        members = _group_members(head[into][~inside], near_count[outer])
-        step = max(1, _ROW_BLOCK // k)
-        block = np.empty((min(step, len(outer)), k), dtype=dtype)
-        for lo in range(0, len(outer), step):
-            rows = outer[lo : lo + step]
-            part = block[: len(rows)]
-            _min_rows(out, [member[lo : lo + step] for member in members], part)
-            part += 1
-            out[rows] = part
-        out += simplicial[src]
-    else:
-        out = np.ones((n, k), dtype=dtype)
-    deg = degree[src]
-    out[head[_ragged((degree.cumsum() - degree)[src], deg)], np.arange(k).repeat(deg)] = 1
-    out[src, np.arange(k)] = 0
-    return out.T
+    rows = _RowFill(g, sources)
+    if not rows.count:
+        return np.zeros((0, g.vertex_count), dtype=rows.dtype)
+    out = np.empty((g.vertex_count, rows.count), dtype=rows.dtype)
+    return rows.fill(0, rows.count, out).T
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:

@@ -5,19 +5,26 @@ vertex (or edge) is its vector of distances to the landmarks in that order.
 A set resolves the vertices (edges) when all codes are pairwise distinct.
 
 Verification takes one path for every landmark set: the landmarks'
-distance rows are computed from the graph (:func:`landmark_rows`), never
-taken from a caller, so a verdict depends on the graph and the landmarks
-alone.  It never builds the whole code table.  It gathers the codes a
-bounded block of items at a time into one reused buffer, whose rows are the
-codes' bytes padded with zeros to whole 64-bit words, and reduces each row
-to one *fingerprint*: the sum of its words times fixed odd weights,
-wrapping mod 2^64.  The sum is taken in integer arithmetic (a ``uint64``
-sum of products), never in floating point, where a BLAS dot product may add
-the terms of two equal rows in different orders and round them apart.
-Addition mod 2^64 is exact in any order, so equal codes always get equal
-fingerprints.  Hence if all fingerprints differ, the set resolves.
-Otherwise only the items whose fingerprint another item shares are gathered
-again, and the exact sort-based duplicate scan runs on them alone.  Every
+distance rows are computed from the graph, never taken from a caller, so a
+verdict depends on the graph and the landmarks alone.  It never holds all
+of those rows, nor the whole code table.  The rows are filled one *chunk*
+of landmark columns at a time into one reused buffer
+(:func:`~silires.graphs.distance_rows`' set-up runs once, its fill once
+per chunk); a chunk is a whole number of 64-bit words of codes, and at
+most ``_ROW_CHUNK`` bytes of rows.  From each chunk the codes are gathered
+a bounded block of items at a time into another reused buffer, whose rows
+are the codes' bytes padded with zeros to whole words, and each item gets
+one *fingerprint*: the sum of its code's words times fixed odd weights,
+wrapping mod 2^64.  The sum is linear in the words, so each chunk adds its
+own words' share, and the chunks' shares add up to the fingerprint of the
+whole code, bit for bit, however the columns are cut.  The sum is taken in
+integer arithmetic (a ``uint64`` sum of products), never in floating
+point, where a BLAS dot product may add the terms of two equal rows in
+different orders and round them apart.  Addition mod 2^64 is exact in any
+order, so equal codes always get equal fingerprints.  Hence if all
+fingerprints differ, the set resolves.  Otherwise only the items whose
+fingerprint another item shares get their full codes, assembled chunk by
+chunk, and the exact sort-based duplicate scan runs on them alone.  Every
 pair of equal codes lies among them, so the scan finds the same
 lexicographically first colliding pair as a scan of the whole table.  A
 fingerprint collision of unequal codes therefore costs time, never
@@ -41,12 +48,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GraphInputError
-from .graphs import Edge, Graph, distance_rows, edge_ends, vertex_ids
+from .graphs import Edge, Graph, _RowFill, distance_rows, edge_ends, vertex_ids
 
 Code = tuple[int, ...]
 
+# Bytes of landmark rows filled per column chunk: bounds the rows a check
+# holds at once.  The check of every table row up to n = 200 (at most
+# 363 KB of rows) takes one chunk.
+_ROW_CHUNK = 1 << 19
 # Bytes of padded codes fingerprinted per block: bounds each buffer of the
-# fingerprint pass to about this size, beside the landmark rows.
+# fingerprint pass to about this size, beside the chunk of rows.
 _CODE_BLOCK = 1 << 17
 
 
@@ -110,26 +121,26 @@ def edge_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
 def _edge_gather(g: Graph):
     """``gather(rows, ids, out)``: writes the codes of the canonical edges
     ``ids`` (an index array or a slice of the edge order), gathered from the
-    landmark ``rows``, into ``out``, one row per edge."""
+    vertex-major landmark ``rows`` (one row per vertex), into ``out``, one
+    row per edge."""
     u, v = edge_ends(g)
 
     def gather(rows: np.ndarray, ids, out: np.ndarray) -> None:
-        by_vertex = rows.T
-        np.minimum(by_vertex.take(u[ids], axis=0), by_vertex.take(v[ids], axis=0), out=out)
+        np.minimum(rows.take(u[ids], axis=0), rows.take(v[ids], axis=0), out=out)
 
     return gather
 
 
 def _vertex_gather(rows: np.ndarray, ids, out: np.ndarray) -> None:
     """The ``gather`` of :func:`_edge_gather` for the vertices ``ids``."""
-    out[...] = rows.T[ids]
+    out[...] = rows[ids]
 
 
 def edge_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
     """Codes of every canonical edge, one row per edge: ``(m, k)``."""
     rows = landmark_rows(g, landmarks)
     table = np.empty((g.edge_count, len(rows)), dtype=rows.dtype)
-    _edge_gather(g)(rows, slice(None), table)
+    _edge_gather(g)(rows.T, slice(None), table)
     return table
 
 
@@ -173,16 +184,16 @@ def _weights(count: int) -> np.ndarray:
     return z
 
 
-def _fingerprints(rows: np.ndarray, count: int, gather) -> np.ndarray:
-    """The fingerprint (module docstring) of the code of each of ``count``
-    items, gathered ``_CODE_BLOCK`` bytes of codes at a time (a block of
-    one when there are no items)."""
-    k = len(rows)
-    words = -(-k * rows.itemsize // 8)
-    block = max(1, min(count, _CODE_BLOCK // max(8 * words, 1)))
+def _fingerprints(rows: np.ndarray, weights: np.ndarray, count: int, gather) -> np.ndarray:
+    """The share of the vertex-major ``rows`` of one column chunk in the
+    fingerprint (module docstring) of each of ``count`` items: the chunk's
+    code bytes, padded with zeros to ``len(weights)`` words, times their
+    ``weights``, gathered ``_CODE_BLOCK`` bytes of codes at a time (a block
+    of one when there are no items)."""
+    words = len(weights)
+    block = max(1, min(count, _CODE_BLOCK // (8 * words)))
     packed = np.zeros((block, words), dtype=np.uint64)
-    codes = packed.view(rows.dtype)[:, :k]  # the padding stays zero
-    weights = _weights(words)
+    codes = packed.view(rows.dtype)[:, : rows.shape[1]]  # the padding stays zero
     out = np.empty(count, dtype=np.uint64)
     for lo in range(0, count, block):
         size = min(block, count - lo)
@@ -196,6 +207,8 @@ def _shared(fingerprints: np.ndarray) -> np.ndarray:
     order = fingerprints.argsort()
     ranked = fingerprints[order]
     same = ranked[1:] == ranked[:-1]
+    if not same.any():
+        return order[:0]
     shared = np.zeros(len(order), dtype=bool)
     shared[order[1:][same]] = True
     shared[order[:-1][same]] = True
@@ -209,15 +222,34 @@ def _check(g: Graph, landmarks: Sequence[int], items, gather) -> VerificationRes
 
     Every landmark set takes this one path, whatever the item count: its
     rows are computed from ``g`` (so a disconnected graph raises
-    :class:`~silires.errors.DisconnectedGraphError`), and zero or one item
-    then gets no shared fingerprint and resolves with no witness."""
+    :class:`~silires.errors.DisconnectedGraphError`), one column chunk at a
+    time into one buffer, and zero or one item then gets no shared
+    fingerprint and resolves with no witness."""
     lm = validate_landmarks(g, landmarks)
-    rows = landmark_rows(g, lm)
-    ids = _shared(_fingerprints(rows, len(items), gather))
+    fill = _RowFill(g, lm)
+    n, k, count = g.vertex_count, len(lm), len(items)
+    # Chunks of whole words of codes, each at most _ROW_CHUNK bytes of rows.
+    per_word = 8 // np.dtype(fill.dtype).itemsize
+    step = per_word * max(1, _ROW_CHUNK // (8 * n or 1))
+    chunks = [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
+    buffer = np.empty(n * min(step, k), dtype=fill.dtype)
+
+    def rows(chunk: slice, held: bool = False) -> np.ndarray:
+        """The chunk's rows in the buffer, filled unless ``held`` there."""
+        out = buffer[: n * (chunk.stop - chunk.start)].reshape(n, -1)
+        return out if held else fill.fill(chunk.start, chunk.stop, out)
+
+    weights = _weights(-(-k // per_word))
+    fingerprints = np.zeros(count, dtype=np.uint64)
+    for chunk in chunks:  # a sum of words times weights: chunk shares add up
+        words = weights[chunk.start // per_word : -(-chunk.stop // per_word)]
+        fingerprints += _fingerprints(rows(chunk), words, count, gather)
+    ids = _shared(fingerprints)
     if not len(ids):
         return VerificationResult(resolving=True, witness=None)
-    table = np.empty((len(ids), len(lm)), dtype=rows.dtype)
-    gather(rows, ids, table)
+    table = np.empty((len(ids), k), dtype=fill.dtype)
+    for chunk in reversed(chunks):  # the last chunk is still in the buffer
+        gather(rows(chunk, held=chunk is chunks[-1]), ids, table[:, chunk])
     dup = first_duplicate_rows(table)
     if dup is None:
         return VerificationResult(resolving=True, witness=None)

@@ -166,17 +166,11 @@ def verification_report(
     if include_codes:
         ordered = validate_landmarks(g, landmarks)
         if target == EDGE:
-            table = edge_code_table(g, ordered)
-            report["codes"] = [
-                {"edge": list(e), "code": [int(x) for x in table[j]]}
-                for j, e in enumerate(g.edges)
-            ]
+            codes = edge_code_table(g, ordered).tolist()
+            report["codes"] = [{"edge": list(e), "code": c} for e, c in zip(g.edges, codes)]
         else:
-            table = vertex_code_table(g, ordered)
-            report["codes"] = [
-                {"vertex": v, "code": [int(x) for x in table[v]]}
-                for v in range(g.vertex_count)
-            ]
+            codes = vertex_code_table(g, ordered).tolist()
+            report["codes"] = [{"vertex": v, "code": c} for v, c in enumerate(codes)]
     return report
 
 

@@ -33,6 +33,7 @@ from silires import (
     build_graph,
     build_silicate,
     find_tetrahedra,
+    graphs,
 )
 
 
@@ -197,6 +198,19 @@ def twin_classify_silicate(g: Graph):
     return None
 
 
+@pytest.fixture
+def filled(monkeypatch):
+    """The column range ``(lo, hi)`` of each fill of distance rows."""
+    ranges, fill = [], graphs._RowFill.fill
+
+    def recording(self, lo, hi, out):
+        ranges.append((lo, hi))
+        return fill(self, lo, hi, out)
+
+    monkeypatch.setattr(graphs._RowFill, "fill", recording)
+    return ranges
+
+
 # ---------------------------------------------------------------------------
 # graph builders
 
@@ -254,6 +268,26 @@ def star_graph(leaves: int) -> Graph:
 
 def family_graph(family: str, n: int) -> Graph:
     return build_silicate(SilicateSpec(family=family, n=n)).graph
+
+
+def column_block_cases() -> list[tuple[Graph, list[int]]]:
+    """Graphs with 4 to 30 sources (a repeat among them) that cut distance
+    rows into blocks of simplicial targets and chunks of columns in many
+    ways.  A tetrahedron with another one hanging off each of three
+    corners has a simplicial fourth corner with three core neighbours (a
+    skeleton expansion has at most two)."""
+    pendant = [(0, 1, 2, 3), (0, 4, 5, 6), (1, 7, 8, 9), (2, 10, 11, 12)]
+    pendant = build_graph(13, [e for t in pendant for e in itertools.combinations(t, 2)])
+    star = build_silicate(SilicateSpec(family=SKELETON, skeleton=star_graph(5))).graph
+    return [
+        (family_graph(CYCLIC, 8), [5, 0, 17, 3]),
+        (family_graph(CHAIN, 9), list(range(0, 28, 2))),
+        (random_connected_graph(random.Random(3), 30), list(range(30))),
+        (family_graph(CHAIN, 9), [4, 5, 10, 11]),  # twins: privates of one tetrahedron
+        (pendant, [3, 0, 5, 3, 12, 1]),  # 3 has three core neighbours
+        (pendant, list(range(13))),
+        (star, [0, 7, 1, 15, 8]),  # core and simplicial sources mixed
+    ]
 
 
 def relabeled(g: Graph, rng: random.Random) -> Graph:

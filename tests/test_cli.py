@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats, exit codes."""
 
 import collections
+import hashlib
 import json
 import os
 import random
@@ -87,6 +88,15 @@ class TestGenerate:
         assert sidecar["family"] == "chain"
         assert len(sidecar["tetrahedra"]) == 3
 
+    @pytest.mark.parametrize("output", [[], ["-o", "-"]])
+    def test_edge_list_and_sidecar_both_to_stdout_is_usage_error(self, capsys, output):
+        # Two documents back to back on stdout would parse as neither.
+        code, out, err = run(
+            capsys, "generate", "--family", "chain", "-n", "1", *output, "--sidecar", "-"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "-o/--output" in err and "--sidecar" in err
+
     def test_regeneration_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         run(capsys, "generate", "--family", "chain", "-n", "6", "-o", str(a))
@@ -158,6 +168,27 @@ class TestVerify:
         )
         report = json.loads(out)
         assert len(report["codes"]) == 12
+
+    @pytest.mark.parametrize(
+        "target,landmarks,digest",
+        [
+            ("edge", "0,1,4,5,7,8", "a19c79a75d7ea4569e4c5b2bdfbf3e65"
+             "3261719d0ec1d271816146f60cca5226"),
+            ("vertex", "0,1,4,5,7,8", "b6b67cf1a4d35fec67544a3c5eaf959d"
+             "ab169dddf2f0cb796f228724b44463bb"),
+            ("edge", "0,4", "4f8db1ea20bbf6bed031bac19a0ed631e22e38f431775f9b5f4411c39b44df49"),
+            ("vertex", "0,4", "f408aa98b20371c981541b56529f171b5593b2f78e8866adb53e1a6714aebbbd"),
+        ],
+    )
+    def test_codes_report_bytes_are_pinned(self, tmp_path, capsys, target, landmarks, digest):
+        # The --codes report of chain 3, resolving and not, byte for byte.
+        graph, report = tmp_path / "chain3.txt", tmp_path / "report.json"
+        run(capsys, "generate", "--family", "chain", "-n", "3", "-o", str(graph))
+        run(
+            capsys, "verify", str(graph), "--set", landmarks, "--target", target,
+            "--codes", "--json", str(report),
+        )
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "target,landmarks,line",

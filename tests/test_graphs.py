@@ -21,12 +21,13 @@ from silires import (
     edge_vertex_distance,
     is_connected,
 )
-from silires import construct_for_spec, graphs
+from silires import construct_for_spec, graphs, is_edge_resolving, resolving
 from silires.graphs import distance_dtype, distance_rows, edge_ends, simplicial_vertices
 from silires.resolving import landmark_rows
 from silires.silicates import CHAIN, CYCLIC, SKELETON, SilicateSpec
 
 from conftest import (
+    column_block_cases,
     complete_graph,
     cycle_graph,
     family_graph,
@@ -352,22 +353,9 @@ class TestDistanceRows:
 
     @pytest.mark.parametrize("block", [1, 64, 300])
     def test_column_blocks_give_the_same_rows(self, monkeypatch, block):
-        # With 4 to 30 sources the simplicial rows are filled one per
-        # block, a few per block, or many.  A tetrahedron with another one
-        # hanging off each of three corners has a simplicial fourth corner
-        # with three core neighbours (a skeleton expansion has at most two).
-        pendant = [(0, 1, 2, 3), (0, 4, 5, 6), (1, 7, 8, 9), (2, 10, 11, 12)]
-        pendant = build_graph(13, [e for t in pendant for e in itertools.combinations(t, 2)])
-        star = build_silicate(SilicateSpec(family=SKELETON, skeleton=star_graph(5))).graph
-        cases = [
-            (family_graph(CYCLIC, 8), [5, 0, 17, 3]),
-            (family_graph(CHAIN, 9), range(0, 28, 2)),
-            (random_connected_graph(random.Random(3), 30), range(30)),
-            (family_graph(CHAIN, 9), [4, 5, 10, 11]),  # twins: privates of one tetrahedron
-            (pendant, [3, 0, 5, 3, 12, 1]),  # 3 has three core neighbours
-            (pendant, range(13)),
-            (star, [0, 7, 1, 15, 8]),  # core and simplicial sources mixed
-        ]
+        # The simplicial rows are filled one per block, a few per block, or
+        # many.
+        cases = column_block_cases()
         whole = [distance_rows(g, sources) for g, sources in cases]
         monkeypatch.setattr(graphs, "_ROW_BLOCK", block)
         for (g, sources), rows in zip(cases, whole):
@@ -418,10 +406,14 @@ class TestDistanceRows:
         assert rows.tolist() == [bfs_distances(g, 16000), bfs_distances(g, 30000)]
 
     @pytest.mark.parametrize("family,n", [(CHAIN, 200), (CYCLIC, 200)])
-    def test_core_bfs_runs_only_from_thread_ends(self, monkeypatch, family, n):
-        # The hinges form a path (two ends) or a cycle (one cut vertex);
-        # one more BFS is the first source's connectivity check.
+    def test_core_bfs_runs_only_from_thread_ends(self, monkeypatch, filled, family, n):
+        # The hinges form a path (two ends) or a cycle (one cut vertex).
+        # The connectivity check's BFS starts at core vertex 0, an end of
+        # either, and doubles as its thread-end BFS.  A check that fills its
+        # rows in many column chunks runs them once, in its set-up, not once
+        # per chunk.
         silicate, landmarks = construct_for_spec(SilicateSpec(family=family, n=n))
+        runs = 2 if family == CHAIN else 1
         bfs, calls = graphs._bfs, []
 
         def counting(adjacency, source):
@@ -430,10 +422,16 @@ class TestDistanceRows:
 
         monkeypatch.setattr(graphs, "_bfs", counting)
         all_pairs_distances(silicate.graph)
-        assert len(calls) <= 3
+        assert len(calls) == runs
         calls.clear()
         landmark_rows(silicate.graph, landmarks)
-        assert len(calls) <= 3
+        assert len(calls) == runs
+        calls.clear()
+        filled.clear()
+        monkeypatch.setattr(resolving, "_ROW_CHUNK", 8 * silicate.graph.vertex_count)
+        assert is_edge_resolving(silicate.graph, landmarks).resolving
+        assert len(calls) == runs
+        assert len(filled) == -(-len(landmarks) // 4)  # one word of int16 codes each
 
     def test_disconnected_graph_with_connected_core(self):
         # K3 + P3: the core is the middle of the path, a connected graph,

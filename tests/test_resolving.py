@@ -31,6 +31,7 @@ from silires.resolving import (
 )
 
 from conftest import (
+    column_block_cases,
     complete_graph,
     family_graph,
     oracle_distance_matrix,
@@ -313,19 +314,41 @@ class TestFingerprints:
     def test_equal_codes_give_equal_fingerprints(self):
         # Codes whose bytes are not a whole number of words, with large values.
         rows = np.array([[3, 3, 1, 2, 3], [40000, 40000, 5, 5, 40000], [0, 0, 7, 7, 0]])
-        rows = rows.astype(np.int32)  # vertices 0, 1 and 4 share a code
-        fingerprints = resolving._fingerprints(rows, 5, resolving._vertex_gather)
+        rows = rows.astype(np.int32).T.copy()  # vertices 0, 1 and 4 share a code
+        weights = resolving._weights(2)
+        fingerprints = resolving._fingerprints(rows, weights, 5, resolving._vertex_gather)
         assert fingerprints[0] == fingerprints[1] == fingerprints[4]
         assert len({fingerprints[0], fingerprints[2], fingerprints[3]}) == 3
         assert resolving._shared(fingerprints).tolist() == [0, 1, 4]
+        # A chunk of one whole word and a padded one add up to the same.
+        gather = resolving._vertex_gather
+        shares = [
+            resolving._fingerprints(rows[:, cols].copy(), weights[words], 5, gather)
+            for cols, words in ((slice(0, 2), slice(0, 1)), (slice(2, 3), slice(1, 2)))
+        ]
+        assert np.array_equal(shares[0] + shares[1], fingerprints)
 
     def test_blocks_give_the_fingerprints_of_one_block(self, monkeypatch):
         g = family_graph("chain", 30)
-        rows = landmark_rows(g, range(0, g.vertex_count, 3))
+        rows = landmark_rows(g, range(0, g.vertex_count, 3)).T.copy()
         gather = resolving._edge_gather(g)
-        whole = resolving._fingerprints(rows, g.edge_count, gather)
+        weights = resolving._weights(-(-rows.shape[1] // 4))
+        whole = resolving._fingerprints(rows, weights, g.edge_count, gather)
         monkeypatch.setattr(resolving, "_CODE_BLOCK", 1)  # one item per block
-        assert np.array_equal(resolving._fingerprints(rows, g.edge_count, gather), whole)
+        assert np.array_equal(resolving._fingerprints(rows, weights, g.edge_count, gather), whole)
+
+
+@pytest.fixture
+def fingerprinted(monkeypatch):
+    """The fingerprints of each check, as ``_check`` hands them to ``_shared``."""
+    seen, shared = [], resolving._shared
+
+    def recording(fingerprints):
+        seen.append(fingerprints.copy())
+        return shared(fingerprints)
+
+    monkeypatch.setattr(resolving, "_shared", recording)
+    return seen
 
 
 class TestAgainstBruteForce:
@@ -375,16 +398,91 @@ class TestAgainstBruteForce:
         assert scanned == [299, 300, 300]
 
 
-@pytest.mark.parametrize("family", ["chain", "cyclic"])
-def test_edge_check_memory_is_bounded_by_the_landmark_rows(family):
-    # The code table alone is about twice the landmark rows at n = 1000.
+class TestColumnChunks:
+    """A check fills its landmark rows a column chunk at a time; however the
+    columns are cut, it reaches the fingerprints, verdict and witness of
+    one chunk."""
+
+    @staticmethod
+    def cases():
+        """The distance-row column-block cases (sources without repeats),
+        each with its first landmarks dropped or kept alone, so that some
+        sets fail and the shared-fingerprint path runs."""
+        for g, sources in column_block_cases():
+            sources = list(dict.fromkeys(sources))
+            for landmarks in (sources, sources[1:], sources[:2]):
+                yield g, landmarks
+
+    @pytest.mark.parametrize("words", [1, 3])
+    def test_chunks_of_words_give_the_one_chunk_results(
+        self, monkeypatch, fingerprinted, filled, words
+    ):
+        failing = 0
+        for g, landmarks in self.cases():
+            for check in (is_edge_resolving, is_vertex_resolving):
+                fingerprinted.clear()
+                filled.clear()
+                monkeypatch.setattr(resolving, "_ROW_CHUNK", 1 << 30)
+                whole = check(g, landmarks)
+                assert len(filled) == 1  # a failing set's shared codes reuse it
+                monkeypatch.setattr(resolving, "_ROW_CHUNK", 8 * words * g.vertex_count)
+                filled.clear()
+                assert check(g, landmarks) == whole
+                one, cut = fingerprinted
+                assert np.array_equal(cut, one)
+                step = 4 * words  # int16 codes
+                k = len(landmarks)
+                chunks = [(lo, min(lo + step, k)) for lo in range(0, k, step)]
+                # Shared codes are assembled last chunk first, from the buffer.
+                shared = len(set(one.tolist())) < len(one)
+                assert filled == chunks + (chunks[-2::-1] if shared else [])
+                failing += not whole.resolving
+        assert failing >= 10
+
+    @pytest.mark.parametrize("family", ["chain", "cyclic"])
+    def test_default_chunks_at_scale_give_the_one_chunk_results(
+        self, monkeypatch, fingerprinted, filled, family
+    ):
+        # At n = 1000 the constructed set's rows take many default chunks.
+        silicate, landmarks = construct_for_spec(SilicateSpec(family=family, n=1000))
+        g = silicate.graph
+        default = resolving._ROW_CHUNK
+        for lm in (landmarks, landmarks[1:]):
+            fingerprinted.clear()
+            filled.clear()
+            monkeypatch.setattr(resolving, "_ROW_CHUNK", default)
+            cut = is_edge_resolving(g, lm)
+            assert len(filled) > 10
+            monkeypatch.setattr(resolving, "_ROW_CHUNK", 1 << 30)
+            assert is_edge_resolving(g, lm) == cut
+            one_chunk = fingerprinted[1]
+            assert np.array_equal(fingerprinted[0], one_chunk)
+            assert cut.resolving == (lm is landmarks)
+
+
+def check_peak_over_rows(check, family):
+    """The tracemalloc peak of ``check`` on the constructed set of
+    ``family`` at n = 1000 over the size of its landmark rows."""
     silicate, landmarks = construct_for_spec(SilicateSpec(family=family, n=1000))
     g = silicate.graph
     rows = landmark_rows(g, landmarks).nbytes
     tracemalloc.start()
     try:
-        assert is_edge_resolving(g, landmarks).resolving
+        assert check(g, landmarks).resolving
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * rows, f"peak {peak} bytes, landmark rows {rows} bytes"
+    return peak / rows
+
+
+@pytest.mark.parametrize("family", ["chain", "cyclic"])
+def test_edge_check_memory_is_bounded_by_the_landmark_rows(family):
+    # A check holds one column chunk of its rows at a time, never all of
+    # them (about 0.17 times the rows at n = 1000); one code table alone is
+    # about twice the rows.
+    assert check_peak_over_rows(is_edge_resolving, family) <= 0.5
+
+
+@pytest.mark.parametrize("family", ["chain", "cyclic"])
+def test_vertex_check_memory_is_bounded_by_the_landmark_rows(family):
+    assert check_peak_over_rows(is_vertex_resolving, family) <= 0.5

@@ -227,22 +227,29 @@ class TestOptimalCertificates:
 
     @pytest.mark.parametrize("solve", [exact_edge_metric_dimension, exact_metric_dimension])
     def test_witness_check_computes_its_own_rows(self, solve, monkeypatch):
-        # One call to the distance kernel covers every vertex to build the
-        # search's matrix; the final witness check then asks for the rows of
-        # exactly the witness, sharing nothing with the search but the graph.
-        calls = []
-        rows = silires.graphs.distance_rows
+        # One set-up of the distance kernel covers every vertex to build the
+        # search's matrix; the final witness check then sets up the rows of
+        # exactly the witness, sharing nothing with the search but the
+        # graph, and fills each of the witness's columns once.
+        made = []
 
-        def counted(g, sources):
-            calls.append(list(sources))
-            return rows(g, sources)
+        class Counted(silires.graphs._RowFill):
+            def __init__(self, g, sources):
+                self.sources, self.columns = list(sources), []
+                made.append(self)
+                super().__init__(g, self.sources)
 
-        monkeypatch.setattr(silires.graphs, "distance_rows", counted)
-        monkeypatch.setattr(silires.resolving, "distance_rows", counted)
+            def fill(self, lo, hi, out):
+                self.columns += range(lo, hi)
+                return super().fill(lo, hi, out)
+
+        monkeypatch.setattr(silires.graphs, "_RowFill", Counted)
+        monkeypatch.setattr(silires.resolving, "_RowFill", Counted)
         g = family_graph(CHAIN, 3)
         cert = solve(g)
         assert cert.status == STATUS_OPTIMAL and cert.witness
-        assert calls == [list(range(g.vertex_count)), list(cert.witness)]
+        assert [m.sources for m in made] == [list(range(g.vertex_count)), list(cert.witness)]
+        assert [m.columns for m in made] == [list(range(m.count)) for m in made]
 
     def test_wrong_search_matrix_is_an_internal_error(self, monkeypatch):
         # A defect in the solver's own distance matrix is the solver's, not
