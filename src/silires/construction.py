@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConstructionError, UnsupportedFamilyError
 from .silicates import CHAIN, CYCLIC, LabeledSilicate, SilicateSpec, build_silicate
 from .structure import dimension_lower_bound
@@ -98,26 +100,27 @@ def construct_ers(
 
     From tetrahedron i the first ``labels[i]`` ids of its degree-3
     vertices, ``silicate.private_vertices[i]`` (ascending, so the smallest
-    ones), are taken.  Raises
-    :class:`ConstructionError` naming the first tetrahedron with too few
-    cubic vertices.
+    ones), are taken, for every tetrahedron in one pass over the
+    silicate's arrays.  Raises :class:`ConstructionError` naming the first
+    tetrahedron with too few cubic vertices.
     """
-    if len(labeling.labels) != len(silicate.tetrahedra):
+    cells, cubic = silicate._cells, silicate._cubic
+    if len(labeling.labels) != len(cells):
         raise ConstructionError(
             f"labeling has {len(labeling.labels)} entries for "
-            f"{len(silicate.tetrahedra)} tetrahedra"
+            f"{len(cells)} tetrahedra"
         )
-    chosen: list[int] = []
-    for i, (private, want) in enumerate(
-        zip(silicate.private_vertices, labeling.labels)
-    ):
-        if len(private) < want:
-            raise ConstructionError(
-                f"tetrahedron {i} has {len(private)} cubic vertices, "
-                f"label requires {want}"
-            )
-        chosen.extend(private[:want])
-    return tuple(sorted(chosen))
+    labels = np.array(labeling.labels, dtype=np.intp)
+    have = cubic.sum(axis=1)
+    short = (have < labels).nonzero()[0]
+    if len(short):
+        i = short[0]
+        raise ConstructionError(
+            f"tetrahedron {i} has {have[i]} cubic vertices, "
+            f"label requires {labels[i]}"
+        )
+    chosen = cells[cubic & (cubic.cumsum(axis=1) <= labels[:, None])]
+    return tuple(np.sort(chosen).tolist())
 
 
 def construct_for_spec(spec: SilicateSpec) -> tuple[LabeledSilicate, tuple[int, ...]]:

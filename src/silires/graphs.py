@@ -4,11 +4,13 @@ Vertex ids are dense integers starting at 0.  Every canonical artefact
 (adjacency order, edge order) is fixed so that identical graphs produce
 byte-identical output across runs.
 
-Every :class:`Graph` carries a private *arc view*: the degree of each
-vertex and the tail and head of every arc (each edge in both directions),
-in the order of ``adjacency``, so sorted by (tail, head).  Building a graph,
-the simplicial test, the distance rows and the edge codes are array passes
-over it.
+A :class:`Graph` holds its vertex count and a private *arc view*: the
+degree of each vertex and the tail and head of every arc (each edge in
+both directions), sorted by (tail, head).  Building a graph, the
+simplicial test, the distance rows and the edge codes are array passes
+over it.  The tuple views ``adjacency`` and ``edges`` are built from the
+arcs the first time they are read, and then kept, so code that needs only
+the arrays (constructing and verifying a landmark set) never builds them.
 
 A vertex p is *simplicial* when its closed neighbourhood N[p] is a clique;
 in a silicate network these are the cubic tetrahedron corners.
@@ -101,8 +103,9 @@ the resolving checks fill a bounded chunk of landmark columns at a time.
 
 from __future__ import annotations
 
+import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -129,29 +132,65 @@ class _Arcs(NamedTuple):
     head: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Graph:
     """Simple undirected graph in canonical form, made by :func:`build_graph`.
 
     ``adjacency[v]`` lists the neighbours of ``v`` in ascending order and
     ``edges`` holds each edge once as a ``(min, max)`` pair, sorted
-    lexicographically.  Instances are immutable and safe to share between
-    threads or processes.
+    lexicographically.  Both are built from the arc view when first read
+    and cached on the instance.  They are pure functions of the read-only
+    arcs, so two threads that read one at once build equal tuples, and
+    instances stay immutable and safe to share between threads or
+    processes.  Equality and hashing are by ``(vertex_count, edges)``.
     """
 
     vertex_count: int
-    adjacency: tuple[tuple[int, ...], ...]
-    edges: tuple[Edge, ...]
-    _arcs: _Arcs = field(repr=False, compare=False)
+    _arcs: _Arcs
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return _runs(self._arcs.head, self._arcs.degree)
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        u, v = edge_ends(self)
+        return tuple(zip(u.tolist(), v.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._arcs.tail) // 2
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self) -> str:
+        return (
+            f"Graph(vertex_count={self.vertex_count!r}, "
+            f"adjacency={self.adjacency!r}, edges={self.edges!r})"
+        )
+
+    def _vertex(self, v) -> int:
+        """``v`` through :func:`vertex_id`, checked to be a vertex."""
+        v = vertex_id(v, "vertex")
+        if not 0 <= v < self.vertex_count:
+            raise GraphInputError(f"vertex {v} outside [0, {self.vertex_count})")
+        return v
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        """Degree of vertex ``v``; raises :class:`GraphInputError` for an
+        id that is not an integer or not a vertex."""
+        return int(self._arcs.degree[self._vertex(v)])
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether ``u`` and ``v`` are adjacent; each is checked as by
+        :meth:`degree`."""
+        u, v = self._vertex(u), self._vertex(v)
         return v in self.adjacency[u]
 
 
@@ -269,13 +308,7 @@ def build_graph(vertex_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     degree = np.bincount(tail, minlength=n)
     for a in (degree, tail, head):
         a.setflags(write=False)
-    forward = tail < head
-    return Graph(
-        vertex_count=n,
-        adjacency=_runs(head, degree),
-        edges=tuple(zip(tail[forward].tolist(), head[forward].tolist())),
-        _arcs=_Arcs(degree, tail, head),
-    )
+    return Graph(vertex_count=n, _arcs=_Arcs(degree, tail, head))
 
 
 def edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:

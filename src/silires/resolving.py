@@ -81,9 +81,10 @@ def validate_landmarks(g: Graph, landmarks: Sequence[int]) -> tuple[int, ...]:
     lm = tuple(vertex_ids(landmarks, "landmark"))
     if len(set(lm)) != len(lm):
         raise GraphInputError(f"landmark set {lm} contains duplicates")
-    for v in lm:
-        if not (0 <= v < g.vertex_count):
-            raise GraphInputError(f"landmark {v} outside [0, {g.vertex_count})")
+    n = g.vertex_count
+    if lm and (min(lm) < 0 or max(lm) >= n):
+        v = next(v for v in lm if not 0 <= v < n)
+        raise GraphInputError(f"landmark {v} outside [0, {n})")
     return lm
 
 
@@ -215,19 +216,22 @@ def _shared(fingerprints: np.ndarray) -> np.ndarray:
     return shared.nonzero()[0]
 
 
-def _check(g: Graph, landmarks: Sequence[int], items, gather) -> VerificationResult:
-    """Whether ``landmarks`` gives the ``items`` (vertices or canonical
-    edges, in order) pairwise distinct codes; ``gather(rows, ids, out)``
+def _check(
+    g: Graph, landmarks: Sequence[int], count: int, gather
+) -> Optional[tuple[int, int]]:
+    """The lexicographically first pair of ids, among ``count`` items
+    (vertices or canonical edges, in order), that ``landmarks`` gives equal
+    codes, or ``None`` when all codes differ; ``gather(rows, ids, out)``
     writes the codes of the items ``ids``, as :func:`_edge_gather` does.
 
     Every landmark set takes this one path, whatever the item count: its
     rows are computed from ``g`` (so a disconnected graph raises
     :class:`~silires.errors.DisconnectedGraphError`), one column chunk at a
     time into one buffer, and zero or one item then gets no shared
-    fingerprint and resolves with no witness."""
+    fingerprint and has no pair."""
     lm = validate_landmarks(g, landmarks)
     fill = _RowFill(g, lm)
-    n, k, count = g.vertex_count, len(lm), len(items)
+    n, k = g.vertex_count, len(lm)
     # Chunks of whole words of codes, each at most _ROW_CHUNK bytes of rows.
     per_word = 8 // np.dtype(fill.dtype).itemsize
     step = per_word * max(1, _ROW_CHUNK // (8 * n or 1))
@@ -246,22 +250,21 @@ def _check(g: Graph, landmarks: Sequence[int], items, gather) -> VerificationRes
         fingerprints += _fingerprints(rows(chunk), words, count, gather)
     ids = _shared(fingerprints)
     if not len(ids):
-        return VerificationResult(resolving=True, witness=None)
+        return None
     table = np.empty((len(ids), k), dtype=fill.dtype)
     for chunk in reversed(chunks):  # the last chunk is still in the buffer
         gather(rows(chunk, held=chunk is chunks[-1]), ids, table[:, chunk])
     dup = first_duplicate_rows(table)
-    if dup is None:
-        return VerificationResult(resolving=True, witness=None)
-    i, j = ids[list(dup)].tolist()
-    return VerificationResult(resolving=False, witness=(items[i], items[j]))
+    return None if dup is None else tuple(ids[list(dup)].tolist())
 
 
 def is_edge_resolving(g: Graph, landmarks: Sequence[int]) -> VerificationResult:
     """Check whether ``landmarks`` distinguishes every pair of edges.
 
     On failure the witness is the lexicographically first colliding pair of
-    canonical edges.  An empty landmark set fails on any connected graph
+    canonical edges, as ``(u, v)`` tuples of ints equal to entries of
+    ``g.edges`` (read off :func:`~silires.graphs.edge_ends`, so the check
+    never builds that view).  An empty landmark set fails on any connected graph
     with two or more edges, with the first two edges as witness.  The
     landmarks' distance rows are always computed from ``g``, never taken
     from a caller, so the verdict rests on the graph alone.  Every landmark
@@ -269,10 +272,17 @@ def is_edge_resolving(g: Graph, landmarks: Sequence[int]) -> VerificationResult:
     for connectivity: on a disconnected graph it raises
     :class:`~silires.errors.DisconnectedGraphError`.
     """
-    return _check(g, landmarks, g.edges, _edge_gather(g))
+    dup = _check(g, landmarks, g.edge_count, _edge_gather(g))
+    if dup is None:
+        return VerificationResult(resolving=True, witness=None)
+    u, v = edge_ends(g)
+    return VerificationResult(
+        resolving=False, witness=tuple((int(u[i]), int(v[i])) for i in dup)
+    )
 
 
 def is_vertex_resolving(g: Graph, landmarks: Sequence[int]) -> VerificationResult:
     """Check whether ``landmarks`` distinguishes every pair of vertices,
     from rows computed as for :func:`is_edge_resolving`."""
-    return _check(g, landmarks, range(g.vertex_count), _vertex_gather)
+    dup = _check(g, landmarks, g.vertex_count, _vertex_gather)
+    return VerificationResult(resolving=dup is None, witness=dup)

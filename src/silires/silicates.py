@@ -10,6 +10,7 @@ across runs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,7 +49,7 @@ class SilicateSpec:
             raise GraphInputError("skeleton family needs a base graph")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LabeledSilicate:
     """A silicate network together with its construction metadata.
 
@@ -57,12 +58,50 @@ class LabeledSilicate:
     tetrahedra (degree 6 in the chain and cyclic families).
     ``private_vertices[i]`` lists the degree-3 vertices of tetrahedron
     ``i+1`` in ascending order.
+
+    The silicate holds the arrays these come from: the ``(T, 4)`` array of
+    sorted tetrahedra, its mask of degree-3 corners, and how many
+    tetrahedra each vertex lies in.  Each tuple view is built from them
+    the first time it is read and then cached; the views are pure
+    functions of the read-only arrays, so instances stay immutable and
+    safe to share.  Equality, hashing and ``repr`` are by ``graph`` and the
+    three views.
     """
 
     graph: Graph
-    tetrahedra: tuple[tuple[int, int, int, int], ...]
-    shared_vertices: tuple[int, ...]
-    private_vertices: tuple[tuple[int, ...], ...]
+    _cells: np.ndarray
+    _cubic: np.ndarray
+    _appearances: np.ndarray
+
+    @functools.cached_property
+    def tetrahedra(self) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple(map(tuple, self._cells.tolist()))
+
+    @functools.cached_property
+    def shared_vertices(self) -> tuple[int, ...]:
+        return tuple((self._appearances >= 2).nonzero()[0].tolist())
+
+    @functools.cached_property
+    def private_vertices(self) -> tuple[tuple[int, ...], ...]:
+        return _runs(self._cells[self._cubic], self._cubic.sum(axis=1))
+
+    def _key(self) -> tuple:
+        return (self.graph, self.tetrahedra, self.shared_vertices, self.private_vertices)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"LabeledSilicate(graph={self.graph!r}, tetrahedra={self.tetrahedra!r}, "
+            f"shared_vertices={self.shared_vertices!r}, "
+            f"private_vertices={self.private_vertices!r})"
+        )
 
 
 # The six corner pairs of a tetrahedron: its edges.
@@ -76,13 +115,12 @@ def _assemble(vertex_count: int, tetrahedra: np.ndarray) -> LabeledSilicate:
     ascending order."""
     graph = build_graph(vertex_count, tetrahedra[:, _TETRAHEDRON_EDGES].reshape(-1, 2))
     appearances = np.bincount(tetrahedra.ravel(), minlength=vertex_count)
-    ordered = np.sort(tetrahedra, axis=1)
-    cubic = graph._arcs.degree[ordered] == 3
+    cells = np.sort(tetrahedra, axis=1)
+    cubic = graph._arcs.degree[cells] == 3
+    for a in (cells, cubic, appearances):
+        a.setflags(write=False)
     return LabeledSilicate(
-        graph=graph,
-        tetrahedra=tuple(map(tuple, ordered.tolist())),
-        shared_vertices=tuple((appearances >= 2).nonzero()[0].tolist()),
-        private_vertices=_runs(ordered[cubic], cubic.sum(axis=1)),
+        graph=graph, _cells=cells, _cubic=cubic, _appearances=appearances
     )
 
 

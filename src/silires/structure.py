@@ -51,7 +51,7 @@ class Tetrahedron:
 
 
 def _classify(g: Graph, vertices: tuple[int, ...]) -> Tetrahedron:
-    cubic = tuple(v for v in vertices if g.degree(v) == 3)
+    cubic = tuple(v for v in vertices if len(g.adjacency[v]) == 3)
     kind = {
         3: TetrahedronKind.TYPE_I,
         2: TetrahedronKind.TYPE_II,
@@ -74,10 +74,11 @@ def find_tetrahedra(g: Graph) -> list[Tetrahedron]:
     tetrahedron (a graph covered by corner-free K4s, such as K13, raises
     too) or in two of them (then no cover exists).
     """
+    adjacency = g.adjacency
     cells = sorted({
         tuple(sorted((p, *ns)))
-        for p, ns in enumerate(g.adjacency)
-        if len(ns) == 3 and all(g.has_edge(a, b) for a, b in combinations(ns, 2))
+        for p, ns in enumerate(adjacency)
+        if len(ns) == 3 and all(b in adjacency[a] for a, b in combinations(ns, 2))
     })
     uses = Counter(e for cell in cells for e in combinations(cell, 2))
     for e in g.edges:
@@ -140,7 +141,7 @@ def classify_silicate(g: Graph) -> Optional[SilicateSpec]:
     if count == 1:
         return SilicateSpec(family=CHAIN, n=1)
     hinges = sum(len(ns) == 6 for ns in g.adjacency)
-    twins = sorted(sum(g.degree(v) // 3 - 1 for v in t.vertices) for t in tetrahedra)
+    twins = sorted(sum(len(g.adjacency[v]) // 3 - 1 for v in t.vertices) for t in tetrahedra)
     if hinges == count - 1 and twins[:2] == [1, 1] and all(c == 2 for c in twins[2:]):
         return SilicateSpec(family=CHAIN, n=count)
     if count >= 3 and hinges == count and all(c == 2 for c in twins):

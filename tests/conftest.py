@@ -290,6 +290,19 @@ def column_block_cases() -> list[tuple[Graph, list[int]]]:
     ]
 
 
+# The tuple views that a graph and a silicate build from their arrays when
+# first read.
+GRAPH_VIEWS = ("adjacency", "edges")
+SILICATE_VIEWS = ("tetrahedra", "shared_vertices", "private_vertices")
+
+
+def read_views(obj, names):
+    """``obj`` after reading each of its attributes ``names``."""
+    for name in names:
+        getattr(obj, name)
+    return obj
+
+
 def relabeled(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.vertex_count))
     rng.shuffle(perm)

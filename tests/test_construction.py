@@ -23,7 +23,33 @@ from silires import (
     predicted_dimension,
 )
 
-from conftest import star_graph
+from conftest import GRAPH_VIEWS, SILICATE_VIEWS, random_connected_graph, star_graph
+
+
+def reference_construct_ers(silicate, labeling):
+    """The per-tetrahedron loop over ``private_vertices`` that the array
+    pass of :func:`construct_ers` replaces."""
+    if len(labeling.labels) != len(silicate.tetrahedra):
+        raise ConstructionError(
+            f"labeling has {len(labeling.labels)} entries for "
+            f"{len(silicate.tetrahedra)} tetrahedra"
+        )
+    chosen = []
+    for i, (private, want) in enumerate(zip(silicate.private_vertices, labeling.labels)):
+        if len(private) < want:
+            raise ConstructionError(
+                f"tetrahedron {i} has {len(private)} cubic vertices, label requires {want}"
+            )
+        chosen.extend(private[:want])
+    return tuple(sorted(chosen))
+
+
+def outcome(construct, silicate, labeling):
+    """The landmark set, or the message of the ConstructionError raised."""
+    try:
+        return construct(silicate, labeling)
+    except ConstructionError as e:
+        return f"error: {e}"
 
 
 class TestLabelings:
@@ -124,8 +150,10 @@ class TestConstructErs:
     def test_wrong_label_length_rejected(self):
         spec = SilicateSpec(family=CHAIN, n=3)
         sil = build_silicate(spec)
-        with pytest.raises(ConstructionError):
-            construct_ers(sil, Labeling(spec=SilicateSpec(family=CHAIN, n=2), labels=(3, 2)))
+        # Label 3 would also overflow tetrahedron 1: the length is checked first.
+        with pytest.raises(ConstructionError) as excinfo:
+            construct_ers(sil, Labeling(spec=SilicateSpec(family=CHAIN, n=2), labels=(3, 3)))
+        assert str(excinfo.value) == "labeling has 2 entries for 3 tetrahedra"
 
     def test_label_exceeding_cubic_count_names_tetrahedron(self):
         spec = SilicateSpec(family=CHAIN, n=3)
@@ -133,7 +161,36 @@ class TestConstructErs:
         bad = Labeling(spec=spec, labels=(2, 3, 2))
         with pytest.raises(ConstructionError) as excinfo:
             construct_ers(sil, bad)
-        assert "2" in str(excinfo.value)
+        assert str(excinfo.value) == "tetrahedron 1 has 2 cubic vertices, label requires 3"
+
+    @pytest.mark.parametrize("family, first", [(CHAIN, 1), (CYCLIC, 3)])
+    def test_matches_per_tetrahedron_reference_on_families(self, family, first):
+        for n in range(first, 301):
+            spec = SilicateSpec(family=family, n=n)
+            sil, labeling = build_silicate(spec), labeling_for(spec)
+            got = construct_ers(sil, labeling)
+            assert got == reference_construct_ers(sil, labeling), (family, n)
+            assert all(type(v) is int for v in got)
+
+    def test_matches_per_tetrahedron_reference_on_skeletons(self):
+        # Every skeleton tetrahedron has two fresh cubic corners, and more
+        # only at leaves of the base: labels up to 2 always fit, and labels
+        # up to 3 often fail, where both must name the same tetrahedron.
+        rng = random.Random(24)
+        errors = 0
+        for _ in range(50):
+            base = random_connected_graph(rng, rng.randint(2, 12))
+            spec = SilicateSpec(family=SKELETON, skeleton=base)
+            sil = build_silicate(spec)
+            for top in (2, 3):
+                labels = tuple(rng.randint(1, top) for _ in sil.tetrahedra)
+                labeling = Labeling(spec=spec, labels=labels)
+                got = outcome(construct_ers, sil, labeling)
+                assert got == outcome(reference_construct_ers, sil, labeling)
+                errors += isinstance(got, str)
+            short = Labeling(spec=spec, labels=(1,) * (len(sil.tetrahedra) + 1))
+            assert outcome(construct_ers, sil, short) == outcome(reference_construct_ers, sil, short)
+        assert 0 < errors < 50
 
     def test_any_private_choice_works(self):
         # The construction only fixes how many cubic vertices each
@@ -149,3 +206,20 @@ class TestConstructErs:
                 privates = [v for v in tet if sil.graph.degree(v) == 3]
                 chosen.extend(rng.sample(privates, labeling.labels[i]))
             assert is_edge_resolving(sil.graph, sorted(chosen)).resolving, (family, n)
+
+
+class TestTablePath:
+    """A ``table`` row constructs and verifies from the arrays alone."""
+
+    @pytest.mark.parametrize(
+        "family, witness", [(CHAIN, ((0, 1), (1, 2))), (CYCLIC, ((0, 1), (0, 2)))]
+    )
+    def test_no_tuple_view_is_built(self, family, witness):
+        sil, ers = construct_for_spec(SilicateSpec(family=family, n=50))
+        assert is_edge_resolving(sil.graph, ers).resolving
+        short = is_edge_resolving(sil.graph, ers[1:])
+        assert set(vars(sil.graph)).isdisjoint(GRAPH_VIEWS)
+        assert set(vars(sil)).isdisjoint(SILICATE_VIEWS)
+        assert not short.resolving and short.witness == witness
+        assert all(type(v) is int for edge in short.witness for v in edge)
+        assert set(short.witness) <= set(sil.graph.edges)

@@ -1,6 +1,7 @@
 """Graph construction, BFS distances, and edge-to-vertex distances."""
 
 import itertools
+import pickle
 import random
 import re
 import tracemalloc
@@ -27,6 +28,7 @@ from silires.resolving import landmark_rows
 from silires.silicates import CHAIN, CYCLIC, SKELETON, SilicateSpec
 
 from conftest import (
+    GRAPH_VIEWS,
     column_block_cases,
     complete_graph,
     cycle_graph,
@@ -34,6 +36,7 @@ from conftest import (
     oracle_distance_matrix,
     path_graph,
     random_connected_graph,
+    read_views,
     relabeled,
     star_graph,
 )
@@ -134,10 +137,90 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 1), (1, 2)])
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
+        assert g.has_edge(np.int64(2), np.int32(1))
+
+    def test_degree(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        assert [g.degree(v) for v in range(3)] == [1, 2, 1]
+        assert type(g.degree(np.int64(1))) is int
+
+    @pytest.mark.parametrize(
+        "query, named",
+        [
+            (lambda g: g.degree(-1), "vertex -1 outside [0, 3)"),
+            (lambda g: g.degree(3), "vertex 3 outside [0, 3)"),
+            (lambda g: g.has_edge(-1, 1), "vertex -1 outside [0, 3)"),
+            (lambda g: g.has_edge(5, 0), "vertex 5 outside [0, 3)"),
+            (lambda g: g.has_edge(0, -3), "vertex -3 outside [0, 3)"),
+            (lambda g: g.degree(1.5), "vertex 1.5 is not an integer"),
+            (lambda g: g.has_edge(0, "1"), "vertex '1' is not an integer"),
+        ],
+    )
+    def test_vertex_queries_reject_ids_outside_the_graph(self, query, named):
+        # Negative ids would otherwise index from the end.
+        g = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphInputError, match=f"^{re.escape(named)}$"):
+            query(g)
 
     def test_canonical_edge(self):
         assert canonical_edge(5, 2) == (2, 5)
         assert canonical_edge(2, 5) == (2, 5)
+
+
+# No view read, one, both: equality, hashing, pickling and repr must not
+# depend on which views a graph has built.
+VIEW_READS = [(), ("adjacency",), ("edges",), ("adjacency", "edges")]
+
+
+class TestGraphViews:
+    def test_views_are_built_on_first_read(self):
+        g = build_graph(3, [(1, 2), (0, 1)])
+        assert set(vars(g)).isdisjoint(GRAPH_VIEWS)
+        assert g.edge_count == 2 and g.degree(1) == 2
+        assert set(vars(g)).isdisjoint(GRAPH_VIEWS)
+        assert g.edges == ((0, 1), (1, 2)) and g.edges is g.edges
+        assert g.adjacency == ((1,), (0, 2), (1,)) and g.adjacency is g.adjacency
+
+    @pytest.mark.parametrize("read", VIEW_READS)
+    def test_same_vertex_count_different_edges(self, read):
+        a = read_views(build_graph(3, [(0, 1), (1, 2)]), read)
+        b = build_graph(3, [(0, 1), (0, 2)])
+        assert a != b and not a == b
+        assert hash(a) != hash(b) and len({a, b}) == 2
+
+    @pytest.mark.parametrize("read", VIEW_READS)
+    def test_pairs_and_array_give_equal_graphs(self, read):
+        a = read_views(build_graph(4, [(2, 3), (0, 1), (1, 0), (1, 2)]), read)
+        b = build_graph(4, np.array([[1, 2], [0, 1], [3, 2]]))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != build_graph(4, [(0, 1), (1, 2), (1, 3)])
+        assert a != build_graph(5, [(0, 1), (1, 2), (2, 3)])
+        assert a != (4, a.edges)
+
+    @pytest.mark.parametrize("read", VIEW_READS)
+    def test_pickle_round_trip(self, read):
+        g = read_views(build_graph(4, [(0, 1), (1, 2), (2, 3)]), read)
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+        assert h != build_graph(4, [(0, 1), (1, 2), (1, 3)])
+        assert (h.adjacency, h.edges, h.edge_count) == (g.adjacency, g.edges, g.edge_count)
+
+    @pytest.mark.parametrize("read", VIEW_READS)
+    def test_repr(self, read):
+        g = read_views(build_graph(3, [(2, 1), (0, 1)]), read)
+        assert repr(g) == (
+            "Graph(vertex_count=3, adjacency=((1,), (0, 2), (1,)), edges=((0, 1), (1, 2)))"
+        )
+
+    @pytest.mark.parametrize("read", VIEW_READS)
+    def test_skeleton_specs(self, read):
+        a = SilicateSpec(family=SKELETON, skeleton=read_views(path_graph(3), read))
+        b = SilicateSpec(family=SKELETON, skeleton=build_graph(3, np.array([[2, 1], [1, 0]])))
+        c = SilicateSpec(family=SKELETON, skeleton=build_graph(3, [(0, 1), (0, 2)]))
+        assert a == b and hash(a) == hash(b)
+        assert a != c and len({a, b, c}) == 2
+        d = pickle.loads(pickle.dumps(a))
+        assert d == a and hash(d) == hash(a) and d != c
 
 
 class TestConnectivity:

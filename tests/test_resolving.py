@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -168,6 +169,21 @@ class TestLandmarkValidation:
         g = path_graph(4)
         with pytest.raises(GraphInputError):
             is_vertex_resolving(g, [0, 4])
+
+    @pytest.mark.parametrize(
+        "landmarks, message",
+        [
+            ([0, 9, -1], "landmark 9 outside [0, 4)"),
+            ([3, -1, 9], "landmark -1 outside [0, 4)"),
+            ([9, 9, 0], "landmark set (9, 9, 0) contains duplicates"),
+            ([-1, 2, -1], "landmark set (-1, 2, -1) contains duplicates"),
+        ],
+    )
+    def test_messages_name_the_first_bad_id(self, landmarks, message):
+        # Duplicates are checked first, then the range, naming the first id
+        # outside it in landmark order.
+        with pytest.raises(GraphInputError, match=f"^{re.escape(message)}$"):
+            validate_landmarks(path_graph(4), landmarks)
 
 
 class TestEdgeResolving:

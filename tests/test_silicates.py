@@ -1,5 +1,7 @@
 """Silicate generators: counts, degrees, vertex numbering, skeleton expansion."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,14 @@ from silires import (
 )
 from silires.silicates import _assemble
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import (
+    GRAPH_VIEWS,
+    SILICATE_VIEWS,
+    cycle_graph,
+    path_graph,
+    read_views,
+    star_graph,
+)
 
 
 def degree_histogram(g):
@@ -239,3 +248,55 @@ class TestBuildSilicate:
         sil = _assemble(7, np.array([[3, 2, 1, 0], [3, 4, 5, 6]]))
         assert sil.tetrahedra == ((0, 1, 2, 3), (3, 4, 5, 6))
         assert sil.private_vertices == ((0, 1, 2), (4, 5, 6))
+
+
+def viewed(sil, read):
+    """``sil``, with every view of it and of its graph read when ``read``."""
+    if read:
+        read_views(read_views(sil, SILICATE_VIEWS).graph, GRAPH_VIEWS)
+    return sil
+
+
+class TestViews:
+    def test_views_are_built_on_first_read(self):
+        sil = chain_silicate(2)
+        assert set(vars(sil)).isdisjoint(SILICATE_VIEWS)
+        assert sil.private_vertices == ((0, 1, 2), (4, 5, 6))
+        assert sil.private_vertices is sil.private_vertices
+        assert set(SILICATE_VIEWS) - set(vars(sil)) == {"tetrahedra", "shared_vertices"}
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_equal_and_different_silicates(self, read):
+        a = viewed(chain_silicate(3), read)
+        b = chain_silicate(3)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != chain_silicate(4) and a != cyclic_silicate(3)
+        assert a != silicate_of_skeleton(path_graph(4))
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_same_graph_other_tetrahedron_order(self, read):
+        a = viewed(_assemble(7, np.array([[0, 1, 2, 3], [3, 4, 5, 6]])), read)
+        b = _assemble(7, np.array([[3, 4, 5, 6], [0, 1, 2, 3]]))
+        assert a.graph == b.graph
+        assert a != b and hash(a) != hash(b)
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_pickle_round_trip(self, read):
+        sil = viewed(cyclic_silicate(4), read)
+        back = pickle.loads(pickle.dumps(sil))
+        assert back == sil and hash(back) == hash(sil) and repr(back) == repr(sil)
+        assert back != cyclic_silicate(5)
+        assert [getattr(back, v) for v in SILICATE_VIEWS] == [
+            getattr(sil, v) for v in SILICATE_VIEWS
+        ]
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_repr(self, read):
+        sil = viewed(chain_silicate(1), read)
+        assert repr(sil) == (
+            "LabeledSilicate(graph=Graph(vertex_count=4, "
+            "adjacency=((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)), "
+            "edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))), "
+            "tetrahedra=((0, 1, 2, 3),), shared_vertices=(), "
+            "private_vertices=((0, 1, 2, 3),))"
+        )
