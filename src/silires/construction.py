@@ -101,10 +101,12 @@ def construct_ers(
     From tetrahedron i the first ``labels[i]`` ids of its degree-3
     vertices, ``silicate.private_vertices[i]`` (ascending, so the smallest
     ones), are taken, for every tetrahedron in one pass over the
-    silicate's arrays.  Raises :class:`ConstructionError` naming the first
-    tetrahedron with too few cubic vertices.
+    silicate's tetrahedron array and its graph's degrees.  Raises
+    :class:`ConstructionError` naming the first tetrahedron with too few
+    cubic vertices.
     """
-    cells, cubic = silicate._cells, silicate._cubic
+    cells = silicate._cells
+    cubic = silicate.graph._arcs.degree[cells] == 3
     if len(labeling.labels) != len(cells):
         raise ConstructionError(
             f"labeling has {len(labeling.labels)} entries for "

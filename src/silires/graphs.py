@@ -175,6 +175,9 @@ class Graph:
             f"adjacency={self.adjacency!r}, edges={self.edges!r})"
         )
 
+    def __reduce__(self):
+        return _frozen_graph, (self.vertex_count, *self._arcs)
+
     def _vertex(self, v) -> int:
         """``v`` through :func:`vertex_id`, checked to be a vertex."""
         v = vertex_id(v, "vertex")
@@ -305,10 +308,18 @@ def build_graph(vertex_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     first[:1] = True
     np.not_equal(arcs[1:], arcs[:-1], out=first[1:])
     tail, head = np.divmod(arcs[first], n)
-    degree = np.bincount(tail, minlength=n)
-    for a in (degree, tail, head):
+    return _frozen_graph(n, np.bincount(tail, minlength=n), tail, head)
+
+
+def _frozen_graph(
+    vertex_count: int, degree: np.ndarray, tail: np.ndarray, head: np.ndarray
+) -> Graph:
+    """The graph of the given arc arrays, made read-only; unpickling
+    rebuilds through it."""
+    arcs = _Arcs(degree, tail, head)
+    for a in arcs:
         a.setflags(write=False)
-    return Graph(vertex_count=n, _arcs=_Arcs(degree, tail, head))
+    return Graph(vertex_count=vertex_count, _arcs=arcs)
 
 
 def edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -103,12 +103,6 @@ def edge_code(dist: np.ndarray, edge: Edge, landmarks: Sequence[int]) -> Code:
     return tuple(int(min(da[u], db[u])) for u in landmarks)
 
 
-def landmark_rows(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
-    """Distance rows, one per landmark, as a ``(k, n)`` array of type
-    :func:`~silires.graphs.distance_dtype`."""
-    return distance_rows(g, landmarks)
-
-
 def edge_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
     """Edge distances from the vertex distance ``rows`` (one row per source,
     one column per vertex of ``g``): ``min(d(u, .), d(v, .))`` for every
@@ -139,7 +133,7 @@ def _vertex_gather(rows: np.ndarray, ids, out: np.ndarray) -> None:
 
 def edge_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
     """Codes of every canonical edge, one row per edge: ``(m, k)``."""
-    rows = landmark_rows(g, landmarks)
+    rows = distance_rows(g, landmarks)
     table = np.empty((g.edge_count, len(rows)), dtype=rows.dtype)
     _edge_gather(g)(rows.T, slice(None), table)
     return table
@@ -147,7 +141,7 @@ def edge_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
 
 def vertex_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
     """Codes of every vertex, one row per vertex: ``(n, k)``."""
-    return landmark_rows(g, landmarks).T.copy()
+    return distance_rows(g, landmarks).T.copy()
 
 
 def first_duplicate_rows(table: np.ndarray) -> Optional[tuple[int, int]]:

@@ -59,19 +59,16 @@ class LabeledSilicate:
     ``private_vertices[i]`` lists the degree-3 vertices of tetrahedron
     ``i+1`` in ascending order.
 
-    The silicate holds the arrays these come from: the ``(T, 4)`` array of
-    sorted tetrahedra, its mask of degree-3 corners, and how many
-    tetrahedra each vertex lies in.  Each tuple view is built from them
-    the first time it is read and then cached; the views are pure
-    functions of the read-only arrays, so instances stay immutable and
-    safe to share.  Equality, hashing and ``repr`` are by ``graph`` and the
-    three views.
+    The silicate holds its graph and the read-only ``(T, 4)`` array of
+    sorted tetrahedra.  Each tuple view is built from them the first time
+    it is read and then cached; the views are pure functions of the graph
+    and the array, so instances stay immutable and safe to share.
+    Equality and hashing are by ``graph`` and ``tetrahedra``, which
+    determine the other two views; ``repr`` shows all three.
     """
 
     graph: Graph
     _cells: np.ndarray
-    _cubic: np.ndarray
-    _appearances: np.ndarray
 
     @functools.cached_property
     def tetrahedra(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -79,14 +76,16 @@ class LabeledSilicate:
 
     @functools.cached_property
     def shared_vertices(self) -> tuple[int, ...]:
-        return tuple((self._appearances >= 2).nonzero()[0].tolist())
+        appearances = np.bincount(self._cells.ravel(), minlength=self.graph.vertex_count)
+        return tuple((appearances >= 2).nonzero()[0].tolist())
 
     @functools.cached_property
     def private_vertices(self) -> tuple[tuple[int, ...], ...]:
-        return _runs(self._cells[self._cubic], self._cubic.sum(axis=1))
+        cubic = self.graph._arcs.degree[self._cells] == 3
+        return _runs(self._cells[cubic], cubic.sum(axis=1))
 
     def _key(self) -> tuple:
-        return (self.graph, self.tetrahedra, self.shared_vertices, self.private_vertices)
+        return (self.graph, self.tetrahedra)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -96,12 +95,22 @@ class LabeledSilicate:
     def __hash__(self) -> int:
         return hash(self._key())
 
+    def __reduce__(self):
+        return _frozen_silicate, (self.graph, self._cells)
+
     def __repr__(self) -> str:
         return (
             f"LabeledSilicate(graph={self.graph!r}, tetrahedra={self.tetrahedra!r}, "
             f"shared_vertices={self.shared_vertices!r}, "
             f"private_vertices={self.private_vertices!r})"
         )
+
+
+def _frozen_silicate(graph: Graph, cells: np.ndarray) -> LabeledSilicate:
+    """The silicate of ``graph`` and the sorted ``(T, 4)`` array ``cells``,
+    made read-only; unpickling rebuilds through it."""
+    cells.setflags(write=False)
+    return LabeledSilicate(graph=graph, _cells=cells)
 
 
 # The six corner pairs of a tetrahedron: its edges.
@@ -114,14 +123,7 @@ def _assemble(vertex_count: int, tetrahedra: np.ndarray) -> LabeledSilicate:
     once, so both the tetrahedra and their private vertices come out in
     ascending order."""
     graph = build_graph(vertex_count, tetrahedra[:, _TETRAHEDRON_EDGES].reshape(-1, 2))
-    appearances = np.bincount(tetrahedra.ravel(), minlength=vertex_count)
-    cells = np.sort(tetrahedra, axis=1)
-    cubic = graph._arcs.degree[cells] == 3
-    for a in (cells, cubic, appearances):
-        a.setflags(write=False)
-    return LabeledSilicate(
-        graph=graph, _cells=cells, _cubic=cubic, _appearances=appearances
-    )
+    return _frozen_silicate(graph, np.sort(tetrahedra, axis=1))
 
 
 def chain_silicate(n: int) -> LabeledSilicate:

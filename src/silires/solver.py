@@ -482,7 +482,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
         masks = edge_infeasibility_masks(g)
     else:
         item_count = g.vertex_count
-        rows = np.ascontiguousarray(dist)
+        rows = dist.T  # distances are symmetric: the matrix itself, in C order
         masks = vertex_infeasibility_masks(g)
     spec = classify_silicate(g)
     if item_count <= 1:

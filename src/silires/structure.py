@@ -5,7 +5,9 @@ complete graphs on four vertices (tetrahedra).  This module reads that
 decomposition off the cubic corners (:func:`find_tetrahedra`), recognizes
 chain and cyclic silicates (:func:`classify_silicate`), and gives the
 paper's lower bound on their edge metric dimension
-(:func:`dimension_lower_bound`).
+(:func:`dimension_lower_bound`).  A tetrahedron is the sorted 4-tuple of
+its vertex ids, as in :attr:`silires.silicates.LabeledSilicate.tetrahedra`,
+and its cubic corners are its members of degree 3.
 
 The bound counts *cubic sets*: the degree-3 vertices of one tetrahedron,
 or of a *twin*, two tetrahedra sharing one hinge vertex.  An edge resolving
@@ -24,8 +26,6 @@ cubic-only set resolves its edges.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from typing import Optional
 
@@ -34,33 +34,7 @@ from .graphs import Graph, is_connected
 from .silicates import CHAIN, CYCLIC, SilicateSpec
 
 
-class TetrahedronKind(Enum):
-    """Classification by the number of degree-3 (cubic) corners."""
-
-    TYPE_I = "type-I"        # three cubic corners (chain ends)
-    TYPE_II = "type-II"      # two cubic corners (interior / cyclic)
-    ALL_CUBIC = "all-cubic"  # four cubic corners (an isolated tetrahedron)
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class Tetrahedron:
-    vertices: tuple[int, int, int, int]
-    cubic_vertices: tuple[int, ...]
-    kind: TetrahedronKind
-
-
-def _classify(g: Graph, vertices: tuple[int, ...]) -> Tetrahedron:
-    cubic = tuple(v for v in vertices if len(g.adjacency[v]) == 3)
-    kind = {
-        3: TetrahedronKind.TYPE_I,
-        2: TetrahedronKind.TYPE_II,
-        4: TetrahedronKind.ALL_CUBIC,
-    }.get(len(cubic), TetrahedronKind.OTHER)
-    return Tetrahedron(vertices=vertices, cubic_vertices=cubic, kind=kind)
-
-
-def find_tetrahedra(g: Graph) -> list[Tetrahedron]:
+def find_tetrahedra(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     """Read the edge-disjoint tetrahedron cover off the cubic corners.
 
     A corner is a degree-3 vertex p whose three neighbours are pairwise
@@ -69,17 +43,17 @@ def find_tetrahedra(g: Graph) -> list[Tetrahedron]:
     cyclic or skeleton expansion has two or more corners (its vertices that
     are not base vertices among them), so these forced tetrahedra are the
     whole cover there, and a K4 of the base is never taken.  Returns the
-    distinct N[p], sorted by vertex tuple.  Raises :class:`StructureError`
-    naming the first edge, in edge order, that lies in no forced
-    tetrahedron (a graph covered by corner-free K4s, such as K13, raises
-    too) or in two of them (then no cover exists).
+    distinct N[p] as sorted 4-tuples, in ascending order.  Raises
+    :class:`StructureError` naming the first edge, in edge order, that lies
+    in no forced tetrahedron (a graph covered by corner-free K4s, such as
+    K13, raises too) or in two of them (then no cover exists).
     """
     adjacency = g.adjacency
-    cells = sorted({
+    cells = tuple(sorted({
         tuple(sorted((p, *ns)))
         for p, ns in enumerate(adjacency)
         if len(ns) == 3 and all(b in adjacency[a] for a, b in combinations(ns, 2))
-    })
+    }))
     uses = Counter(e for cell in cells for e in combinations(cell, 2))
     for e in g.edges:
         if uses[e] != 1:
@@ -88,7 +62,7 @@ def find_tetrahedra(g: Graph) -> list[Tetrahedron]:
                 f"edge {e} lies in {where}; the cover read off "
                 "the cubic corners needs exactly one"
             )
-    return [_classify(g, cell) for cell in cells]
+    return cells
 
 
 def dimension_lower_bound(spec: SilicateSpec) -> int:
@@ -140,8 +114,9 @@ def classify_silicate(g: Graph) -> Optional[SilicateSpec]:
         return None
     if count == 1:
         return SilicateSpec(family=CHAIN, n=1)
-    hinges = sum(len(ns) == 6 for ns in g.adjacency)
-    twins = sorted(sum(len(g.adjacency[v]) // 3 - 1 for v in t.vertices) for t in tetrahedra)
+    degree = g._arcs.degree.tolist()
+    hinges = degree.count(6)
+    twins = sorted(sum(degree[v] // 3 - 1 for v in t) for t in tetrahedra)
     if hinges == count - 1 and twins[:2] == [1, 1] and all(c == 2 for c in twins[2:]):
         return SilicateSpec(family=CHAIN, n=count)
     if count >= 3 and hinges == count and all(c == 2 for c in twins):

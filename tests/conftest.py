@@ -153,10 +153,15 @@ def _twins(tets):
     one vertex, the hinge."""
     twins = []
     for left, right in itertools.combinations(tets, 2):
-        shared = set(left.vertices) & set(right.vertices)
+        shared = set(left) & set(right)
         if len(shared) == 1:
             twins.append((left, right, shared.pop()))
     return twins
+
+
+def cubic_members(g: Graph, tet) -> tuple[int, ...]:
+    """The cubic corners of the tetrahedron ``tet``: its degree-3 members."""
+    return tuple(v for v in tet if g.degree(v) == 3)
 
 
 def twin_rule_masks(g: Graph) -> list[int]:
@@ -166,8 +171,8 @@ def twin_rule_masks(g: Graph) -> list[int]:
         tets = find_tetrahedra(g)
     except StructureError:
         return []
-    cubic_sets = [t.cubic_vertices for t in tets]
-    cubic_sets += [left.cubic_vertices + right.cubic_vertices for left, right, _ in _twins(tets)]
+    cubic_sets = [cubic_members(g, t) for t in tets]
+    cubic_sets += [cubic_members(g, left + right) for left, right, _ in _twins(tets)]
     return sorted({sum(1 << v for v in c) for c in cubic_sets if len(c) >= 2})
 
 
@@ -184,10 +189,10 @@ def twin_classify_silicate(g: Graph):
     if count == 1:
         return SilicateSpec(family=CHAIN, n=1)
     twins = _twins(tets)
-    degree = {t.vertices: 0 for t in tets}
+    degree = dict.fromkeys(tets, 0)
     for left, right, _ in twins:
-        degree[left.vertices] += 1
-        degree[right.vertices] += 1
+        degree[left] += 1
+        degree[right] += 1
     counts = sorted(degree.values())
     hinges = len({hinge for _, _, hinge in twins})
     if len(twins) == count - 1 == hinges:
@@ -249,11 +254,12 @@ def path_graph(n: int) -> Graph:
 
 def wrong_path_matrix(g: Graph) -> np.ndarray:
     """A stand-in for ``all_pairs_distances`` on the path 0-1-2-3, wrong in
-    rows 0 and 1: by it the landmark 0 alone does not resolve the vertices
-    (1 and 2 both read 1), and the landmark 1 alone does, which the true
-    distances deny (d(1, 0) = d(1, 2) = 1)."""
+    rows and columns 0 and 1 but symmetric, as every distance matrix is: by
+    it the landmark 0 alone does not resolve the vertices (1 and 2 both
+    read 1), and the landmark 1 alone does, which the true distances deny
+    (d(1, 0) = d(1, 2) = 1)."""
     assert list(g.edges) == [(0, 1), (1, 2), (2, 3)]
-    d = np.array([[0, 1, 1, 3], [9, 0, 5, 7], [2, 1, 0, 1], [3, 2, 1, 0]], dtype=np.int16)
+    d = np.array([[0, 1, 1, 3], [1, 0, 5, 7], [1, 5, 0, 1], [3, 7, 1, 0]], dtype=np.int16)
     d.setflags(write=False)
     return d
 

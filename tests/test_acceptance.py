@@ -34,9 +34,8 @@ from silires import (
     predicted_dimension,
 )
 from silires.solver import STATUS_OPTIMAL, edge_infeasibility_masks
-from silires.structure import TetrahedronKind
 
-from conftest import family_graph, naive_minimum_resolving
+from conftest import cubic_members, family_graph, naive_minimum_resolving
 
 # The paper's value and the exact edge metric dimension at the exception.
 EXCEPTION = (CYCLIC, 3)
@@ -245,7 +244,7 @@ def test_criterion_06_twin_necessity_on_random_sets(solved):
     assert not problems, "; ".join(problems[:10])
 
 
-def _sample_condition_set(rng, tets, masks):
+def _sample_condition_set(rng, g, tets, masks):
     """Random cubic landmark set leaving out at most one member of every
     mask.  Each tetrahedron's cubic set with two or more members is a mask,
     so it first takes all of those but at most one (two of a type-I end's
@@ -253,7 +252,7 @@ def _sample_condition_set(rng, tets, masks):
     of a random short mask until none is short."""
     chosen = set()
     for tet in tets:
-        cubic = tet.cubic_vertices
+        cubic = cubic_members(g, tet)
         take = rng.randint(len(cubic) - 1, len(cubic))
         chosen.update(rng.sample(cubic, take))
     while True:
@@ -275,7 +274,7 @@ def test_criterion_07_cubic_sufficiency_sampling():
         for _ in range(1000):
             n = rng.choice(list(n_range))
             g, tets, masks = parts[n]
-            landmarks = _sample_condition_set(rng, tets, masks)
+            landmarks = _sample_condition_set(rng, g, tets, masks)
             assert not _short_masks(masks, landmarks), "sampler produced a non-conforming set"
             result = is_edge_resolving(g, landmarks)
             if (family, n) == EXCEPTION:
@@ -303,9 +302,9 @@ def test_criterion_07_cubic_sufficiency_sampling():
 
 def _type1_cases(g, dist, tet):
     """Landmarks (s, v1, v2) and the six displayed codes for a 3-cubic tetra."""
-    (v0,) = [v for v in tet.vertices if v not in tet.cubic_vertices]
-    v1, v2, v3 = sorted(tet.cubic_vertices)
-    members = set(tet.vertices)
+    (v0,) = [v for v in tet if g.degree(v) != 3]
+    v1, v2, v3 = cubic_members(g, tet)
+    members = set(tet)
     s = min(v for v in range(g.vertex_count) if v not in members)
     x = int(dist[s, v0])
     landmarks = (s, v1, v2)
@@ -322,9 +321,9 @@ def _type1_cases(g, dist, tet):
 
 def _type2_cases(g, dist, tet):
     """Landmarks (s, t, u2) and the six displayed codes for a 2-cubic tetra."""
-    u0, u1 = sorted(v for v in tet.vertices if v not in tet.cubic_vertices)
-    u2, u3 = sorted(tet.cubic_vertices)
-    members = set(tet.vertices)
+    u0, u1 = [v for v in tet if g.degree(v) != 3]
+    u2, u3 = cubic_members(g, tet)
+    members = set(tet)
     s = min(
         v
         for v in range(g.vertex_count)
@@ -357,9 +356,10 @@ def test_criterion_08_tetrahedron_code_displays():
             g = family_graph(family, n)
             dist = all_pairs_distances(g)
             for tet in find_tetrahedra(g):
-                if tet.kind is TetrahedronKind.TYPE_I:
+                cubic = len(cubic_members(g, tet))
+                if cubic == 3:
                     landmarks, expected = _type1_cases(g, dist, tet)
-                elif tet.kind is TetrahedronKind.TYPE_II:
+                elif cubic == 2:
                     landmarks, expected = _type2_cases(g, dist, tet)
                 else:
                     continue
@@ -371,12 +371,12 @@ def test_criterion_08_tetrahedron_code_displays():
                 for e, want in expected.items():
                     if codes[e] != want:
                         problems.append(
-                            f"{family} n={n} tetra {tet.vertices} edge {e}: "
+                            f"{family} n={n} tetra {tet} edge {e}: "
                             f"code {codes[e]}, displayed {want}"
                         )
                 if len(set(codes.values())) != 6:
                     problems.append(
-                        f"{family} n={n} tetra {tet.vertices}: codes not distinct"
+                        f"{family} n={n} tetra {tet}: codes not distinct"
                     )
     assert checked > 400
     assert not problems, "; ".join(problems[:10])

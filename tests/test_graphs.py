@@ -24,7 +24,6 @@ from silires import (
 )
 from silires import construct_for_spec, graphs, is_edge_resolving, resolving
 from silires.graphs import distance_dtype, distance_rows, edge_ends, simplicial_vertices
-from silires.resolving import landmark_rows
 from silires.silicates import CHAIN, CYCLIC, SKELETON, SilicateSpec
 
 from conftest import (
@@ -202,6 +201,7 @@ class TestGraphViews:
         g = read_views(build_graph(4, [(0, 1), (1, 2), (2, 3)]), read)
         h = pickle.loads(pickle.dumps(g))
         assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+        assert not any(a.flags.writeable for a in h._arcs)
         assert h != build_graph(4, [(0, 1), (1, 2), (1, 3)])
         assert (h.adjacency, h.edges, h.edge_count) == (g.adjacency, g.edges, g.edge_count)
 
@@ -221,6 +221,7 @@ class TestGraphViews:
         assert a != c and len({a, b, c}) == 2
         d = pickle.loads(pickle.dumps(a))
         assert d == a and hash(d) == hash(a) and d != c
+        assert not any(x.flags.writeable for x in d.skeleton._arcs)
 
 
 class TestConnectivity:
@@ -507,7 +508,7 @@ class TestDistanceRows:
         all_pairs_distances(silicate.graph)
         assert len(calls) == runs
         calls.clear()
-        landmark_rows(silicate.graph, landmarks)
+        distance_rows(silicate.graph, landmarks)
         assert len(calls) == runs
         calls.clear()
         filled.clear()

@@ -3,10 +3,14 @@
 import silires
 import silires.structure
 
-# Names that would state the cubic-set rule a second time: the solver's
-# edge masks state it for every graph.
+# Names that would state the cubic-set rule a second time (the solver's
+# edge masks state it for every graph), or the tetrahedron cover a second
+# time (a tetrahedron is a sorted 4-tuple, its cubic corners its degree-3
+# members).
 REMOVED = (
     "ConditionReport",
+    "Tetrahedron",
+    "TetrahedronKind",
     "TwinTetrahedron",
     "check_necessary",
     "check_sufficient",

@@ -24,10 +24,10 @@ from silires import (
     vertex_code_table,
 )
 from silires import resolving
+from silires.graphs import distance_rows
 from silires.resolving import (
     edge_rows,
     first_duplicate_rows,
-    landmark_rows,
     validate_landmarks,
 )
 
@@ -84,7 +84,7 @@ class TestCodes:
         for family, n in [("chain", 6), ("cyclic", 7)]:
             g = family_graph(family, n)
             landmarks = (1, 5, 8, 13)
-            rows = landmark_rows(g, landmarks)
+            rows = distance_rows(g, landmarks)
             table = edge_code_table(g, landmarks)
             assert table.dtype == rows.dtype
             assert np.array_equal(table, edge_rows(g, rows).T)
@@ -285,7 +285,7 @@ class TestDisconnectedGraph:
         with pytest.raises(DisconnectedGraphError):
             is_edge_resolving(g, landmarks)
 
-    @pytest.mark.parametrize("table", [landmark_rows, edge_code_table, vertex_code_table])
+    @pytest.mark.parametrize("table", [distance_rows, edge_code_table, vertex_code_table])
     def test_empty_set_tables_raise(self, table):
         with pytest.raises(DisconnectedGraphError):
             table(build_graph(4, [(0, 1), (2, 3)]), [])
@@ -346,7 +346,7 @@ class TestFingerprints:
 
     def test_blocks_give_the_fingerprints_of_one_block(self, monkeypatch):
         g = family_graph("chain", 30)
-        rows = landmark_rows(g, range(0, g.vertex_count, 3)).T.copy()
+        rows = distance_rows(g, range(0, g.vertex_count, 3)).T.copy()
         gather = resolving._edge_gather(g)
         weights = resolving._weights(-(-rows.shape[1] // 4))
         whole = resolving._fingerprints(rows, weights, g.edge_count, gather)
@@ -481,7 +481,7 @@ def check_peak_over_rows(check, family):
     ``family`` at n = 1000 over the size of its landmark rows."""
     silicate, landmarks = construct_for_spec(SilicateSpec(family=family, n=1000))
     g = silicate.graph
-    rows = landmark_rows(g, landmarks).nbytes
+    rows = distance_rows(g, landmarks).nbytes
     tracemalloc.start()
     try:
         assert check(g, landmarks).resolving

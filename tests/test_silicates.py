@@ -285,6 +285,8 @@ class TestViews:
         sil = viewed(cyclic_silicate(4), read)
         back = pickle.loads(pickle.dumps(sil))
         assert back == sil and hash(back) == hash(sil) and repr(back) == repr(sil)
+        held = (back._cells, *back.graph._arcs)
+        assert not any(a.flags.writeable for a in held)
         assert back != cyclic_silicate(5)
         assert [getattr(back, v) for v in SILICATE_VIEWS] == [
             getattr(sil, v) for v in SILICATE_VIEWS

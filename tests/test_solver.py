@@ -24,6 +24,7 @@ from silires import (
     SolveOptions,
     SolverInternalError,
     StructureError,
+    all_pairs_distances,
     build_graph,
     build_silicate,
     classify_silicate,
@@ -250,6 +251,26 @@ class TestOptimalCertificates:
         assert cert.status == STATUS_OPTIMAL and cert.witness
         assert [m.sources for m in made] == [list(range(g.vertex_count)), list(cert.witness)]
         assert [m.columns for m in made] == [list(range(m.count)) for m in made]
+
+    def test_vertex_search_rows_are_the_distance_matrix(self, monkeypatch):
+        # The vertex code of a landmark is its distance row, so the search
+        # reads the matrix itself, in C order, and copies none of it.
+        seen = {}
+
+        def matrix(g):
+            seen["dist"] = all_pairs_distances(g)
+            return seen["dist"]
+
+        def context(rows, masks):
+            seen["rows"] = rows
+            return _context(rows, masks)
+
+        monkeypatch.setattr(silires.solver, "all_pairs_distances", matrix)
+        monkeypatch.setattr(silires.solver, "_context", context)
+        exact_metric_dimension(family_graph(CHAIN, 3))
+        rows, dist = seen["rows"], seen["dist"]
+        assert np.shares_memory(rows, dist) and rows.flags.c_contiguous
+        assert np.array_equal(rows, dist)
 
     def test_wrong_search_matrix_is_an_internal_error(self, monkeypatch):
         # A defect in the solver's own distance matrix is the solver's, not

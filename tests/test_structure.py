@@ -12,7 +12,6 @@ from silires import (
     SKELETON,
     SilicateSpec,
     StructureError,
-    TetrahedronKind,
     UnsupportedFamilyError,
     build_graph,
     build_silicate,
@@ -31,6 +30,7 @@ from silires.solver import edge_infeasibility_masks
 
 from conftest import (
     complete_graph,
+    cubic_members,
     cycle_graph,
     family_graph,
     path_graph,
@@ -100,35 +100,34 @@ class TestFindTetrahedra:
         for spec in specs:
             sil = build_silicate(spec)
             found = find_tetrahedra(sil.graph)
-            assert sorted(t.vertices for t in found) == sorted(sil.tetrahedra)
+            assert found == tuple(sorted(sil.tetrahedra))
 
     def test_output_sorted_by_vertex_tuple(self):
         _, tets, _ = decompose(CYCLIC, 6)
-        assert [t.vertices for t in tets] == sorted(t.vertices for t in tets)
+        assert all(list(t) == sorted(t) and len(t) == 4 for t in tets)
+        assert list(tets) == sorted(tets)
 
     def test_kind_counts_chain_7(self):
-        _, tets, _ = decompose(CHAIN, 7)
-        kinds = [t.kind for t in tets]
-        assert kinds.count(TetrahedronKind.TYPE_I) == 2
-        assert kinds.count(TetrahedronKind.TYPE_II) == 5
+        # Two ends with three cubic corners, five interior tetrahedra with two.
+        g, tets, _ = decompose(CHAIN, 7)
+        counts = [len(cubic_members(g, t)) for t in tets]
+        assert counts.count(3) == 2
+        assert counts.count(2) == 5
 
     def test_kind_counts_cyclic_8(self):
-        _, tets, _ = decompose(CYCLIC, 8)
-        assert all(t.kind is TetrahedronKind.TYPE_II for t in tets)
+        g, tets, _ = decompose(CYCLIC, 8)
+        assert all(len(cubic_members(g, t)) == 2 for t in tets)
 
     def test_lone_tetrahedron_is_all_cubic(self):
-        _, tets, _ = decompose(CHAIN, 1)
-        assert len(tets) == 1
-        assert tets[0].kind is TetrahedronKind.ALL_CUBIC
-        assert tets[0].cubic_vertices == (0, 1, 2, 3)
+        g, tets, _ = decompose(CHAIN, 1)
+        assert tets == ((0, 1, 2, 3),)
+        assert cubic_members(g, tets[0]) == (0, 1, 2, 3)
 
     def test_cubic_vertices_have_degree_three(self):
+        # Every corner of a cyclic silicate's tetrahedron is cubic or a hinge.
         g, tets, _ = decompose(CYCLIC, 5)
         for t in tets:
-            assert all(g.degree(v) == 3 for v in t.cubic_vertices)
-            assert all(
-                g.degree(v) == 6 for v in t.vertices if v not in t.cubic_vertices
-            )
+            assert sorted(g.degree(v) for v in t) == [3, 3, 6, 6]
 
     def test_uncoverable_graph_raises_naming_an_edge(self):
         g = path_graph(4)
@@ -149,7 +148,7 @@ class TestFindTetrahedra:
         # through each base vertex.
         sil = silicate_of_skeleton(complete_graph(4))
         g = sil.graph
-        assert [t.vertices for t in find_tetrahedra(g)] == sorted(sil.tetrahedra)
+        assert find_tetrahedra(g) == tuple(sorted(sil.tetrahedra))
         cubic = [sum(1 << v for v in t if g.degree(v) == 3) for t in sil.tetrahedra]
         through = [
             sum(c for c, t in zip(cubic, sil.tetrahedra) if base in t)
@@ -186,7 +185,7 @@ class TestFindTetrahedra:
             rng.shuffle(perm)
             g = build_graph(len(perm), [(perm[u], perm[v]) for u, v in sil.graph.edges])
             expected = sorted(tuple(sorted(perm[v] for v in t)) for t in sil.tetrahedra)
-            assert [t.vertices for t in find_tetrahedra(g)] == expected, base.edges
+            assert find_tetrahedra(g) == tuple(expected), base.edges
             degrees = sorted(map(len, base.adjacency))
             m = base.edge_count
             if m == base.vertex_count - 1 and degrees[-1] <= 2:
@@ -211,7 +210,7 @@ class TestFindTwins:
     def test_no_twins_in_lone_tetrahedron(self):
         # The one mask is the whole K4: a set must keep three of it.
         _, tets, masks = decompose(CHAIN, 1)
-        assert masks == [bits(tets[0].vertices)] == [0b1111]
+        assert masks == [bits(tets[0])] == [0b1111]
 
     def test_hinge_is_the_shared_vertex(self):
         g, tets, masks = decompose(CHAIN, 4)
@@ -219,15 +218,15 @@ class TestFindTwins:
         cubic_around = [bits(w for w in g.adjacency[h] if g.degree(w) == 3) for h in hinges]
         assert sorted(cubic_around) == twin_masks(masks)
         for h in hinges:
-            left, right = [t for t in tets if h in t.vertices]
-            assert set(left.vertices) & set(right.vertices) == {h}
+            left, right = [t for t in tets if h in t]
+            assert set(left) & set(right) == {h}
 
     def test_cubic_set_union(self):
-        _, tets, masks = decompose(CYCLIC, 4)
+        g, tets, masks = decompose(CYCLIC, 4)
         unions = [
-            bits(left.cubic_vertices + right.cubic_vertices)
+            bits(cubic_members(g, left + right))
             for left, right in combinations(tets, 2)
-            if len(set(left.vertices) & set(right.vertices)) == 1
+            if len(set(left) & set(right)) == 1
         ]
         assert sorted(unions) == twin_masks(masks)
 
@@ -252,12 +251,12 @@ class TestFindTwins:
         # per twin (four or five; six only at chain 2, below).
         for family, first in ((CHAIN, 3), (CYCLIC, 3)):
             for n in range(first, 41):
-                _, tets, masks = decompose(family, n)
+                g, tets, masks = decompose(family, n)
                 twins = twin_masks(masks)
                 assert len(twins) == n - (family == CHAIN), (family, n)
                 assert all(m.bit_count() in (4, 5) for m in twins), (family, n)
                 rest = sorted(set(masks) - set(twins))
-                assert rest == sorted(bits(t.cubic_vertices) for t in tets), (family, n)
+                assert rest == sorted(bits(cubic_members(g, t)) for t in tets), (family, n)
 
     def test_two_tetrahedron_chain_twin_has_six_cubics(self):
         # Both halves are 3-cubic tetrahedra, so the twin's mask is all six.
@@ -283,7 +282,7 @@ class TestCheckNecessary:
 
     def test_one_cubic_per_tetrahedron_fails_everywhere(self):
         g, tets, masks = decompose(CYCLIC, 4)
-        landmarks = [t.cubic_vertices[0] for t in tets]
+        landmarks = [cubic_members(g, t)[0] for t in tets]
         violations = short_masks(masks, landmarks)
         assert violations == twin_masks(masks)
         assert len(violations) == 4
@@ -307,9 +306,9 @@ class TestCheckSufficient:
 
     def test_emptied_interior_tetrahedron_flagged(self):
         g, tets, masks = decompose(CHAIN, 5)
-        interior = next(t for t in tets if t.kind is TetrahedronKind.TYPE_II)
-        landmarks = sorted(set(cubic_vertices(g)) - set(interior.cubic_vertices))
-        assert bits(interior.cubic_vertices) in short_masks(masks, landmarks)
+        interior = next(cubic_members(g, t) for t in tets if len(cubic_members(g, t)) == 2)
+        landmarks = sorted(set(cubic_vertices(g)) - set(interior))
+        assert bits(interior) in short_masks(masks, landmarks)
         assert not is_edge_resolving(g, landmarks).resolving
 
     def test_non_cubic_members_ignored_and_reported(self):
