@@ -31,7 +31,8 @@ class Labeling:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(not 1 <= x <= 3 for x in self.labels):
+        labels = self.labels
+        if labels and (min(labels) < 1 or max(labels) > 3):
             raise ConstructionError("labels must lie in 1..3")
 
     @property
@@ -53,8 +54,7 @@ def labeling_chain(n: int) -> Labeling:
     if n == 2:
         return Labeling(spec=spec, labels=(3, 2))
     labels = [2] * n
-    for i in range(3, n - 1):  # positions 3..n-2, 1-based
-        labels[i - 1] = 1 if i % 2 == 1 else 2
+    labels[2 : n - 2 : 2] = [1] * len(range(2, n - 2, 2))  # the odd ones of 3..n-2
     return Labeling(spec=spec, labels=tuple(labels))
 
 
@@ -66,9 +66,7 @@ def labeling_cyclic(n: int) -> Labeling:
     vertices.
     """
     spec = SilicateSpec(family=CYCLIC, n=n)
-    labels = [1 if i % 2 == 1 else 2 for i in range(1, n + 1)]
-    if n % 2 == 1:
-        labels[n - 1] = 2
+    labels = [1, 2] * (n // 2) + [2] * (n % 2)
     return Labeling(spec=spec, labels=tuple(labels))
 
 

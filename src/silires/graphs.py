@@ -43,6 +43,16 @@ In a silicate network the core is the set of hinges.  In a connected graph:
   vertex x has a core neighbour: a core vertex is adjacent to x, or a
   shortest path to it leaves x through the core, as in the second fact.
 
+Distance bound: in a connected graph with c core vertices every hop
+distance is at most min(n - 1, c + 1).  A shortest path has at most n - 1
+edges.  A shortest path between core vertices stays in the core (first
+fact) and visits each core vertex at most once, so it has at most c - 1
+edges.  Every simplicial vertex has a core neighbour (third fact), so a
+distance from a simplicial vertex to a core vertex is at most
+1 + (c - 1) = c, and one between two simplicial vertices at most
+1 + (c - 1) + 1 = c + 1.  With no core the graph is complete and every
+distance is at most 1 = c + 1.
+
 Connectivity test: a graph with a non-empty core is connected if and only
 if its core subgraph is connected and every simplicial vertex has a core
 neighbour, and a graph with no core is connected if and only if it is
@@ -99,6 +109,13 @@ column depends on its own source alone, so filling the columns in ranges
 gives the rows of one fill of them all, and each fill's temporaries grow
 with its own range: :func:`distance_rows` fills every column at once, and
 the resolving checks fill a bounded chunk of landmark columns at a time.
+
+The fill computes in the dtype of the caller's buffer, which need only
+hold the distance bound: the resolving checks pass byte-wide buffers
+whenever the bound is at most 255.  The thread lemma's sums reach
+2(c - 1), so the core rows are computed in :func:`distance_dtype` of 2c
+and cast once, after their minimum, to the buffer's type; every later
+value is at most the distance it becomes.
 """
 
 from __future__ import annotations
@@ -449,7 +466,9 @@ class _RowFill:
     and the graph as :func:`distance_rows` documents, finds the core, walks
     its threads and runs the core BFS at every root some source needs.
     :meth:`fill` then writes the rows of any range of source columns, with
-    temporaries in proportion to that range."""
+    temporaries in proportion to that range.  :attr:`bound` is the distance
+    bound min(n - 1, c + 1) of the graph's c core vertices, and
+    :attr:`dtype` is :func:`distance_dtype` of n."""
 
     def __init__(self, g: Graph, sources: Sequence[int]) -> None:
         n = g.vertex_count
@@ -462,6 +481,7 @@ class _RowFill:
         in_core = ~simplicial
         core = in_core.nonzero()[0]
         c = len(core)
+        self.bound = min(n - 1, c + 1)
         index = in_core.cumsum() - 1  # the core index of each core vertex
         # The arcs into the core, by tail: the core neighbours of every
         # vertex, as core indices, and the core's own adjacency.
@@ -507,10 +527,10 @@ class _RowFill:
         self._outer = simplicial.nonzero()[0]
         self._members = _group_members(near_head[~inside], near_count[self._outer])
 
-    def _core_rows(self, needed: np.ndarray) -> np.ndarray:
+    def _core_rows(self, needed: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """Hop distances from each of the ``needed`` core indices to the
-        core, as a ``(len(needed), c)`` array of :attr:`dtype`, from the
-        BFS rows of the thread ends (the thread lemma)."""
+        core, as a ``(len(needed), c)`` array of ``dtype``, from the BFS
+        rows of the thread ends (the thread lemma)."""
         along = self._along
         seg, i = along.take(needed, axis=1)
         ends_of = self._ends.take(seg, axis=1)  # a, b and L
@@ -520,12 +540,13 @@ class _RowFill:
         out = np.minimum(near[0], near[1], out=near[0])
         same = seg[:, None] == along[0]  # y = p_j on x's own segment
         np.minimum(out, np.abs(i[:, None] - along[1]), out=out, where=same)
-        return out.astype(self.dtype, copy=False)
+        return out.astype(dtype, copy=False)
 
     def fill(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """Writes the rows of sources ``lo`` to ``hi - 1`` (``lo < hi``)
-        into ``out``, a C-ordered ``(n, hi - lo)`` buffer of :attr:`dtype`
-        with one row per vertex and one column per source, and returns it."""
+        into ``out``, a C-ordered ``(n, hi - lo)`` integer buffer with one
+        row per vertex and one column per source, and returns it.  The fill
+        computes in ``out``'s dtype, which must hold :attr:`bound`."""
         src = self._src[lo:hi]
         k = len(src)
         if len(self._core):
@@ -534,7 +555,7 @@ class _RowFill:
             seeds = self._seeds[self._seed_end[lo] - self._size[lo] : self._seed_end[hi - 1]]
             needed, seeds = _distinct(seeds, len(self._core))
             out[self._core] = _min_rows(
-                self._core_rows(needed), _group_members(seeds, self._size[lo:hi])
+                self._core_rows(needed, out.dtype), _group_members(seeds, self._size[lo:hi])
             ).T
             # The rows of simplicial targets, a block at a time.
             outer = self._outer

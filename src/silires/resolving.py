@@ -11,7 +11,11 @@ of those rows, nor the whole code table.  The rows are filled one *chunk*
 of landmark columns at a time into one reused buffer
 (:func:`~silires.graphs.distance_rows`' set-up runs once, its fill once
 per chunk); a chunk is a whole number of 64-bit words of codes, and at
-most ``_ROW_CHUNK`` bytes of rows.  From each chunk the codes are gathered
+most ``_ROW_CHUNK`` bytes of rows.  A code is byte-wide, 8 to a word,
+whenever the graph's core bounds every distance by 255 (the distance
+bound of :mod:`~silires.graphs`), and of
+:func:`~silires.graphs.distance_dtype` otherwise: int16, 4 to a word, up
+to 32768 vertices.  From each chunk the codes are gathered
 a bounded block of items at a time into another reused buffer, whose rows
 are the codes' bytes padded with zeros to whole words, and each item gets
 one *fingerprint*: the sum of its code's words times fixed odd weights,
@@ -54,7 +58,7 @@ Code = tuple[int, ...]
 
 # Bytes of landmark rows filled per column chunk: bounds the rows a check
 # holds at once.  The check of every table row up to n = 200 (at most
-# 363 KB of rows) takes one chunk.
+# 182 KB of byte-wide rows) takes one chunk.
 _ROW_CHUNK = 1 << 19
 # Bytes of padded codes fingerprinted per block: bounds each buffer of the
 # fingerprint pass to about this size, beside the chunk of rows.
@@ -226,11 +230,13 @@ def _check(
     lm = validate_landmarks(g, landmarks)
     fill = _RowFill(g, lm)
     n, k = g.vertex_count, len(lm)
+    # Byte-wide codes whenever the core bounds every distance by 255.
+    dtype = np.dtype(np.uint8 if fill.bound <= 255 else fill.dtype)
     # Chunks of whole words of codes, each at most _ROW_CHUNK bytes of rows.
-    per_word = 8 // np.dtype(fill.dtype).itemsize
+    per_word = 8 // dtype.itemsize
     step = per_word * max(1, _ROW_CHUNK // (8 * n or 1))
     chunks = [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
-    buffer = np.empty(n * min(step, k), dtype=fill.dtype)
+    buffer = np.empty(n * min(step, k), dtype=dtype)
 
     def rows(chunk: slice, held: bool = False) -> np.ndarray:
         """The chunk's rows in the buffer, filled unless ``held`` there."""
@@ -245,7 +251,7 @@ def _check(
     ids = _shared(fingerprints)
     if not len(ids):
         return None
-    table = np.empty((len(ids), k), dtype=fill.dtype)
+    table = np.empty((len(ids), k), dtype=dtype)
     for chunk in reversed(chunks):  # the last chunk is still in the buffer
         gather(rows(chunk, held=chunk is chunks[-1]), ids, table[:, chunk])
     dup = first_duplicate_rows(table)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import EdgeListFormatError
 from .graphs import Graph, build_graph, canonical_edge
 from .resolving import (
@@ -54,7 +56,7 @@ def parse_edge_list(text: str) -> Graph:
     header, is rejected naming its line as well.
     """
     header: Optional[tuple[int, int]] = None
-    edges: list[tuple[int, int]] = []
+    ends: list[int] = []  # u, v of each pair in turn
     previous: Optional[tuple[int, int]] = None
     previous_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -114,14 +116,18 @@ def parse_edge_list(text: str) -> Graph:
                 f"the previous pair {previous[0]} {previous[1]}"
             )
         previous, previous_line = key, lineno
-        edges.append((u, v))
+        ends += u, v
     if header is None:
         raise EdgeListFormatError("missing header line")
-    if len(edges) != edge_count:
+    if len(ends) != 2 * edge_count:
         raise EdgeListFormatError(
-            f"header promises {edge_count} edges, found {len(edges)}"
+            f"header promises {edge_count} edges, found {len(ends) // 2}"
         )
-    return build_graph(vertex_count, edges)
+    try:
+        pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an id past 64 bits, which build_graph names
+        pairs = list(zip(ends[::2], ends[1::2]))
+    return build_graph(vertex_count, pairs)
 
 
 def graph_descriptor(g: Graph) -> dict:

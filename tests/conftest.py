@@ -203,13 +203,28 @@ def twin_classify_silicate(g: Graph):
     return None
 
 
+class Fills(list):
+    """The column range ``(lo, hi)`` of each fill of distance rows, in
+    order; ``dtypes`` is the set of the fills' buffer types.  ``clear``
+    empties both."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.dtypes: set[np.dtype] = set()
+
+    def clear(self) -> None:
+        super().clear()
+        self.dtypes.clear()
+
+
 @pytest.fixture
 def filled(monkeypatch):
-    """The column range ``(lo, hi)`` of each fill of distance rows."""
-    ranges, fill = [], graphs._RowFill.fill
+    """The :class:`Fills` of every fill of distance rows."""
+    ranges, fill = Fills(), graphs._RowFill.fill
 
     def recording(self, lo, hi, out):
         ranges.append((lo, hi))
+        ranges.dtypes.add(out.dtype)
         return fill(self, lo, hi, out)
 
     monkeypatch.setattr(graphs._RowFill, "fill", recording)

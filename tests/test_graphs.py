@@ -435,6 +435,25 @@ class TestDistanceRows:
         assert rows.shape == (len(sources), g.vertex_count)
         assert rows.tolist() == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(distance_cases())
+    def test_core_bounds_every_distance(self, case):
+        # min(n - 1, c + 1) over the c core vertices (module docstring).
+        g, _ = case
+        bound = graphs._RowFill(g, []).bound
+        assert all_pairs_distances(g).max(initial=0) <= max(bound, 0)
+
+    @pytest.mark.parametrize(
+        "g,bound",
+        [(path_graph(40), 39), (star_graph(400), 2), (complete_graph(5), 1),
+         (family_graph(CHAIN, 255), 255), (family_graph(CYCLIC, 254), 255)],
+        ids=["path-40", "star-400", "complete-5", "chain-255", "cyclic-254"],
+    )
+    def test_distance_bound(self, g, bound):
+        # A path's core is all but its two ends, and the bound is its
+        # length; a star's core is its centre; a complete graph has none.
+        assert graphs._RowFill(g, []).bound == bound
+
     @pytest.mark.parametrize("block", [1, 64, 300])
     def test_column_blocks_give_the_same_rows(self, monkeypatch, block):
         # The simplicial rows are filled one per block, a few per block, or
@@ -515,7 +534,10 @@ class TestDistanceRows:
         monkeypatch.setattr(resolving, "_ROW_CHUNK", 8 * silicate.graph.vertex_count)
         assert is_edge_resolving(silicate.graph, landmarks).resolving
         assert len(calls) == runs
-        assert len(filled) == -(-len(landmarks) // 4)  # one word of int16 codes each
+        (dtype,) = filled.dtypes
+        assert dtype == np.uint8  # the core bounds every distance by n + 1
+        per_word = 8 // dtype.itemsize
+        assert len(filled) == -(-len(landmarks) // per_word)  # one word of codes each
 
     def test_disconnected_graph_with_connected_core(self):
         # K3 + P3: the core is the middle of the path, a connected graph,

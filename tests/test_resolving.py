@@ -24,12 +24,14 @@ from silires import (
     vertex_code_table,
 )
 from silires import resolving
-from silires.graphs import distance_rows
+from silires.graphs import distance_dtype, distance_rows, edge_ends
 from silires.resolving import (
+    VerificationResult,
     edge_rows,
     first_duplicate_rows,
     validate_landmarks,
 )
+from silires.silicates import CHAIN, CYCLIC
 
 from conftest import (
     column_block_cases,
@@ -40,6 +42,7 @@ from conftest import (
     oracle_vertex_codes,
     path_graph,
     random_connected_graph,
+    star_graph,
 )
 
 
@@ -446,7 +449,8 @@ class TestColumnChunks:
                 assert check(g, landmarks) == whole
                 one, cut = fingerprinted
                 assert np.array_equal(cut, one)
-                step = 4 * words  # int16 codes
+                (dtype,) = filled.dtypes  # one buffer, refilled chunk by chunk
+                step = 8 // dtype.itemsize * words  # codes per word, times words
                 k = len(landmarks)
                 chunks = [(lo, min(lo + step, k)) for lo in range(0, k, step)]
                 # Shared codes are assembled last chunk first, from the buffer.
@@ -474,6 +478,52 @@ class TestColumnChunks:
             one_chunk = fingerprinted[1]
             assert np.array_equal(fingerprinted[0], one_chunk)
             assert cut.resolving == (lm is landmarks)
+
+
+class TestByteWideRows:
+    """A check fills byte-wide rows exactly when the graph's core bounds
+    every distance by 255 (``min(n - 1, c + 1)`` over its c core vertices),
+    and reaches the verdict and witness of the exact scan over the code
+    tables, which keep :func:`~silires.graphs.distance_dtype`."""
+
+    @staticmethod
+    def cases():
+        """``(name, graph, landmarks, dtype of the check's rows)``."""
+        for family, n, dtype in (
+            (CHAIN, 255, np.uint8),  # c + 1 = 255
+            (CHAIN, 256, np.int16),
+            (CYCLIC, 254, np.uint8),
+            (CYCLIC, 255, np.int16),
+        ):
+            silicate, landmarks = construct_for_spec(SilicateSpec(family=family, n=n))
+            yield f"{family}-{n}", silicate.graph, landmarks, dtype
+        yield "path-300", path_graph(300), (0, 299), np.int16
+        yield "star-400", star_graph(400), tuple(range(1, 401)), np.uint8  # c = 1
+
+    @pytest.mark.parametrize("chunks", ["default", "one-word"])
+    def test_checks_match_the_code_tables(self, monkeypatch, filled, chunks):
+        failing = 0
+        for name, g, landmarks, dtype in self.cases():
+            if chunks == "one-word":
+                monkeypatch.setattr(resolving, "_ROW_CHUNK", 8 * g.vertex_count)
+            u, v = edge_ends(g)
+            edges = list(zip(u.tolist(), v.tolist()))
+            for lm in (landmarks, landmarks[1:]):
+                for check, table, items in (
+                    (is_edge_resolving, edge_code_table, edges),
+                    (is_vertex_resolving, vertex_code_table, range(g.vertex_count)),
+                ):
+                    codes = table(g, lm)
+                    assert codes.dtype == distance_dtype(g.vertex_count), name
+                    dup = first_duplicate_rows(codes)
+                    witness = None if dup is None else tuple(items[i] for i in dup)
+                    filled.clear()
+                    assert check(g, lm) == VerificationResult(dup is None, witness), name
+                    assert filled.dtypes == {np.dtype(dtype)}, name
+                    failing += dup is not None
+            assert distance_rows(g, landmarks).dtype == np.int16
+            assert all_pairs_distances(g).dtype == np.int16
+        assert failing >= 4
 
 
 def check_peak_over_rows(check, family):

@@ -7,6 +7,7 @@ import pytest
 from silires import (
     CHAIN,
     EdgeListFormatError,
+    GraphInputError,
     SilicateSpec,
     SolveOptions,
     build_silicate,
@@ -115,6 +116,16 @@ class TestEdgeListFormat:
             parse_edge_list(f"p 3 2\n0 1\n{pair}\n")
         message = str(excinfo.value)
         assert message.startswith("line 3: ") and "outside [0, 3)" in message
+
+    def test_file_without_edges(self):
+        g = parse_edge_list("p 3 0\n")
+        assert (g.vertex_count, g.edges) == (3, ())
+        assert format_edge_list(g) == "p 3 0\n"
+
+    def test_id_past_64_bits_named(self):
+        # Within the header's range, but too wide for the id array.
+        with pytest.raises(GraphInputError, match=f"vertex id {2**70} does not fit in 64 bits"):
+            parse_edge_list(f"p {2**71} 1\n0 {2**70}\n")
 
 
 class TestReports:
