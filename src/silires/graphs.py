@@ -11,6 +11,7 @@ simplicial test, the distance rows and the edge codes are array passes
 over it.  The tuple views ``adjacency`` and ``edges`` are built from the
 arcs the first time they are read, and then kept, so code that needs only
 the arrays (constructing and verifying a landmark set) never builds them.
+The graph's *analysis* for its distance rows (below) is kept the same way.
 
 A vertex p is *simplicial* when its closed neighbourhood N[p] is a clique;
 in a silicate network these are the cubic tetrahedron corners.
@@ -58,9 +59,10 @@ if its core subgraph is connected and every simplicial vertex has a core
 neighbour, and a graph with no core is connected if and only if it is
 complete.  If the graph is connected, the first and third facts give these
 conditions; conversely, every simplicial vertex then hangs off a connected
-core, and a complete graph is connected.  :func:`distance_rows` tests this
-with one BFS over the core; only a disconnected graph pays for the BFS
-over the whole graph that names the first vertex its first source misses.
+core, and a complete graph is connected.  The analysis tests this with
+one BFS over the core, and :func:`is_connected` reads its verdict; only a
+disconnected graph that is asked for distances pays for the BFS over the
+whole graph that names the first vertex its first source misses.
 
 Inside the core, a BFS is needed only where the core branches.  Call a
 core vertex a *branch* vertex when its core degree is not 2, or, if every
@@ -85,12 +87,29 @@ connected and only a cycle with no branch vertex would lead back to x.
 :func:`distance_rows` therefore runs a BFS inside the core, only from the
 branch vertices some source needs and from the two ends of each thread
 holding a needed vertex; the rows of the thread vertices follow from the
-lemma.  It works in two parts.  The *set-up*, run once per call, finds the
-simplicial vertices and the core adjacency, tests connectivity, walks the
-threads and runs the BFS at every needed root (the connectivity test's
-BFS, from core vertex 0, serves for that root).  The *fill* then writes the
-rows of any range of source columns into a caller's buffer, with one row
-per vertex and one column per source, and every step gathers whole rows:
+lemma.  It works in three parts.
+
+* The *analysis* holds what depends on the graph alone: the simplicial
+  vertices, the core and the core neighbours of every vertex, the core
+  adjacency, the connectivity test with its BFS row from core vertex 0,
+  the threads, and the core neighbours of each simplicial vertex.  It is
+  built the first time :func:`distance_rows`, :func:`simplicial_vertices`,
+  :func:`is_connected` or :func:`~silires.structure.find_tetrahedra`
+  needs it and kept on the graph (``Graph._core``), so the solver's
+  matrix, its masks, the family recognition and the witness re-check of
+  one solve share one analysis.
+* The *set-up*, run once per call, seeds the sources and runs the BFS at
+  every other root they need.  Those rows depend on the sources and are
+  not kept, so a graph holds one row of core distances, never c of them.
+* The *fill* then writes the rows of any range of source columns into a
+  caller's buffer, with one row per vertex and one column per source.
+
+Beyond the connectivity test's row, no distance row outlives its call.
+The analysis is a function of the graph alone, so a check that reads it
+still rests on the graph alone; the solver's re-check of its witness
+fills the witness's rows itself instead of reading the search's matrix,
+so a fault in that matrix cannot reach the check's verdict.  Every step
+of the fill gathers whole rows:
 
 1. Sources on the core block.  A core source is seeded by itself, a
    simplicial one by its core neighbours.  The core rows of the range's
@@ -121,6 +140,7 @@ value is at most the distance it becomes.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -138,6 +158,8 @@ _PAIR_BLOCK = 1 << 18
 # Output elements per block of simplicial rows in distance_rows: bounds
 # the block buffer and each temporary of its fill.
 _ROW_BLOCK = 1 << 18
+# The largest vertex count whose arc keys tail * n + head fit in int64.
+_MAX_VERTICES = math.isqrt(2**63 - 1)
 
 
 class _Arcs(NamedTuple):
@@ -173,6 +195,12 @@ class Graph:
     def edges(self) -> tuple[Edge, ...]:
         u, v = edge_ends(self)
         return tuple(zip(u.tolist(), v.tolist()))
+
+    @functools.cached_property
+    def _core(self) -> _Core:
+        """The graph's analysis for its distance rows and connectivity
+        test, built the first time one needs it (module docstring)."""
+        return _analyse(self)
 
     @property
     def edge_count(self) -> int:
@@ -293,10 +321,12 @@ def build_graph(vertex_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
 
     Duplicate pairs (in either orientation) collapse to one edge.  Ids are
     taken through ``operator.index`` and stored as Python ints.  Raises
-    :class:`GraphInputError`, in this order of checks, for an item that is
-    not a pair, for an id that is not an integer or does not fit in 64 bits,
-    and for the first pair in input order that is a self-loop or uses an id
-    outside ``[0, vertex_count)``, naming the offending item.
+    :class:`GraphInputError`, in this order of checks, for a negative
+    vertex count, for an item that is not a pair, for an id that is not an
+    integer or does not fit in 64 bits, for a vertex count whose square
+    does not (the range of the arc keys), and for the first pair in input
+    order that is a self-loop or uses an id outside ``[0, vertex_count)``,
+    naming the offending item or count.
     """
     n = vertex_id(vertex_count, "vertex count")
     if n < 0:
@@ -306,6 +336,11 @@ def build_graph(vertex_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
         ends = edge_list
     else:
         ends = _endpoints(edge_list)
+    if n > _MAX_VERTICES:
+        raise GraphInputError(
+            f"vertex count {n} is too large: at most {_MAX_VERTICES} vertices "
+            "fit the 64-bit arc keys"
+        )
     u, v = ends.T
     # Arc keys tail * n + head, both ways; sorting them puts them in
     # adjacency order and duplicate pairs side by side.
@@ -401,8 +436,9 @@ def _simplicial(g: Graph) -> np.ndarray:
 
 
 def simplicial_vertices(g: Graph) -> int:
-    """Bitmask of the vertices whose closed neighbourhood is a clique."""
-    flags = np.packbits(_simplicial(g), bitorder="little")
+    """Bitmask of the vertices whose closed neighbourhood is a clique, read
+    off the graph's analysis (:attr:`Graph._core`)."""
+    flags = np.packbits(g._core.simplicial, bitorder="little")
     return int.from_bytes(flags.tobytes(), "little")
 
 
@@ -460,15 +496,88 @@ def _threads(
     return np.array((segment, position), dtype=dtype), np.array(ends, dtype=dtype).T.copy()
 
 
+class _Core(NamedTuple):
+    """The analysis of a graph that its distance rows need whatever their
+    sources (module docstring), kept by :attr:`Graph._core` and never
+    written after it is built.  ``arc_start[v]`` is the first arc of vertex
+    v.
+    ``simplicial`` flags the simplicial vertices, ``vertices`` lists the
+    core ones and ``index`` gives the core index of each core vertex.
+    ``pool`` holds the core neighbours of every vertex, as core
+    indices, by vertex (``near_count[v]`` of them from ``near_start[v]``),
+    then the core indices 0, ..., c - 1.  ``adjacency`` is the core's own,
+    over core indices.  ``connected`` is the connectivity test's verdict
+    and ``first`` its BFS row from core vertex 0 (empty without a core).
+    On a connected graph with a core, ``along`` and ``ends`` are its
+    threads (:func:`_threads`), ``outer`` its simplicial vertices and
+    ``members`` their core neighbours (:func:`_group_members`); otherwise
+    these are ``None``."""
+
+    arc_start: np.ndarray
+    simplicial: np.ndarray
+    vertices: np.ndarray
+    index: np.ndarray
+    pool: np.ndarray
+    near_count: np.ndarray
+    near_start: np.ndarray
+    adjacency: tuple[tuple[int, ...], ...]
+    connected: bool
+    first: list[int]
+    along: Optional[np.ndarray]
+    ends: Optional[np.ndarray]
+    outer: Optional[np.ndarray]
+    members: Optional[list[np.ndarray]]
+
+
+def _analyse(g: Graph) -> _Core:
+    """The :class:`_Core` of ``g``: its simplicial vertices, its core and
+    their neighbours, the connectivity test and the threads."""
+    n = g.vertex_count
+    degree, tail, head = g._arcs
+    simplicial = _simplicial(g)
+    in_core = ~simplicial
+    vertices = in_core.nonzero()[0]
+    c = len(vertices)
+    index = in_core.cumsum() - 1  # the core index of each core vertex
+    # The arcs into the core, by tail: the core neighbours of every vertex,
+    # as core indices, and the core's own adjacency.
+    into = in_core[head]
+    near_tail, near_head = tail[into], head[into]
+    near = index[near_head]
+    near_count = np.bincount(near_tail, minlength=n)
+    inside = in_core[near_tail]
+    adjacency = _runs(near[inside], near_count[vertices])
+    if c:  # connected iff the core is and every simplicial vertex meets it
+        first = _bfs(adjacency, 0)  # also the BFS at core vertex 0 if it is a root
+        connected = bool(near_count[simplicial].all()) and -1 not in first
+    else:  # connected iff complete
+        first = []
+        connected = 2 * g.edge_count == n * (n - 1)
+    along = ends = outer = members = None
+    if c and connected:
+        # i + d(a, y) reaches 2(c - 1), past the range of distance_dtype(c).
+        along, ends = _threads(adjacency, near_count[vertices], distance_dtype(2 * c))
+        outer = simplicial.nonzero()[0]
+        members = _group_members(near_head[~inside], near_count[outer])
+    pool = np.concatenate((near, np.arange(c)))
+    near_start = near_count.cumsum() - near_count
+    arc_start = degree.cumsum() - degree
+    return _Core(
+        arc_start, simplicial, vertices, index, pool, near_count, near_start,
+        adjacency, connected, first, along, ends, outer, members,
+    )
+
+
 class _RowFill:
     """:func:`distance_rows` in two parts (module docstring).  Making the
     object is the set-up, run once per source list: it checks the sources
-    and the graph as :func:`distance_rows` documents, finds the core, walks
-    its threads and runs the core BFS at every root some source needs.
-    :meth:`fill` then writes the rows of any range of source columns, with
-    temporaries in proportion to that range.  :attr:`bound` is the distance
-    bound min(n - 1, c + 1) of the graph's c core vertices, and
-    :attr:`dtype` is :func:`distance_dtype` of n."""
+    and the graph as :func:`distance_rows` documents, reads the graph's
+    analysis (:attr:`Graph._core`), seeds the sources and runs the core BFS
+    at every other root they need.  :meth:`fill` then writes the rows of
+    any range of source columns, with temporaries in proportion to that
+    range.  :attr:`bound` is the distance bound min(n - 1, c + 1) of the
+    graph's c core vertices, and :attr:`dtype` is :func:`distance_dtype` of
+    n."""
 
     def __init__(self, g: Graph, sources: Sequence[int]) -> None:
         n = g.vertex_count
@@ -476,64 +585,41 @@ class _RowFill:
         sources = vertex_ids(sources, "source")
         if sources and not 0 <= sources[0] < n:
             raise GraphInputError(f"source {sources[0]} outside [0, {n})")
-        degree, tail, head = g._arcs
-        simplicial = _simplicial(g)
-        in_core = ~simplicial
-        core = in_core.nonzero()[0]
-        c = len(core)
-        self.bound = min(n - 1, c + 1)
-        index = in_core.cumsum() - 1  # the core index of each core vertex
-        # The arcs into the core, by tail: the core neighbours of every
-        # vertex, as core indices, and the core's own adjacency.
-        into = in_core[head]
-        near_tail, near_head = tail[into], head[into]
-        near = index[near_head]
-        near_count = np.bincount(near_tail, minlength=n)
-        inside = in_core[near_tail]
-        adjacency = _runs(near[inside], near_count[core])
-        if c:  # connected iff the core is and every simplicial vertex meets it
-            first = _bfs(adjacency, 0)  # also the BFS at core vertex 0 if it is a root
-            connected = near_count[simplicial].all() and -1 not in first
-        else:  # connected iff complete
-            connected = 2 * g.edge_count == n * (n - 1)
-        if not connected:
+        core = self._core = g._core
+        if not core.connected:
             bfs_distances(g, sources[0] if sources else 0)  # raises, naming the first vertex it misses
         if sources and (min(sources) < 0 or max(sources) >= n):
             s = next(s for s in sources if not 0 <= s < n)
             raise GraphInputError(f"source {s} outside [0, {n})")
+        c = len(core.vertices)
+        self.bound = min(n - 1, c + 1)
         self.count = len(sources)
         src = self._src = np.array(sources, dtype=np.intp)
-        self._simplicial, self._core = simplicial, core
-        self._head, self._degree, self._arc_start = head, degree, degree.cumsum() - degree
+        self._degree, _, self._head = g._arcs
         if not (c and len(src)):
             return
         # A core source is seeded by its own core index, a simplicial one by
-        # those of its core neighbours; the own indices follow ``near`` in
-        # ``pool``.  Source j's seeds end at ``_seed_end[j]``.
-        own = in_core[src]
-        self._size = np.where(own, 1, near_count[src])
-        start = np.where(own, len(near) + index[src], (near_count.cumsum() - near_count)[src])
-        pool = np.concatenate((near, np.arange(c)))
-        self._seeds = pool[_ragged(start, self._size)]
+        # those of its core neighbours; the own indices end ``pool``.
+        # Source j's seeds end at ``_seed_end[j]``.
+        outer = core.simplicial[src]
+        self._size = np.where(outer, core.near_count[src], 1)
+        start = np.where(outer, core.near_start[src], len(core.pool) - c + core.index[src])
+        self._seeds = core.pool[_ragged(start, self._size)]
         self._seed_end = self._size.cumsum()
-        # i + d(a, y) reaches 2(c - 1), past the range of distance_dtype(c).
-        self._along, self._ends = _threads(adjacency, near_count[core], distance_dtype(2 * c))
         root = np.zeros(c, dtype=bool)  # the ends of the threads of the seeds
-        root[self._ends[:2].take(self._along[0].take(self._seeds), axis=1)] = True
+        root[core.ends[:2].take(core.along[0].take(self._seeds), axis=1)] = True
         self._root_row = root.cumsum() - 1  # the row of ``_reach`` of each root
         roots = root.nonzero()[0].tolist()
-        reach = [first if r == 0 else _bfs(adjacency, r) for r in roots]
-        self._reach = np.array(reach, dtype=self._along.dtype)
-        self._outer = simplicial.nonzero()[0]
-        self._members = _group_members(near_head[~inside], near_count[self._outer])
+        reach = [core.first if r == 0 else _bfs(core.adjacency, r) for r in roots]
+        self._reach = np.array(reach, dtype=core.along.dtype)
 
     def _core_rows(self, needed: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """Hop distances from each of the ``needed`` core indices to the
         core, as a ``(len(needed), c)`` array of ``dtype``, from the BFS
         rows of the thread ends (the thread lemma)."""
-        along = self._along
+        along = self._core.along
         seg, i = along.take(needed, axis=1)
-        ends_of = self._ends.take(seg, axis=1)  # a, b and L
+        ends_of = self._core.ends.take(seg, axis=1)  # a, b and L
         near = self._reach.take(self._root_row.take(ends_of[:2]), axis=0)  # d(a, y), d(b, y)
         near[0] += i[:, None]  # i + d(a, y)
         near[1] += (ends_of[2] - i)[:, None]  # L - i + d(b, y)
@@ -549,29 +635,30 @@ class _RowFill:
         computes in ``out``'s dtype, which must hold :attr:`bound`."""
         src = self._src[lo:hi]
         k = len(src)
-        if len(self._core):
+        core = self._core
+        if len(core.vertices):
             # Distances from the needed core vertices to the core, reduced
             # to one row per source, then written in as the core's rows.
             seeds = self._seeds[self._seed_end[lo] - self._size[lo] : self._seed_end[hi - 1]]
-            needed, seeds = _distinct(seeds, len(self._core))
-            out[self._core] = _min_rows(
+            needed, seeds = _distinct(seeds, len(core.vertices))
+            out[core.vertices] = _min_rows(
                 self._core_rows(needed, out.dtype), _group_members(seeds, self._size[lo:hi])
             ).T
             # The rows of simplicial targets, a block at a time.
-            outer = self._outer
+            outer = core.outer
             step = max(1, _ROW_BLOCK // k)
             block = np.empty((min(step, len(outer)), k), dtype=out.dtype)
             for start in range(0, len(outer), step):
                 rows = outer[start : start + step]
                 part = block[: len(rows)]
-                _min_rows(out, [member[start : start + step] for member in self._members], part)
+                _min_rows(out, [member[start : start + step] for member in core.members], part)
                 part += 1
                 out[rows] = part
-            out += self._simplicial[src]
+            out += core.simplicial[src]
         else:
             out[...] = 1
         deg = self._degree[src]
-        out[self._head[_ragged(self._arc_start[src], deg)], np.arange(k).repeat(deg)] = 1
+        out[self._head[_ragged(core.arc_start[src], deg)], np.arange(k).repeat(deg)] = 1
         out[src, np.arange(k)] = 0
         return out
 
@@ -615,4 +702,5 @@ def edge_vertex_distance(dist: np.ndarray, edge: Edge, u: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.vertex_count == 0 or -1 not in _bfs(g.adjacency, 0)
+    """The connectivity test of the graph's analysis (module docstring)."""
+    return g._core.connected

@@ -9,11 +9,11 @@ distance rows are computed from the graph, never taken from a caller, so a
 verdict depends on the graph and the landmarks alone.  It never holds all
 of those rows, nor the whole code table.  The rows are filled one *chunk*
 of landmark columns at a time into one reused buffer
-(:func:`~silires.graphs.distance_rows`' set-up runs once, its fill once
-per chunk); a chunk is a whole number of 64-bit words of codes, and at
-most ``_ROW_CHUNK`` bytes of rows.  A code is byte-wide, 8 to a word,
-whenever the graph's core bounds every distance by 255 (the distance
-bound of :mod:`~silires.graphs`), and of
+(:func:`~silires.graphs.distance_rows`' set-up runs once, on the graph's
+cached analysis, and its fill once per chunk); a chunk is a whole number
+of 64-bit words of codes, and at most ``_ROW_CHUNK`` bytes of rows.  A
+code is byte-wide, 8 to a word, whenever the graph's core bounds every
+distance by 255 (the distance bound of :mod:`~silires.graphs`), and of
 :func:`~silires.graphs.distance_dtype` otherwise: int16, 4 to a word, up
 to 32768 vertices.  From each chunk the codes are gathered
 a bounded block of items at a time into another reused buffer, whose rows
@@ -40,7 +40,8 @@ takes the same path.
 The exact solver does not call the check per candidate set: it checks
 whole batches of sets with integer keys, and runs the check here once, on
 its final witness.  That check recomputes the witness's rows, so it shares
-nothing with the search but the graph.
+nothing with the search but the graph and the graph's cached analysis
+(:mod:`~silires.graphs`), a function of the graph alone.
 """
 
 from __future__ import annotations

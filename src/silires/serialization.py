@@ -4,6 +4,20 @@ The edge-list interchange format is line-oriented: a header ``p <vertices>
 <edges>`` followed by one ``u v`` pair per line, 0-based, with u < v and
 pairs sorted.  Emitting a parsed graph reproduces the input byte for byte.
 
+Parsing takes one of two paths to the same graph.  Text in the shape that
+:func:`format_edge_list` writes (the header, then ``u v`` lines, each
+field at most 18 ASCII digits and each line ending in ``\n``) is read in
+one array pass: one regular-expression match, one ``np.fromstring`` of the
+pairs, and whole-array checks of the pair count, u < v, the id range and
+strictly increasing pairs, compared as (u, v) so that no key ``u * V + v``
+can overflow.  Eighteen digits always fit in int64.  Any other text (a
+comment, a blank line, CRLF, a sign, a longer id) and every text that
+fails one of those checks goes to the line loop, which applies the same
+rules one line at a time and is the only code that names an offending
+line.  Both paths hand :func:`~silires.graphs.build_graph` the same id
+array, so its errors (a vertex count too large for the arc keys) are the
+same on both.
+
 JSON reports are serialized canonically (sorted keys, compact separators,
 trailing newline) so equal values always produce identical bytes.  Solver
 certificates deliberately omit wall-clock time and worker count: those vary
@@ -13,6 +27,7 @@ across runs and machines while the certificate's content must not.
 from __future__ import annotations
 
 import json
+import re
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +45,10 @@ from .solver import EDGE, Certificate
 
 EDGE_LIST_HEADER = "p"
 
+# The canonical shape, which parse_edge_list reads in one array pass:
+# the counts, then the pairs as one block of text.
+_CANONICAL = re.compile(r"p ([0-9]{1,18}) ([0-9]{1,18})\n((?:[0-9]{1,18} [0-9]{1,18}\n)*)")
+
 STRUCTURE_FORMAT = "silires-structure/1"
 VERIFICATION_FORMAT = "silires-verification/1"
 CERTIFICATE_FORMAT = "silires-certificate/2"
@@ -45,7 +64,9 @@ def format_edge_list(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; blank lines and ``#`` comments are skipped.
 
-    Raises :class:`EdgeListFormatError` naming the offending line, and both
+    Canonical text is read in one array pass (module docstring), anything
+    else by the line loop, with the same result.  Raises
+    :class:`EdgeListFormatError` naming the offending line, and both
     lines for a pair that repeats the pair before it in either orientation
     (the graph would silently lose an edge against the header count).  A
     pair with u > v, or one that does not sort after the pair before it, is
@@ -55,6 +76,29 @@ def parse_edge_list(text: str) -> Graph:
     of order.  A self-loop, or an id outside ``[0, vertices)`` of the
     header, is rejected naming its line as well.
     """
+    g = _parse_canonical(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_canonical(text: str) -> Optional[Graph]:
+    """The graph of ``text`` when it has the canonical shape and passes the
+    checks of the line loop (module docstring), else ``None``."""
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        return None
+    vertex_count, edge_count, body = int(match[1]), int(match[2]), match[3]
+    ids = np.fromstring(body, dtype=np.int64, sep=" ") if body else np.empty(0, np.int64)
+    if len(ids) != 2 * edge_count:
+        return None
+    u, v = ids[0::2], ids[1::2]
+    later = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
+    if not ((u < v).all() and (v < vertex_count).all() and later.all()):
+        return None
+    return build_graph(vertex_count, ids.reshape(-1, 2))
+
+
+def _parse_lines(text: str) -> Graph:
+    """:func:`parse_edge_list` one line at a time."""
     header: Optional[tuple[int, int]] = None
     ends: list[int] = []  # u, v of each pair in turn
     previous: Optional[tuple[int, int]] = None

@@ -38,31 +38,31 @@ def find_tetrahedra(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     """Read the edge-disjoint tetrahedron cover off the cubic corners.
 
     A corner is a degree-3 vertex p whose three neighbours are pairwise
-    adjacent.  p lies in exactly one K4, its closed neighbourhood N[p], so
-    every edge-disjoint K4 cover holds N[p].  Every tetrahedron of a chain,
-    cyclic or skeleton expansion has two or more corners (its vertices that
-    are not base vertices among them), so these forced tetrahedra are the
-    whole cover there, and a K4 of the base is never taken.  Returns the
-    distinct N[p] as sorted 4-tuples, in ascending order.  Raises
-    :class:`StructureError` naming the first edge, in edge order, that lies
-    in no forced tetrahedron (a graph covered by corner-free K4s, such as
-    K13, raises too) or in two of them (then no cover exists).
+    adjacent: a simplicial vertex of degree 3, read off the graph's cached
+    analysis (:mod:`~silires.graphs`).  p lies in exactly one K4, its
+    closed neighbourhood N[p], so every edge-disjoint K4 cover holds N[p].
+    Every tetrahedron of a chain, cyclic or skeleton expansion has two or
+    more corners (its vertices that are not base vertices among them), so
+    these forced tetrahedra are the whole cover there, and a K4 of the base
+    is never taken.  Returns the distinct N[p] as sorted 4-tuples, in
+    ascending order.  Raises :class:`StructureError` naming the first edge,
+    in edge order, that lies in no forced tetrahedron (a graph covered by
+    corner-free K4s, such as K13, raises too) or in two of them (then no
+    cover exists).
     """
     adjacency = g.adjacency
-    cells = tuple(sorted({
-        tuple(sorted((p, *ns)))
-        for p, ns in enumerate(adjacency)
-        if len(ns) == 3 and all(b in adjacency[a] for a, b in combinations(ns, 2))
-    }))
+    corners = (g._core.simplicial & (g._arcs.degree == 3)).nonzero()[0].tolist()
+    cells = tuple(sorted({tuple(sorted((p, *adjacency[p]))) for p in corners}))
     uses = Counter(e for cell in cells for e in combinations(cell, 2))
-    for e in g.edges:
-        if uses[e] != 1:
-            where = f"{uses[e]} corner tetrahedra" if uses[e] else "no corner tetrahedron"
-            raise StructureError(
-                f"edge {e} lies in {where}; the cover read off "
-                "the cubic corners needs exactly one"
-            )
-    return cells
+    # Every pair of a cell is an edge, so the cells cover each edge once
+    # exactly when their pairs are distinct and as many as the edges.
+    if len(uses) == 6 * len(cells) == g.edge_count:
+        return cells
+    e = next(e for e in g.edges if uses[e] != 1)
+    where = f"{uses[e]} corner tetrahedra" if uses[e] else "no corner tetrahedron"
+    raise StructureError(
+        f"edge {e} lies in {where}; the cover read off the cubic corners needs exactly one"
+    )
 
 
 def dimension_lower_bound(spec: SilicateSpec) -> int:

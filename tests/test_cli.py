@@ -234,6 +234,23 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "text,n",
+        [
+            ("p 99999999999999999999 1\n0 5\n", 10**20 - 1),
+            ("p 5000000000 1\n0 4999999999\n", 5 * 10**9),
+        ],
+    )
+    def test_vertex_count_past_the_arc_keys_is_usage_error(self, tmp_path, capsys, text, n):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path), "--set", "0")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"silires: error: vertex count {n} is too large: "
+            "at most 3037000499 vertices fit the 64-bit arc keys\n"
+        )
+
     def test_disconnected_one_edge_graph_is_usage_error(self, tmp_path, capsys):
         # One edge is verified like many: vertex 2 is unreachable, as for solve.
         path = tmp_path / "isolated.txt"

@@ -1,5 +1,6 @@
 """Graph construction, BFS distances, and edge-to-vertex distances."""
 
+import collections
 import itertools
 import pickle
 import random
@@ -19,8 +20,12 @@ from silires import (
     build_graph,
     build_silicate,
     canonical_edge,
+    classify_silicate,
     edge_vertex_distance,
+    exact_edge_metric_dimension,
+    exact_metric_dimension,
     is_connected,
+    is_minimal,
 )
 from silires import construct_for_spec, graphs, is_edge_resolving, resolving
 from silires.graphs import distance_dtype, distance_rows, edge_ends, simplicial_vertices
@@ -126,6 +131,18 @@ class TestBuildGraph:
         with pytest.raises(GraphInputError, match=f"vertex id {2**70} does not fit"):
             build_graph(3, [(0, 1), (0, 2**70)])
 
+    @pytest.mark.parametrize("n", [graphs._MAX_VERTICES + 1, 5000000000, 10**20])
+    def test_vertex_count_past_the_arc_keys_rejected(self, n):
+        # The arc keys tail * n + head must fit in int64.
+        assert graphs._MAX_VERTICES**2 < 2**63 <= (graphs._MAX_VERTICES + 1) ** 2
+        named = (
+            f"vertex count {n} is too large: "
+            "at most 3037000499 vertices fit the 64-bit arc keys"
+        )
+        for edges in ([(0, 5)], np.array([[0, 5]]), []):
+            with pytest.raises(GraphInputError, match=f"^{named}$"):
+                build_graph(n, edges)
+
     def test_edge_ends_follow_edges(self):
         g = relabeled(family_graph(CYCLIC, 5), random.Random(3))
         u, v = edge_ends(g)
@@ -166,9 +183,11 @@ class TestBuildGraph:
         assert canonical_edge(2, 5) == (2, 5)
 
 
-# No view read, one, both: equality, hashing, pickling and repr must not
-# depend on which views a graph has built.
-VIEW_READS = [(), ("adjacency",), ("edges",), ("adjacency", "edges")]
+# No view read, one, both, or both and the cached analysis: equality,
+# hashing, pickling and repr must not depend on what a graph has built.
+VIEW_READS = [
+    (), ("adjacency",), ("edges",), ("adjacency", "edges"), ("adjacency", "edges", "_core")
+]
 
 
 class TestGraphViews:
@@ -204,6 +223,11 @@ class TestGraphViews:
         assert not any(a.flags.writeable for a in h._arcs)
         assert h != build_graph(4, [(0, 1), (1, 2), (1, 3)])
         assert (h.adjacency, h.edges, h.edge_count) == (g.adjacency, g.edges, g.edge_count)
+        # The analysis is not pickled: the copy rebuilds its own, to the
+        # same rows.
+        assert "_core" not in vars(h)
+        assert np.array_equal(all_pairs_distances(h), all_pairs_distances(g))
+        assert "_core" in vars(h)
 
     @pytest.mark.parametrize("read", VIEW_READS)
     def test_repr(self, read):
@@ -424,6 +448,52 @@ class TestSimplicialVertices:
         assert peak < 24 * 2**20
 
 
+class TestCoreAnalysis:
+    """Each graph is analysed once, by whichever reader comes first."""
+
+    @pytest.mark.parametrize("solve", [exact_edge_metric_dimension, exact_metric_dimension])
+    def test_a_solve_analyses_its_graph_once(self, monkeypatch, solve):
+        # The matrix, the masks, the classification and the witness check
+        # share one analysis: one simplicial test and one connectivity BFS.
+        # The core is a path, and the matrix and the check each run one
+        # more BFS, from its far end.
+        simplicial, bfs, calls = graphs._simplicial, graphs._bfs, []
+
+        def counted(f):
+            def counting(*args):
+                calls.append(f.__name__)
+                return f(*args)
+
+            return counting
+
+        monkeypatch.setattr(graphs, "_simplicial", counted(simplicial))
+        monkeypatch.setattr(graphs, "_bfs", counted(bfs))
+        cert = solve(family_graph(CHAIN, 5))
+        assert cert.status == "optimal"
+        assert collections.Counter(calls) == {"_simplicial": 1, "_bfs": 3}
+
+    def test_readers_after_the_matrix_reuse_its_analysis(self, monkeypatch):
+        silicate, landmarks = construct_for_spec(SilicateSpec(family=CHAIN, n=6))
+        g = silicate.graph
+        all_pairs_distances(g)
+        core = g._core
+        monkeypatch.setattr(graphs, "_analyse", lambda g: pytest.fail("analysed again"))
+        assert is_edge_resolving(g, landmarks).resolving
+        assert is_minimal(g, landmarks)
+        assert is_connected(g) and classify_silicate(g) == SilicateSpec(family=CHAIN, n=6)
+        cubic = sum(1 << v for v in range(g.vertex_count) if g.degree(v) == 3)
+        assert simplicial_vertices(g) == cubic
+        assert g._core is core
+
+    @settings(max_examples=300, deadline=None)
+    @given(simplicial_cases())
+    def test_connectivity_matches_a_bfs_over_the_whole_graph(self, g):
+        # The core test (module docstring) against one BFS over every
+        # vertex, the test it replaced.
+        whole = g.vertex_count == 0 or -1 not in graphs._bfs(g.adjacency, 0)
+        assert is_connected(g) is whole
+
+
 class TestDistanceRows:
     @settings(max_examples=300, deadline=None)
     @given(distance_cases())
@@ -511,12 +581,14 @@ class TestDistanceRows:
     @pytest.mark.parametrize("family,n", [(CHAIN, 200), (CYCLIC, 200)])
     def test_core_bfs_runs_only_from_thread_ends(self, monkeypatch, filled, family, n):
         # The hinges form a path (two ends) or a cycle (one cut vertex).
-        # The connectivity check's BFS starts at core vertex 0, an end of
-        # either, and doubles as its thread-end BFS.  A check that fills its
-        # rows in many column chunks runs them once, in its set-up, not once
+        # The connectivity test's BFS starts at core vertex 0, an end of
+        # either; it runs once per graph, in the graph's cached analysis,
+        # and doubles as that thread end's BFS.  Each set-up then runs the
+        # BFS from the other thread end, if any, once: a check that fills
+        # its rows in many column chunks runs it in its set-up, not once
         # per chunk.
         silicate, landmarks = construct_for_spec(SilicateSpec(family=family, n=n))
-        runs = 2 if family == CHAIN else 1
+        others = 1 if family == CHAIN else 0
         bfs, calls = graphs._bfs, []
 
         def counting(adjacency, source):
@@ -525,15 +597,15 @@ class TestDistanceRows:
 
         monkeypatch.setattr(graphs, "_bfs", counting)
         all_pairs_distances(silicate.graph)
-        assert len(calls) == runs
+        assert calls[0] == 0 and len(calls) == 1 + others
         calls.clear()
         distance_rows(silicate.graph, landmarks)
-        assert len(calls) == runs
+        assert len(calls) == others and 0 not in calls
         calls.clear()
         filled.clear()
         monkeypatch.setattr(resolving, "_ROW_CHUNK", 8 * silicate.graph.vertex_count)
         assert is_edge_resolving(silicate.graph, landmarks).resolving
-        assert len(calls) == runs
+        assert len(calls) == others
         (dtype,) = filled.dtypes
         assert dtype == np.uint8  # the core bounds every distance by n + 1
         per_word = 8 // dtype.itemsize

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from silires import (
     CHAIN,
@@ -10,6 +11,7 @@ from silires import (
     GraphInputError,
     SilicateSpec,
     SolveOptions,
+    build_graph,
     build_silicate,
     canonical_json_bytes,
     certificate_report,
@@ -20,6 +22,8 @@ from silires import (
     structure_report,
     verification_report,
 )
+
+from silires.serialization import _parse_canonical, _parse_lines
 
 from conftest import family_graph, path_graph
 
@@ -126,6 +130,106 @@ class TestEdgeListFormat:
         # Within the header's range, but too wide for the id array.
         with pytest.raises(GraphInputError, match=f"vertex id {2**70} does not fit in 64 bits"):
             parse_edge_list(f"p {2**71} 1\n0 {2**70}\n")
+
+    @pytest.mark.parametrize(
+        "text,n",
+        [
+            ("p 99999999999999999999 1\n0 5\n", 10**20 - 1),
+            ("p 5000000000 1\n0 4999999999\n", 5 * 10**9),
+        ],
+    )
+    def test_vertex_count_past_the_arc_keys_named(self, text, n):
+        # The first takes the line loop (20 digits), the second the fast path.
+        with pytest.raises(GraphInputError, match=f"^vertex count {n} is too large"):
+            parse_edge_list(text)
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count of 0-30 and pairs of distinct ids below it, in any
+    order and orientation, repeats included."""
+    n = draw(st.integers(0, 30))
+    ids = st.integers(0, max(n - 1, 0))
+    return n, [(u, v) for u, v in draw(st.lists(st.tuples(ids, ids))) if u != v]
+
+
+def outcome(parse, text):
+    """What ``parse(text)`` gives: the graph, or the exception's type and
+    message."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Inputs for the two parsing paths, each marked with whether it has the
+# canonical shape and passes its checks (so the fast path reads it).
+PARSE_CORPUS = [
+    ("p 4 3\n0 1\n0 2\n2 3\n", True),
+    ("p 3 0\n", True),
+    ("p 0 0\n", True),
+    ("p 5 1\n007 0010\n", False),  # id 10 is outside [0, 5)
+    ("p 12 1\n007 0010\n", True),  # leading zeros
+    (f"p {10**18 - 1} 1\n0 {10**18 - 2}\n", True),  # 18 digits
+    (f"p {10**19} 1\n0 {10**18}\n", False),  # 19 digits
+    (f"p 5 1\n0 {10**18}\n", False),
+    ("# comment\np 3 2\n0 1\n1 2\n", False),
+    ("p 3 2\n0 1\n# comment\n1 2\n", False),
+    ("p 3 2\n\n0 1\n1 2\n", False),
+    ("p 3 2\n0 1\n1 2\n\n", False),
+    ("p 3 2\r\n0 1\r\n1 2\r\n", False),
+    ("p 3 2\n0\t1\n1 2\n", False),
+    ("p 3 2\n0  1\n1 2\n", False),
+    ("p 3 2\n 0 1\n1 2\n", False),
+    ("p 3 2\n0 1\n1 2", False),  # no final newline
+    ("p 3 2\n0 +1\n1 2\n", False),
+    ("p 20 1\n0 1_0\n", False),
+    ("p 3 2\n1 2\n0 1\n", False),  # out of order
+    ("p 4 2\n0 2\n0 1\n", False),  # out of order, same u
+    ("p 3 2\n0 1\n0 1\n", False),  # repeat
+    ("p 3 2\n0 1\n1 0\n", False),  # reversed repeat
+    ("p 3 1\n1 0\n", False),
+    ("p 3 1\n2 2\n", False),  # self-loop
+    ("p 3 1\n0 3\n", False),  # out of range
+    ("p 3 1\n-1 2\n", False),
+    ("p 3 3\n0 1\n1 2\n", False),  # header count mismatch
+    ("p 3 1\n0 1\n1 2\n", False),
+    ("p 3 1 1\n0 1\n", False),
+    ("q 3 1\n0 1\n", False),
+    ("p x 1\n0 1\n", False),
+    ("p 3 1\n0 1 2\n", False),
+    ("", False),
+    ("p 3 0", False),
+    ("p 3 0\n0 1\n", False),
+    ("p 3 1\n0 ١\n", False),  # a digit int() reads, outside ASCII
+    ("p 5000000000 1\n0 4999999999\n", True),  # too many vertices
+]
+
+
+class TestParsingPaths:
+    @pytest.mark.parametrize("text,fast", PARSE_CORPUS)
+    def test_fast_path_and_line_loop_agree(self, text, fast):
+        loop = outcome(_parse_lines, text)
+        assert outcome(parse_edge_list, text) == loop
+        canonical = outcome(_parse_canonical, text)
+        if fast:
+            assert canonical == loop
+        else:
+            assert canonical is None
+
+    def test_fast_path_reads_every_generated_file(self):
+        for family, n in [(CHAIN, 1), (CHAIN, 40), ("cyclic", 3), ("cyclic", 41)]:
+            text = format_edge_list(family_graph(family, n))
+            assert _parse_canonical(text) == _parse_lines(text) == family_graph(family, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    def test_round_trip(self, case):
+        g = build_graph(*case)
+        text = format_edge_list(g)
+        h = parse_edge_list(text)
+        assert h == g and format_edge_list(h) == text
+        assert _parse_canonical(text) == g  # read in the array pass
 
 
 class TestReports:
