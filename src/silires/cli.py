@@ -9,15 +9,26 @@ way).
 
 Exit codes: 0 success (verify: resolving; solve: optimal), 1 verified set is
 not resolving, 2 solver stopped before proving optimality, 64 malformed
-input or bad usage, 70 internal error (the solver's witness failed the
-resolving check, which recomputes the witness's distance rows from the
-graph and shares nothing else with the search).
+input or bad usage (an input that needs more memory than is available
+included), 70 internal error (the solver's witness failed the resolving
+check, which recomputes the witness's distance rows from the graph and
+shares nothing else with the search).
+
+Every output file (``generate -o`` and its sidecar, ``--json`` of
+``verify``, ``solve`` and ``table``) is written by :func:`_write_file`: it
+is rewritten in place and then cut to length, so a rerun leaves a
+byte-identical file.  The write is not atomic: a reader racing it may see
+old and new bytes mixed (with a truncating open it could see an empty or
+short file instead).  To replace a file atomically, write to a new path
+and rename it.  ``-`` writes to standard output.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -62,11 +73,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _write_file(path: str, data: bytes) -> None:
+    """Write ``data`` to the file at ``path`` in place, then cut a regular
+    file to its length.
+
+    Opening without ``O_TRUNC`` keeps the old blocks: freeing them, and the
+    writeback that ext4 starts on ``close`` of a file truncated to zero,
+    cost a 300-byte rewrite 0.1-0.3 ms more than the write itself (see the
+    README).  Pipes and devices such as ``/dev/null`` have no length to cut.
+    """
+    fd = os.open(
+        Path(path), os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666
+    )
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size != len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_text(path: str, text: str) -> None:
     if path == STDOUT:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write_file(path, text.encode("utf-8"))
 
 
 def _write_json(path: str, obj) -> None:
@@ -75,7 +109,7 @@ def _write_json(path: str, obj) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        Path(path).write_bytes(data)
+        _write_file(path, data)
 
 
 def _parse_id_list(text: str) -> list[int]:
@@ -106,6 +140,13 @@ def _spec_from_args(parser: _Parser, args) -> SilicateSpec:
 def _cmd_generate(parser: _Parser, args) -> int:
     if args.output == STDOUT and args.sidecar == STDOUT:
         parser.error("-o/--output and --sidecar cannot both be - (standard output)")
+    if (
+        args.sidecar is not None
+        and STDOUT not in (args.output, args.sidecar)
+        # Neither file need exist yet, so compare the paths, not the files.
+        and os.path.realpath(args.output) == os.path.realpath(args.sidecar)
+    ):
+        parser.error("-o/--output and --sidecar cannot name the same file")
     spec = _spec_from_args(parser, args)
     silicate = build_silicate(spec)
     _write_text(args.output, format_edge_list(silicate.graph))
@@ -307,6 +348,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:
         print(f"silires: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(
+            "silires: error: the input needs more memory than is available"
+            + detail,
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     except SolverInternalError as exc:
         print(f"silires: {exc}", file=sys.stderr)

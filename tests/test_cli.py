@@ -97,6 +97,21 @@ class TestGenerate:
         assert (code, out) == (EXIT_USAGE, "")
         assert "-o/--output" in err and "--sidecar" in err
 
+    @pytest.mark.parametrize("sidecar", ["g.txt", "./g.txt", "sub/../g.txt", "link.txt"])
+    def test_sidecar_on_the_graph_is_usage_error(self, tmp_path, capsys, monkeypatch, sidecar):
+        # The sidecar would silently replace the graph; neither file exists
+        # yet (link.txt is a dangling symbolic link to g.txt).
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        if sidecar == "link.txt":
+            os.symlink("g.txt", "link.txt")
+        code, out, err = run(
+            capsys, "generate", "--family", "chain", "-n", "1", "-o", "g.txt", "--sidecar", sidecar
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "-o/--output" in err and "--sidecar" in err
+        assert not (tmp_path / "g.txt").exists()
+
     def test_regeneration_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         run(capsys, "generate", "--family", "chain", "-n", "6", "-o", str(a))
@@ -249,6 +264,29 @@ class TestVerify:
         assert err == (
             f"silires: error: vertex count {n} is too large: "
             "at most 3037000499 vertices fit the 64-bit arc keys\n"
+        )
+
+    @pytest.mark.parametrize(
+        "error,detail",
+        [
+            (MemoryError("Unable to allocate 22.4 GiB"), " (Unable to allocate 22.4 GiB)"),
+            (MemoryError(), ""),
+        ],
+    )
+    def test_input_too_large_for_memory_is_usage_error(
+        self, chain2_file, capsys, monkeypatch, error, detail
+    ):
+        # As `p 3000000000 1` would on a small host, without asking for the
+        # memory: one line on stderr, not a traceback.
+        def exhausted(text):
+            raise error
+
+        monkeypatch.setattr(silires.cli, "parse_edge_list", exhausted)
+        code, out, err = run(capsys, "verify", str(chain2_file), "--set", "0")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "silires: error: the input needs more memory than is available"
+            f"{detail}\n"
         )
 
     def test_disconnected_one_edge_graph_is_usage_error(self, tmp_path, capsys):
@@ -483,6 +521,99 @@ class TestTable:
         )
         assert code == EXIT_USAGE
         assert out == "" and message in err
+
+
+def output_argv(command, graph, outputs):
+    """The argv of a command that writes to ``outputs`` (two for
+    ``generate``: the graph and its sidecar, one otherwise)."""
+    if command == "generate":
+        graph_out, sidecar = outputs
+        return [
+            "generate", "--family", "chain", "-n", "3",
+            "-o", str(graph_out), "--sidecar", str(sidecar),
+        ]
+    (out,) = outputs
+    return {
+        "solve": ["solve", str(graph), "--json", str(out)],
+        "verify": ["verify", str(graph), "--set", "0,1,2,4,5", "--codes", "--json", str(out)],
+        "table": ["table", "--family", "chain", "--n-from", "1", "--n-to", "3", "--json", str(out)],
+    }[command]
+
+
+OUTPUT_COMMANDS = ["solve", "verify", "table", "generate"]
+
+
+class TestOutputFiles:
+    JUNK = bytes(range(256)) * 400  # about 100 KB
+
+    @staticmethod
+    def outputs(tmp_path, command, stem):
+        count = 2 if command == "generate" else 1
+        return [tmp_path / f"{stem}-{i}" for i in range(count)]
+
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+    @pytest.mark.parametrize("old", ["longer", "shorter", "identical"])
+    def test_rewrite_in_place_gives_the_fresh_bytes(
+        self, chain2_file, tmp_path, capsys, monkeypatch, command, old
+    ):
+        fresh = self.outputs(tmp_path, command, "fresh")
+        code, out, err = run(capsys, *output_argv(command, chain2_file, fresh))
+        assert (code, err) == (EXIT_OK, "")
+        expected = [path.read_bytes() for path in fresh]
+        rewritten = self.outputs(tmp_path, command, "old")
+        for path, data in zip(rewritten, expected):
+            prefill = {
+                "longer": self.JUNK,
+                "shorter": self.JUNK[: len(data) // 2],
+                "identical": data,
+            }[old]
+            path.write_bytes(prefill)
+        opened = {}
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened[os.fspath(path)] = flags
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        again = run(capsys, *output_argv(command, chain2_file, rewritten))
+        assert again == (code, out.replace("fresh-", "old-"), err)
+        assert [path.read_bytes() for path in rewritten] == expected
+        # Each output was opened, and never with O_TRUNC.
+        for path in rewritten:
+            assert not opened[str(path)] & os.O_TRUNC
+
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+    def test_null_device_output(self, chain2_file, tmp_path, capsys, command):
+        outputs = [os.devnull] + self.outputs(tmp_path, command, "out")[1:]
+        code, _, err = run(capsys, *output_argv(command, chain2_file, outputs))
+        assert (code, err) == (EXIT_OK, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_pipe_output(self, chain2_file, capsys):
+        # A pipe, like a device, has no length to cut.
+        _, expected, _ = run(capsys, "solve", str(chain2_file), "--json", "-")
+        proc = TestTopLevel.child(
+            "-m", "silires", "solve", str(chain2_file), "--json", "/dev/stdout"
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.startswith(expected)
+        assert proc.stdout[len(expected):].startswith("edge metric dimension: 5 ")
+
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_unwritable_output_is_usage_error(
+        self, chain2_file, tmp_path, capsys, command, where
+    ):
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "out"
+        outputs = [target] + self.outputs(tmp_path, command, "out")[1:]
+        try:  # the message a truncating write gives
+            target.write_bytes(b"")
+        except OSError as exc:
+            expected = f"silires: error: {exc}\n"
+        code, out, err = run(capsys, *output_argv(command, chain2_file, outputs))
+        assert (code, out, err) == (EXIT_USAGE, "", expected)
+        assert not (tmp_path / "missing").exists()
 
 
 class TestTopLevel:
