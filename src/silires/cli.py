@@ -9,18 +9,22 @@ way).
 
 Exit codes: 0 success (verify: resolving; solve: optimal), 1 verified set is
 not resolving, 2 solver stopped before proving optimality, 64 malformed
-input or bad usage (an input that needs more memory than is available
-included), 70 internal error (the solver's witness failed the resolving
-check, which recomputes the witness's distance rows from the graph and
-shares nothing else with the search).
+input or bad usage (an input graph file that needs more memory than is
+available included), 70 internal error (the solver's witness failed the
+resolving check, which recomputes the witness's distance rows from the
+graph and shares nothing else with the search).
 
 Every output file (``generate -o`` and its sidecar, ``--json`` of
 ``verify``, ``solve`` and ``table``) is written by :func:`_write_file`: it
 is rewritten in place and then cut to length, so a rerun leaves a
-byte-identical file.  The write is not atomic: a reader racing it may see
-old and new bytes mixed (with a truncating open it could see an empty or
-short file instead).  To replace a file atomically, write to a new path
-and rename it.  ``-`` writes to standard output.
+byte-identical file.  Only a rewrite of an existing file is cheaper than a
+truncating write; a new path costs the same.  The write is not atomic: a
+reader racing it may see old and new bytes mixed (with a truncating open
+it could see an empty or short file instead), and after a crash or power
+loss the file may hold old and new bytes mixed, or old bytes at the new
+length, which the writeback ext4 starts on ``close`` of a truncated file
+guarded against.  To replace a file atomically, write to a new path and
+rename it.  ``-`` writes to standard output.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .construction import construct_for_spec, predicted_dimension
-from .errors import SolverInternalError
+from .errors import GraphInputError, SolverInternalError
 from .resolving import is_edge_resolving, is_vertex_resolving
 from .serialization import (
     canonical_json_bytes,
@@ -77,10 +81,14 @@ def _write_file(path: str, data: bytes) -> None:
     """Write ``data`` to the file at ``path`` in place, then cut a regular
     file to its length.
 
-    Opening without ``O_TRUNC`` keeps the old blocks: freeing them, and the
-    writeback that ext4 starts on ``close`` of a file truncated to zero,
-    cost a 300-byte rewrite 0.1-0.3 ms more than the write itself (see the
-    README).  Pipes and devices such as ``/dev/null`` have no length to cut.
+    Opening an existing file without ``O_TRUNC`` keeps its blocks: freeing
+    them, and the writeback that ext4 starts on ``close`` of a file
+    truncated to zero, cost a 300-byte rewrite 0.1-0.3 ms more than the
+    write itself (see the README).  That writeback also guarded a
+    truncating rewrite against what a crash or power loss may now leave:
+    old and new bytes mixed, or old bytes at the new length.  A new path
+    gains nothing.  Pipes and devices such as ``/dev/null`` have no length
+    to cut.
     """
     fd = os.open(
         Path(path), os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666
@@ -120,7 +128,29 @@ def _parse_id_list(text: str) -> list[int]:
 
 
 def _load_graph(path: str):
-    return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+    except MemoryError as exc:
+        # A header may declare billions of vertices: ``p 3000000000 1``.
+        detail = f" ({exc})" if str(exc) else ""
+        raise GraphInputError(
+            f"the input needs more memory than is available{detail}"
+        ) from None
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether ``a`` and ``b`` name one regular file, existing or not.
+
+    Neither file need exist yet, so the paths are compared, not the files.
+    A shared path that exists and is not a regular file, such as
+    ``/dev/null``, holds no graph for the sidecar to replace."""
+    real = os.path.realpath(a)
+    if real != os.path.realpath(b):
+        return False
+    try:
+        return stat.S_ISREG(os.stat(real).st_mode)
+    except OSError:
+        return True
 
 
 def _spec_from_args(parser: _Parser, args) -> SilicateSpec:
@@ -143,8 +173,7 @@ def _cmd_generate(parser: _Parser, args) -> int:
     if (
         args.sidecar is not None
         and STDOUT not in (args.output, args.sidecar)
-        # Neither file need exist yet, so compare the paths, not the files.
-        and os.path.realpath(args.output) == os.path.realpath(args.sidecar)
+        and _same_file(args.output, args.sidecar)
     ):
         parser.error("-o/--output and --sidecar cannot name the same file")
     spec = _spec_from_args(parser, args)
@@ -348,14 +377,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:
         print(f"silires: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:
-        detail = f" ({exc})" if str(exc) else ""
-        print(
-            "silires: error: the input needs more memory than is available"
-            + detail,
-            file=sys.stderr,
-        )
         return EXIT_USAGE
     except SolverInternalError as exc:
         print(f"silires: {exc}", file=sys.stderr)

@@ -112,6 +112,23 @@ class TestGenerate:
         assert "-o/--output" in err and "--sidecar" in err
         assert not (tmp_path / "g.txt").exists()
 
+    def test_sidecar_on_the_graph_rejected_when_it_exists(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_bytes(b"old")
+        code, out, err = run(
+            capsys, "generate", "--family", "chain", "-n", "1", "-o", str(graph), "--sidecar", str(graph)
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "-o/--output" in err and "--sidecar" in err
+        assert graph.read_bytes() == b"old"
+
+    def test_graph_and_sidecar_to_one_device(self, capsys):
+        # A device holds no file for the sidecar to replace.
+        code, _, err = run(
+            capsys, "generate", "--family", "chain", "-n", "1", "-o", os.devnull, "--sidecar", os.devnull
+        )
+        assert (code, err) == (EXIT_OK, "")
+
     def test_regeneration_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         run(capsys, "generate", "--family", "chain", "-n", "6", "-o", str(a))
@@ -316,6 +333,18 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(chain2_file))
         assert code == EXIT_OK
         assert "dimension: 5" in out
+
+    def test_memory_error_in_the_search_is_not_an_input_error(
+        self, chain2_file, capsys, monkeypatch
+    ):
+        # Only loading the graph file blames the input for running out of
+        # memory; the search on a small valid graph does not.
+        def exhausted(g, opts):
+            raise MemoryError("Unable to allocate 1.0 GiB")
+
+        monkeypatch.setattr(silires.cli, "exact_edge_metric_dimension", exhausted)
+        with pytest.raises(MemoryError):
+            silires.cli.main(["solve", str(chain2_file)])
 
     def test_json_certificate(self, chain2_file, capsys):
         code, out, _ = run(capsys, "solve", str(chain2_file), "--json", "-")
