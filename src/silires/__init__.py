@@ -26,16 +26,13 @@ from .graphs import (
     bfs_distances,
     build_graph,
     canonical_edge,
-    edge_vertex_distance,
     is_connected,
 )
 from .resolving import (
     VerificationResult,
-    edge_code,
     edge_code_table,
     is_edge_resolving,
     is_vertex_resolving,
-    vertex_code,
     vertex_code_table,
 )
 from .serialization import (
@@ -106,9 +103,7 @@ __all__ = [
     "construct_for_spec",
     "cyclic_silicate",
     "dimension_lower_bound",
-    "edge_code",
     "edge_code_table",
-    "edge_vertex_distance",
     "exact_edge_metric_dimension",
     "exact_metric_dimension",
     "find_tetrahedra",
@@ -125,6 +120,5 @@ __all__ = [
     "silicate_of_skeleton",
     "structure_report",
     "verification_report",
-    "vertex_code",
     "vertex_code_table",
 ]

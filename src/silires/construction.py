@@ -18,20 +18,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, UnsupportedFamilyError
+from .errors import ConstructionError, GraphInputError, UnsupportedFamilyError
+from .graphs import vertex_ids
 from .silicates import CHAIN, CYCLIC, LabeledSilicate, SilicateSpec, build_silicate
 from .structure import dimension_lower_bound
 
 
 @dataclass(frozen=True)
 class Labeling:
-    """Per-tetrahedron counts of cubic vertices to include as landmarks."""
+    """Per-tetrahedron counts of cubic vertices to include as landmarks.
+
+    Each label is taken through ``operator.index`` and ``labels`` is stored
+    as a tuple of Python ints; a label that is not integral raises
+    :class:`ConstructionError` naming it."""
 
     spec: SilicateSpec
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        labels = self.labels
+        try:
+            labels = tuple(vertex_ids(self.labels, "label"))
+        except GraphInputError as exc:
+            raise ConstructionError(str(exc)) from None
+        object.__setattr__(self, "labels", labels)
         if labels and (min(labels) < 1 or max(labels) > 3):
             raise ConstructionError("labels must lie in 1..3")
 

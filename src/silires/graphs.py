@@ -298,9 +298,14 @@ def _endpoints(edge_list: Iterable[Sequence[int]]) -> np.ndarray:
     """The pairs of ``edge_list`` as an ``(E, 2)`` int64 array, each id
     taken through ``operator.index``."""
     pairs = list(edge_list)
-    if set(map(len, pairs)) - {2}:
-        bad = next(p for p in pairs if len(p) != 2)
-        raise GraphInputError(f"edge {tuple(bad)} is not a pair of ids")
+    try:
+        odd = set(map(len, pairs)) - {2}
+    except TypeError:  # an item with no length
+        odd = True
+    if odd:
+        bad = next(p for p in pairs if not hasattr(p, "__len__") or len(p) != 2)
+        shown = tuple(bad) if hasattr(bad, "__len__") else bad
+        raise GraphInputError(f"edge {shown!r} is not a pair of ids")
     try:
         flat = np.fromiter(
             map(operator.index, chain.from_iterable(pairs)), np.int64, 2 * len(pairs)
@@ -692,13 +697,6 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     d = distance_rows(g, range(g.vertex_count))
     d.setflags(write=False)
     return d
-
-
-def edge_vertex_distance(dist: np.ndarray, edge: Edge, u: int) -> int:
-    """Distance from an edge to a vertex: the smaller endpoint distance in
-    the all-pairs matrix ``dist``."""
-    a, b = edge
-    return int(min(dist[a, u], dist[b, u]))
 
 
 def is_connected(g: Graph) -> bool:

@@ -2,7 +2,16 @@
 
 A landmark set is an ordered tuple of distinct vertex ids; the code of a
 vertex (or edge) is its vector of distances to the landmarks in that order.
-A set resolves the vertices (edges) when all codes are pairwise distinct.
+The distance from an edge uv to a vertex w is min(d(u, w), d(v, w)), as
+Kelenc, Tratnik and Yero define it.  A set resolves the vertices (edges)
+when all codes are pairwise distinct.
+
+Each code rule is written once, as a *gather* (:func:`_edge_gather`,
+:func:`_vertex_gather`) that writes the codes of any items from
+vertex-major distance rows.  The checks, the code tables
+(:func:`edge_code_table`, :func:`vertex_code_table`: every code, for
+``verify --codes``) and the exact solver's edge search rows all gather
+through them; no function reads codes from a caller's matrix.
 
 Verification takes one path for every landmark set: the landmarks'
 distance rows are computed from the graph, never taken from a caller, so a
@@ -53,9 +62,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GraphInputError
-from .graphs import Edge, Graph, _RowFill, distance_rows, edge_ends, vertex_ids
-
-Code = tuple[int, ...]
+from .graphs import Graph, _RowFill, distance_rows, edge_ends, vertex_ids
 
 # Bytes of landmark rows filled per column chunk: bounds the rows a check
 # holds at once.  The check of every table row up to n = 200 (at most
@@ -93,36 +100,12 @@ def validate_landmarks(g: Graph, landmarks: Sequence[int]) -> tuple[int, ...]:
     return lm
 
 
-def vertex_code(dist: np.ndarray, v: int, landmarks: Sequence[int]) -> Code:
-    """Distances from vertex ``v`` to each landmark, in landmark order, read
-    from the all-pairs matrix ``dist``."""
-    return tuple(int(dist[v, u]) for u in landmarks)
-
-
-def edge_code(dist: np.ndarray, edge: Edge, landmarks: Sequence[int]) -> Code:
-    """Per-landmark minimum of the two endpoint distances of ``edge``, read
-    from the all-pairs matrix ``dist``."""
-    a, b = edge
-    da = dist[a]
-    db = dist[b]
-    return tuple(int(min(da[u], db[u])) for u in landmarks)
-
-
-def edge_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
-    """Edge distances from the vertex distance ``rows`` (one row per source,
-    one column per vertex of ``g``): ``min(d(u, .), d(v, .))`` for every
-    canonical edge (u, v), as a ``(len(rows), m)`` array of the same dtype,
-    one column per edge (``m`` may be 0)."""
-    u, v = edge_ends(g)
-    out = rows.take(u, axis=1)  # C-ordered, whatever the order of rows
-    return np.minimum(out, rows.take(v, axis=1), out=out)
-
-
 def _edge_gather(g: Graph):
     """``gather(rows, ids, out)``: writes the codes of the canonical edges
-    ``ids`` (an index array or a slice of the edge order), gathered from the
-    vertex-major landmark ``rows`` (one row per vertex), into ``out``, one
-    row per edge."""
+    ``ids`` (an index array or a slice of the edge order), the per-column
+    minimum of their two endpoints' rows of the vertex-major ``rows`` (one
+    row per vertex, one column per landmark), into ``out``, one row per
+    edge."""
     u, v = edge_ends(g)
 
     def gather(rows: np.ndarray, ids, out: np.ndarray) -> None:
@@ -136,17 +119,24 @@ def _vertex_gather(rows: np.ndarray, ids, out: np.ndarray) -> None:
     out[...] = rows[ids]
 
 
+def _code_table(g: Graph, landmarks: Sequence[int], count: int, gather) -> np.ndarray:
+    """The codes of all ``count`` items, one row per item: ``(count, k)``
+    of :func:`~silires.graphs.distance_dtype`.  The landmarks are checked
+    as by the checks (:func:`validate_landmarks`)."""
+    rows = distance_rows(g, validate_landmarks(g, landmarks))
+    table = np.empty((count, len(rows)), dtype=rows.dtype)
+    gather(rows.T, slice(None), table)
+    return table
+
+
 def edge_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
     """Codes of every canonical edge, one row per edge: ``(m, k)``."""
-    rows = distance_rows(g, landmarks)
-    table = np.empty((g.edge_count, len(rows)), dtype=rows.dtype)
-    _edge_gather(g)(rows.T, slice(None), table)
-    return table
+    return _code_table(g, landmarks, g.edge_count, _edge_gather(g))
 
 
 def vertex_code_table(g: Graph, landmarks: Sequence[int]) -> np.ndarray:
     """Codes of every vertex, one row per vertex: ``(n, k)``."""
-    return distance_rows(g, landmarks).T.copy()
+    return _code_table(g, landmarks, g.vertex_count, _vertex_gather)
 
 
 def first_duplicate_rows(table: np.ndarray) -> Optional[tuple[int, int]]:

@@ -34,12 +34,7 @@ import numpy as np
 
 from .errors import EdgeListFormatError
 from .graphs import Graph, build_graph, canonical_edge
-from .resolving import (
-    VerificationResult,
-    edge_code_table,
-    validate_landmarks,
-    vertex_code_table,
-)
+from .resolving import VerificationResult, edge_code_table, vertex_code_table
 from .silicates import LabeledSilicate, SilicateSpec
 from .solver import EDGE, Certificate
 
@@ -214,12 +209,11 @@ def verification_report(
         else:
             report["witness"] = [a, b]
     if include_codes:
-        ordered = validate_landmarks(g, landmarks)
         if target == EDGE:
-            codes = edge_code_table(g, ordered).tolist()
+            codes = edge_code_table(g, landmarks).tolist()
             report["codes"] = [{"edge": list(e), "code": c} for e, c in zip(g.edges, codes)]
         else:
-            codes = vertex_code_table(g, ordered).tolist()
+            codes = vertex_code_table(g, landmarks).tolist()
             report["codes"] = [{"vertex": v, "code": c} for v, c in enumerate(codes)]
     return report
 

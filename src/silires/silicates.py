@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GraphInputError
-from .graphs import Graph, _runs, build_graph, edge_ends, is_connected
+from .graphs import Graph, _runs, build_graph, edge_ends, is_connected, vertex_id
 
 CHAIN = "chain"
 CYCLIC = "cyclic"
@@ -31,7 +31,9 @@ class SilicateSpec:
     """Which silicate network to build.
 
     ``n`` is the tetrahedron count for the chain and cyclic families and is
-    ignored for ``skeleton``, where the base graph is given explicitly.
+    ignored for ``skeleton``, where the base graph is given explicitly.  It
+    is taken through ``operator.index`` and stored as a Python int; a value
+    that is not integral raises :class:`GraphInputError` naming it.
     """
 
     family: str
@@ -39,6 +41,7 @@ class SilicateSpec:
     skeleton: Optional[Graph] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", vertex_id(self.n, "tetrahedron count"))
         if self.family not in FAMILIES:
             raise GraphInputError(f"unknown silicate family {self.family!r}")
         if self.family == CHAIN and self.n < 1:

@@ -105,7 +105,7 @@ import numpy as np
 
 from .errors import SolverInternalError
 from .graphs import Graph, all_pairs_distances, simplicial_vertices
-from .resolving import edge_rows, is_edge_resolving, is_vertex_resolving
+from .resolving import _edge_gather, is_edge_resolving, is_vertex_resolving
 from .silicates import SilicateSpec
 from .structure import classify_silicate, dimension_lower_bound
 
@@ -478,7 +478,10 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     dist = all_pairs_distances(g)
     if target == EDGE:
         item_count = g.edge_count
-        rows = edge_rows(g, dist)
+        # One row per vertex, one column per edge: distances are symmetric,
+        # so the edge codes of every vertex as landmark, in C order.
+        rows = np.empty((g.vertex_count, item_count), dtype=dist.dtype)
+        _edge_gather(g)(dist, slice(None), rows.T)
         masks = edge_infeasibility_masks(g)
     else:
         item_count = g.vertex_count

@@ -27,7 +27,7 @@ from silires import (
     certificate_report,
     construct_for_spec,
     dimension_lower_bound,
-    edge_code,
+    edge_code_table,
     exact_edge_metric_dimension,
     find_tetrahedra,
     is_edge_resolving,
@@ -364,10 +364,8 @@ def test_criterion_08_tetrahedron_code_displays():
                 else:
                     continue
                 checked += 1
-                codes = {
-                    e: edge_code(dist, (min(e), max(e)), landmarks)
-                    for e in expected
-                }
+                table = dict(zip(g.edges, map(tuple, edge_code_table(g, landmarks).tolist())))
+                codes = {e: table[(min(e), max(e))] for e in expected}
                 for e, want in expected.items():
                     if codes[e] != want:
                         problems.append(

@@ -1,7 +1,9 @@
 """Labelings and constructive edge resolving sets."""
 
 import random
+import re
 
+import numpy as np
 import pytest
 
 from silires import (
@@ -89,6 +91,23 @@ class TestLabelings:
             Labeling(spec=spec, labels=(0, 2))
         with pytest.raises(ConstructionError):
             Labeling(spec=spec, labels=(4, 2))
+
+    def test_numpy_labels_become_python_ints(self):
+        spec = SilicateSpec(family=CHAIN, n=2)
+        labeling = Labeling(spec=spec, labels=[np.int64(3), np.int8(2)])
+        assert labeling.labels == (3, 2)
+        assert all(type(x) is int for x in labeling.labels)
+        assert type(labeling.total) is int
+        assert labeling == labeling_chain(2)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
+    def test_non_integral_label_rejected(self, bad):
+        # Kept, a label of 2.5 would give a total of 2.5, and construct_ers
+        # would take 2 vertices for it.
+        spec = SilicateSpec(family=CHAIN, n=1)
+        message = f"label {bad!r} is not an integer"
+        with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+            Labeling(spec=spec, labels=(bad,))
 
     def test_skeleton_has_no_labeling(self):
         spec = SilicateSpec(family=SKELETON, n=0, skeleton=star_graph(3))

@@ -21,7 +21,7 @@ from silires import (
     build_silicate,
     canonical_edge,
     classify_silicate,
-    edge_vertex_distance,
+    edge_code_table,
     exact_edge_metric_dimension,
     exact_metric_dimension,
     is_connected,
@@ -122,10 +122,17 @@ class TestBuildGraph:
         with pytest.raises(GraphInputError, match="vertex count 3.0 is not an integer"):
             build_graph(3.0, [(0, 1)])
 
-    @pytest.mark.parametrize("bad", [(0, 1, 2), (1,)])
+    @pytest.mark.parametrize("bad", [(0, 1, 2), (1,), None, 2.5])
     def test_item_that_is_not_a_pair_rejected(self, bad):
-        with pytest.raises(GraphInputError, match="not a pair"):
+        message = f"edge {bad!r} is not a pair of ids"
+        with pytest.raises(GraphInputError, match=f"^{re.escape(message)}$"):
             build_graph(3, [(0, 1), bad, (1, 2)])
+
+    @pytest.mark.parametrize("edge_list", [[1, 2], np.array([1, 2])])
+    def test_flat_id_list_rejected(self, edge_list):
+        # Its items are ids, with no length.
+        with pytest.raises(GraphInputError, match=r"^edge \S*1\S* is not a pair of ids$"):
+            build_graph(3, edge_list)
 
     def test_id_past_64_bits_rejected(self):
         with pytest.raises(GraphInputError, match=f"vertex id {2**70} does not fit"):
@@ -681,38 +688,38 @@ class TestDistanceMatrixInvariants:
         assert np.array_equal(d == 1, adj)
 
 
+def edge_vertex_distances(g):
+    """The distance from each canonical edge (a row, in edge order) to each
+    vertex (a column): the edge code table with every vertex a landmark."""
+    return edge_code_table(g, range(g.vertex_count))
+
+
 class TestEdgeVertexDistance:
     def test_incident_edge_is_zero(self):
         g = path_graph(4)
-        dist = all_pairs_distances(g)
-        assert edge_vertex_distance(dist, (1, 2), 1) == 0
-        assert edge_vertex_distance(dist, (1, 2), 2) == 0
+        row = edge_vertex_distances(g)[g.edges.index((1, 2))]
+        assert row[1] == 0
+        assert row[2] == 0
 
     def test_is_min_over_endpoints(self):
         g = family_graph("cyclic", 4)
-        dist = all_pairs_distances(g)
-        d = np.asarray(dist)
-        for edge in g.edges:
+        d = oracle_distance_matrix(g)
+        for edge, row in zip(g.edges, edge_vertex_distances(g).tolist()):
             for w in range(g.vertex_count):
-                assert edge_vertex_distance(dist, edge, w) == min(
-                    d[edge[0]][w], d[edge[1]][w]
-                )
+                assert row[w] == min(d[edge[0]][w], d[edge[1]][w])
 
     def test_complete_graph_values(self):
         g = complete_graph(4)
-        dist = all_pairs_distances(g)
-        for edge in g.edges:
+        for edge, row in zip(g.edges, edge_vertex_distances(g).tolist()):
             for w in range(4):
                 expected = 0 if w in edge else 1
-                assert edge_vertex_distance(dist, edge, w) == expected
+                assert row[w] == expected
 
     def test_incident_edges_differ_by_at_most_one(self):
         g = cycle_graph(9)
-        dist = all_pairs_distances(g)
+        rows = dict(zip(g.edges, edge_vertex_distances(g).tolist()))
         for e, f in itertools.combinations(g.edges, 2):
             if not set(e) & set(f):
                 continue
             for w in range(g.vertex_count):
-                a = edge_vertex_distance(dist, e, w)
-                b = edge_vertex_distance(dist, f, w)
-                assert abs(a - b) <= 1
+                assert abs(rows[e][w] - rows[f][w]) <= 1

@@ -1,12 +1,15 @@
 """The public names of the package."""
 
 import silires
+import silires.graphs
+import silires.resolving
 import silires.structure
 
 # Names that would state the cubic-set rule a second time (the solver's
-# edge masks state it for every graph), or the tetrahedron cover a second
+# edge masks state it for every graph), the tetrahedron cover a second
 # time (a tetrahedron is a sorted 4-tuple, its cubic corners its degree-3
-# members).
+# members), or a code rule a second time, read from a caller's matrix (the
+# code tables gather every code from the graph).
 REMOVED = (
     "ConditionReport",
     "Tetrahedron",
@@ -14,7 +17,10 @@ REMOVED = (
     "TwinTetrahedron",
     "check_necessary",
     "check_sufficient",
+    "edge_code",
+    "edge_vertex_distance",
     "find_twins",
+    "vertex_code",
 )
 
 
@@ -35,4 +41,5 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in silires.__all__
         assert not hasattr(silires, name), name
-        assert not hasattr(silires.structure, name), name
+        for module in (silires.graphs, silires.resolving, silires.structure):
+            assert not hasattr(module, name), (module.__name__, name)

@@ -7,16 +7,20 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from silires import (
-    all_pairs_distances,
-    edge_code,
+    edge_code_table,
     format_edge_list,
     is_edge_resolving,
     is_vertex_resolving,
     parse_edge_list,
-    vertex_code,
 )
 
-from conftest import family_graph, random_connected_graph
+from conftest import (
+    family_graph,
+    oracle_distance_matrix,
+    oracle_edge_codes,
+    oracle_vertex_codes,
+    random_connected_graph,
+)
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -60,8 +64,7 @@ def silicates_with_landmarks(draw):
 @given(silicates_with_landmarks())
 def test_incident_edge_codes_differ_by_at_most_one(case):
     g, landmarks = case
-    dist = all_pairs_distances(g)
-    codes = {e: edge_code(dist, e, landmarks) for e in g.edges}
+    codes = dict(zip(g.edges, edge_code_table(g, landmarks).tolist()))
     for e in g.edges:
         for f in g.edges:
             if e < f and set(e) & set(f):
@@ -92,15 +95,17 @@ def test_supersets_of_resolving_sets_resolve(case):
 @given(graphs_with_landmarks())
 def test_failure_witness_really_collides(case):
     g, landmarks = case
-    dist = all_pairs_distances(g)
+    dist = oracle_distance_matrix(g)
     edge_result = is_edge_resolving(g, landmarks)
     if not edge_result.resolving:
         e, f = edge_result.witness
-        assert edge_code(dist, e, landmarks) == edge_code(dist, f, landmarks)
+        codes = dict(zip(g.edges, oracle_edge_codes(g, dist, landmarks)))
+        assert codes[e] == codes[f]
     vertex_result = is_vertex_resolving(g, landmarks)
     if not vertex_result.resolving:
         u, v = vertex_result.witness
-        assert vertex_code(dist, u, landmarks) == vertex_code(dist, v, landmarks)
+        codes = oracle_vertex_codes(g, dist, landmarks)
+        assert codes[u] == codes[v]
 
 
 @SETTINGS

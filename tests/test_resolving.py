@@ -16,21 +16,14 @@ from silires import (
     SilicateSpec,
     build_graph,
     construct_for_spec,
-    edge_code,
     edge_code_table,
     is_edge_resolving,
     is_vertex_resolving,
-    vertex_code,
     vertex_code_table,
 )
 from silires import resolving
 from silires.graphs import distance_dtype, distance_rows, edge_ends
-from silires.resolving import (
-    VerificationResult,
-    edge_rows,
-    first_duplicate_rows,
-    validate_landmarks,
-)
+from silires.resolving import VerificationResult, first_duplicate_rows, validate_landmarks
 from silires.silicates import CHAIN, CYCLIC
 
 from conftest import (
@@ -49,50 +42,67 @@ from conftest import (
 class TestCodes:
     def test_vertex_code_zero_at_own_landmark(self):
         g = family_graph("chain", 3)
-        dist = all_pairs_distances(g)
         landmarks = (0, 4, 8)
+        table = vertex_code_table(g, landmarks)
         for i, s in enumerate(landmarks):
-            code = vertex_code(dist, s, landmarks)
-            assert code[i] == 0
+            assert table[s, i] == 0
 
     def test_vertex_code_complete_graph(self):
         g = complete_graph(4)
-        dist = all_pairs_distances(g)
-        assert vertex_code(dist, 3, (0, 1, 2)) == (1, 1, 1)
+        assert vertex_code_table(g, (0, 1, 2))[3].tolist() == [1, 1, 1]
 
     def test_vertex_code_chain_shared_corner(self):
         g = family_graph("chain", 2)
-        dist = all_pairs_distances(g)
         # One private per tetrahedron; the shared corner 3 touches both.
-        assert vertex_code(dist, 3, (0, 4)) == (1, 1)
+        assert vertex_code_table(g, (0, 4))[3].tolist() == [1, 1]
+
+    def test_vertex_code_table_matches_oracle(self):
+        g = family_graph("chain", 5)
+        landmarks = (2, 0, 9, 15)
+        rows = distance_rows(g, landmarks)
+        table = vertex_code_table(g, landmarks)
+        assert table.dtype == rows.dtype
+        oracle = oracle_vertex_codes(g, oracle_distance_matrix(g), landmarks)
+        assert table.tolist() == [list(code) for code in oracle]
 
     def test_edge_code_zero_iff_landmark_incident(self):
         g = family_graph("cyclic", 4)
-        dist = all_pairs_distances(g)
         landmarks = (1, 7)
-        for e in g.edges:
-            code = edge_code(dist, e, landmarks)
+        for e, code in zip(g.edges, edge_code_table(g, landmarks).tolist()):
             for i, s in enumerate(landmarks):
                 assert (code[i] == 0) == (s in e)
 
     def test_edge_code_matches_oracle(self):
         g = family_graph("cyclic", 5)
-        dist = all_pairs_distances(g)
         landmarks = (0, 2, 7, 11)
         oracle = oracle_edge_codes(g, oracle_distance_matrix(g), landmarks)
-        assert [edge_code(dist, e, landmarks) for e in g.edges] == oracle
+        assert edge_code_table(g, landmarks).tolist() == [list(code) for code in oracle]
 
-
-    def test_edge_code_table_is_edge_rows_transposed(self):
+    def test_edge_code_table_is_min_of_endpoint_rows(self):
         for family, n in [("chain", 6), ("cyclic", 7)]:
             g = family_graph(family, n)
             landmarks = (1, 5, 8, 13)
             rows = distance_rows(g, landmarks)
             table = edge_code_table(g, landmarks)
-            assert table.dtype == rows.dtype
-            assert np.array_equal(table, edge_rows(g, rows).T)
+            assert table.dtype == rows.dtype and table.flags.c_contiguous
+            u, v = np.array(g.edges).T
+            assert np.array_equal(table, np.minimum(rows[:, u], rows[:, v]).T)
             oracle = oracle_edge_codes(g, oracle_distance_matrix(g), landmarks)
             assert table.tolist() == [list(code) for code in oracle]
+
+    @pytest.mark.parametrize(
+        "table, check",
+        [(edge_code_table, is_edge_resolving), (vertex_code_table, is_vertex_resolving)],
+    )
+    @pytest.mark.parametrize(
+        "landmarks, message",
+        [([0, 0], "landmark set (0, 0) contains duplicates"), ([0, 4], "landmark 4 outside [0, 4)")],
+    )
+    def test_tables_reject_landmarks_as_the_checks_do(self, table, check, landmarks, message):
+        g = path_graph(4)
+        for reader in (table, check):
+            with pytest.raises(GraphInputError, match=f"^{re.escape(message)}$"):
+                reader(g, landmarks)
 
 
 def brute_first_duplicate(table):
@@ -207,8 +217,8 @@ class TestEdgeResolving:
         result = is_edge_resolving(g, [0, 3])
         assert not result.resolving
         e, f = result.witness
-        dist = all_pairs_distances(g)
-        assert edge_code(dist, e, (0, 3)) == edge_code(dist, f, (0, 3))
+        codes = dict(zip(g.edges, edge_code_table(g, (0, 3)).tolist()))
+        assert codes[e] == codes[f]
         assert tuple(e) < tuple(f)
 
     def test_twin_with_two_missing_cubics_collides_at_shared_corner(self):
@@ -218,8 +228,8 @@ class TestEdgeResolving:
         landmarks = [v for v in range(g.vertex_count) if v not in (1, 2)]
         result = is_edge_resolving(g, landmarks)
         assert not result.resolving
-        dist = all_pairs_distances(g)
-        assert edge_code(dist, (1, 3), landmarks) == edge_code(dist, (2, 3), landmarks)
+        codes = dict(zip(g.edges, edge_code_table(g, landmarks).tolist()))
+        assert codes[(1, 3)] == codes[(2, 3)]
 
     def test_empty_set_fails_with_first_two_edges(self):
         g = path_graph(4)

@@ -1,6 +1,7 @@
 """Silicate generators: counts, degrees, vertex numbering, skeleton expansion."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from silires import (
     GraphInputError,
     SilicateSpec,
     build_silicate,
+    canonical_json_bytes,
     chain_silicate,
     cyclic_silicate,
     silicate_of_skeleton,
+    structure_report,
 )
 from silires.silicates import _assemble
 
@@ -75,6 +78,25 @@ class TestChain:
     def test_invalid_n(self):
         with pytest.raises(GraphInputError):
             chain_silicate(0)
+
+
+class TestSpec:
+    @pytest.mark.parametrize("n", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_count_becomes_python_int(self, n):
+        spec = SilicateSpec(CHAIN, n)
+        assert type(spec.n) is int
+        assert spec == SilicateSpec(CHAIN, 3) and hash(spec) == hash(SilicateSpec(CHAIN, 3))
+        report = structure_report(build_silicate(spec), spec)
+        assert canonical_json_bytes(report) == canonical_json_bytes(
+            structure_report(chain_silicate(3), SilicateSpec(CHAIN, 3))
+        )
+
+    @pytest.mark.parametrize("family", [CHAIN, CYCLIC])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
+    def test_non_integral_count_rejected(self, family, bad):
+        message = f"tetrahedron count {bad!r} is not an integer"
+        with pytest.raises(GraphInputError, match=f"^{re.escape(message)}$"):
+            SilicateSpec(family, bad)
 
 
 class TestCyclic:
