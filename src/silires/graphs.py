@@ -223,22 +223,16 @@ class Graph:
     def __reduce__(self):
         return _frozen_graph, (self.vertex_count, *self._arcs)
 
-    def _vertex(self, v) -> int:
-        """``v`` through :func:`vertex_id`, checked to be a vertex."""
-        v = vertex_id(v, "vertex")
-        if not 0 <= v < self.vertex_count:
-            raise GraphInputError(f"vertex {v} outside [0, {self.vertex_count})")
-        return v
-
     def degree(self, v: int) -> int:
         """Degree of vertex ``v``; raises :class:`GraphInputError` for an
-        id that is not an integer or not a vertex."""
-        return int(self._arcs.degree[self._vertex(v)])
+        id that is not an integer or not a vertex (:func:`vertex_ids`)."""
+        (v,) = vertex_ids((v,), "vertex", self.vertex_count)
+        return int(self._arcs.degree[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether ``u`` and ``v`` are adjacent; each is checked as by
+        """Whether ``u`` and ``v`` are adjacent; both are checked as by
         :meth:`degree`."""
-        u, v = self._vertex(u), self._vertex(v)
+        u, v = vertex_ids((u, v), "vertex", self.vertex_count)
         return v in self.adjacency[u]
 
 
@@ -263,13 +257,24 @@ def vertex_id(x, what: str) -> int:
         raise GraphInputError(f"{what} {x!r} is not an integer") from None
 
 
-def vertex_ids(values: Iterable, what: str) -> list[int]:
-    """:func:`vertex_id` of each of ``values``, as a list."""
-    values = list(values)
+def vertex_ids(values: Iterable, what: str, n: Optional[int] = None) -> list[int]:
+    """:func:`vertex_id` of each of ``values``, as a list: the one gate for
+    the ids callers pass in.  Raises :class:`GraphInputError` for ``values``
+    that is not iterable and, given ``n``, for the first id outside
+    ``[0, n)``, naming it."""
     try:
-        return list(map(operator.index, values))
+        items = iter(values)
     except TypeError:
-        return [vertex_id(x, what) for x in values]
+        raise GraphInputError(f"{what} list {values!r} is not iterable") from None
+    values = list(items)
+    try:
+        ids = list(map(operator.index, values))
+    except TypeError:
+        ids = [vertex_id(x, what) for x in values]
+    if n is not None and ids and (min(ids) < 0 or max(ids) >= n):
+        v = next(v for v in ids if not 0 <= v < n)
+        raise GraphInputError(f"{what} {v} outside [0, {n})")
+    return ids
 
 
 def _runs(values: np.ndarray, sizes: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -407,9 +412,7 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     Raises :class:`DisconnectedGraphError` naming the first unreachable
     vertex; disconnected graphs are legal to build but not to measure.
     """
-    source = vertex_id(source, "source")
-    if not (0 <= source < g.vertex_count):
-        raise GraphInputError(f"source {source} outside [0, {g.vertex_count})")
+    (source,) = vertex_ids((source,), "source", g.vertex_count)
     dist = _bfs(g.adjacency, source)
     for v, dv in enumerate(dist):
         if dv < 0:
@@ -575,27 +578,21 @@ def _analyse(g: Graph) -> _Core:
 
 class _RowFill:
     """:func:`distance_rows` in two parts (module docstring).  Making the
-    object is the set-up, run once per source list: it checks the sources
-    and the graph as :func:`distance_rows` documents, reads the graph's
-    analysis (:attr:`Graph._core`), seeds the sources and runs the core BFS
-    at every other root they need.  :meth:`fill` then writes the rows of
-    any range of source columns, with temporaries in proportion to that
-    range.  :attr:`bound` is the distance bound min(n - 1, c + 1) of the
-    graph's c core vertices, and :attr:`dtype` is :func:`distance_dtype` of
-    n."""
+    object is the set-up, run once per source list: it takes the sources as
+    :func:`vertex_ids` checked them, checks the graph as
+    :func:`distance_rows` documents, reads the graph's analysis
+    (:attr:`Graph._core`), seeds the sources and runs the core BFS at every
+    other root they need.  :meth:`fill` then writes the rows of any range of
+    source columns, with temporaries in proportion to that range.
+    :attr:`bound` is the distance bound min(n - 1, c + 1) of the graph's c
+    core vertices, and :attr:`dtype` is :func:`distance_dtype` of n."""
 
     def __init__(self, g: Graph, sources: Sequence[int]) -> None:
         n = g.vertex_count
         self.dtype = distance_dtype(n)
-        sources = vertex_ids(sources, "source")
-        if sources and not 0 <= sources[0] < n:
-            raise GraphInputError(f"source {sources[0]} outside [0, {n})")
         core = self._core = g._core
         if not core.connected:
             bfs_distances(g, sources[0] if sources else 0)  # raises, naming the first vertex it misses
-        if sources and (min(sources) < 0 or max(sources) >= n):
-            s = next(s for s in sources if not 0 <= s < n)
-            raise GraphInputError(f"source {s} outside [0, {n})")
         c = len(core.vertices)
         self.bound = min(n - 1, c + 1)
         self.count = len(sources)
@@ -674,12 +671,12 @@ def distance_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
     The array is the transpose of a C-ordered one, so ``rows.T`` holds one
     contiguous row per vertex.
 
-    The first source is checked, then the graph: a disconnected one raises
-    :class:`DisconnectedGraphError` exactly as :func:`bfs_distances` does
-    from the first source (from vertex 0 when there is none, so no source
-    list escapes the test); then the other sources are checked.
+    The sources are checked first, by :func:`vertex_ids`, then the graph: a
+    disconnected one raises :class:`DisconnectedGraphError` exactly as
+    :func:`bfs_distances` does from the first source (from vertex 0 when
+    there is none, so no source list escapes the test).
     """
-    rows = _RowFill(g, sources)
+    rows = _RowFill(g, vertex_ids(sources, "source", g.vertex_count))
     if not rows.count:
         return np.zeros((0, g.vertex_count), dtype=rows.dtype)
     out = np.empty((g.vertex_count, rows.count), dtype=rows.dtype)

@@ -93,10 +93,7 @@ def validate_landmarks(g: Graph, landmarks: Sequence[int]) -> tuple[int, ...]:
     lm = tuple(vertex_ids(landmarks, "landmark"))
     if len(set(lm)) != len(lm):
         raise GraphInputError(f"landmark set {lm} contains duplicates")
-    n = g.vertex_count
-    if lm and (min(lm) < 0 or max(lm) >= n):
-        v = next(v for v in lm if not 0 <= v < n)
-        raise GraphInputError(f"landmark {v} outside [0, {n})")
+    vertex_ids(lm, "landmark", g.vertex_count)  # the range, after the duplicates
     return lm
 
 

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EdgeListFormatError
-from .graphs import Graph, build_graph, canonical_edge
+from .graphs import Graph, build_graph, canonical_edge, vertex_ids
 from .resolving import VerificationResult, edge_code_table, vertex_code_table
 from .silicates import LabeledSilicate, SilicateSpec
 from .solver import EDGE, Certificate
@@ -194,11 +194,12 @@ def verification_report(
     result: VerificationResult,
     include_codes: bool = False,
 ) -> dict:
+    landmarks = vertex_ids(landmarks, "landmark")
     report = {
         "format": VERIFICATION_FORMAT,
         "graph": graph_descriptor(g),
         "target": target,
-        "landmarks": list(landmarks),
+        "landmarks": landmarks,
         "resolving": result.resolving,
         "witness": None,
     }

@@ -134,10 +134,10 @@ def chain_silicate(n: int) -> LabeledSilicate:
 
     The graph has ``3n + 1`` vertices and ``6n`` edges.  Ids: tetrahedron i
     is (3i-3, 3i-2, 3i-1, 3i), so consecutive tetrahedra i and i+1 share
-    the hinge 3i and every other id is a private (degree-3) vertex.
+    the hinge 3i and every other id is a private (degree-3) vertex.  ``n``
+    is checked and stored as by :class:`SilicateSpec`.
     """
-    if n < 1:
-        raise GraphInputError(f"chain silicate needs n >= 1, got {n}")
+    n = SilicateSpec(CHAIN, n).n
     return _assemble(3 * n + 1, 3 * np.arange(n)[:, None] + np.arange(4))
 
 
@@ -147,9 +147,9 @@ def cyclic_silicate(n: int) -> LabeledSilicate:
     The graph has ``3n`` vertices and ``6n`` edges.  Ids: corner c_1 is 0;
     tetrahedron i < n takes privates 3i-2, 3i-1 and corner c_{i+1} = 3i; the
     last tetrahedron takes privates 3n-2, 3n-1 and closes back on corner 0.
+    ``n`` is checked and stored as by :class:`SilicateSpec`.
     """
-    if n < 3:
-        raise GraphInputError(f"cyclic silicate needs n >= 3, got {n}")
+    n = SilicateSpec(CYCLIC, n).n
     tetrahedra = 3 * np.arange(n)[:, None] + np.arange(4)
     tetrahedra[-1, 3] = 0
     return _assemble(3 * n, tetrahedra)

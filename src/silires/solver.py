@@ -98,14 +98,14 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import SolverInternalError
-from .graphs import Graph, all_pairs_distances, simplicial_vertices
-from .resolving import _edge_gather, is_edge_resolving, is_vertex_resolving
+from .graphs import Graph, all_pairs_distances, simplicial_vertices, vertex_id
+from .resolving import _edge_gather, is_edge_resolving, is_vertex_resolving, validate_landmarks
 from .silicates import SilicateSpec
 from .structure import classify_silicate, dimension_lower_bound
 
@@ -135,7 +135,8 @@ class SolveOptions:
     at its root is refuted without a block, so it submits nothing to the
     pool.  The process-pool machinery
     (``concurrent.futures``, ``multiprocessing``) is imported only when
-    such a pool starts, so a one-worker solve never loads it.
+    such a pool starts, so a one-worker solve never loads it.  Each field
+    is stored through :func:`~silires.graphs.vertex_id`.
     """
 
     start_size: Optional[int] = None
@@ -144,6 +145,9 @@ class SolveOptions:
     budget_subsets: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # None stays only where it is the default
+            if getattr(self, f.name) is not None or f.default is not None:
+                object.__setattr__(self, f.name, vertex_id(getattr(self, f.name), f.name))
         if self.start_size is not None and self.start_size < 1:
             raise ValueError("start_size must be positive")
         if self.max_size is not None and self.max_size < 1:
@@ -553,9 +557,11 @@ def exact_metric_dimension(
 
 
 def is_minimal(g: Graph, landmarks: Sequence[int], target: str = EDGE) -> bool:
-    """True when no single landmark can be dropped while staying resolving."""
+    """True when no single landmark can be dropped while staying resolving;
+    the landmarks are taken once, through :func:`validate_landmarks`."""
     if target not in (EDGE, VERTEX):
         raise ValueError(f"target must be {EDGE!r} or {VERTEX!r}, got {target!r}")
+    landmarks = validate_landmarks(g, landmarks)
     checker = is_edge_resolving if target == EDGE else is_vertex_resolving
     if not checker(g, landmarks).resolving:
         raise ValueError("landmark set is not resolving; minimality is undefined")

@@ -71,17 +71,15 @@ def dimension_lower_bound(spec: SilicateSpec) -> int:
     Derived from packing twin tetrahedra and charging each cubic set all but
     one of its vertices; the closed forms also cover the degenerate chain
     sizes n=1 (a lone K4 needs 3, as the odd form gives) and n=2 (a single
-    twin with six cubic vertices needs 5).
+    twin with six cubic vertices needs 5).  The even and odd forms, 3n/2 + 2
+    and 3(n + 1)/2 for chains, 3n/2 and 3(n + 1)/2 - 1 for cycles, are one
+    floor each: 3n // 2 and (3n + 1) // 2 are 3n/2 for even n, and for odd n
+    (3n - 1)/2 = 3(n + 1)/2 - 2 and (3n + 1)/2 = 3(n + 1)/2 - 1.
     """
-    n = spec.n
     if spec.family == CHAIN:
-        if n % 2 == 0:
-            return 3 * n // 2 + 2
-        return 3 * (n + 1) // 2
+        return 3 * spec.n // 2 + 2
     if spec.family == CYCLIC:
-        if n % 2 == 0:
-            return 3 * n // 2
-        return 3 * (n + 1) // 2 - 1
+        return (3 * spec.n + 1) // 2
     raise UnsupportedFamilyError(
         f"no proven lower bound for family {spec.family!r}"
     )

@@ -109,6 +109,11 @@ class TestLabelings:
         with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
             Labeling(spec=spec, labels=(bad,))
 
+    def test_labels_that_are_not_iterable_rejected(self):
+        spec = SilicateSpec(family=CHAIN, n=1)
+        with pytest.raises(ConstructionError, match=r"^label list 3 is not iterable$"):
+            Labeling(spec, 3)
+
     def test_skeleton_has_no_labeling(self):
         spec = SilicateSpec(family=SKELETON, n=0, skeleton=star_graph(3))
         with pytest.raises(UnsupportedFamilyError):

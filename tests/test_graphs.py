@@ -185,6 +185,22 @@ class TestBuildGraph:
         with pytest.raises(GraphInputError, match=f"^{re.escape(named)}$"):
             query(g)
 
+    def test_vertex_ids_gate(self):
+        # Every caller's ids enter through this one check: Python ints out,
+        # the first bad value named, a scalar named as no list at all.
+        ids = graphs.vertex_ids(iter(np.array([2, 0], dtype=np.int32)), "landmark", 3)
+        assert ids == [2, 0] and all(type(v) is int for v in ids)
+        assert graphs.vertex_ids([5, -1], "source") == [5, -1]
+        for values, named in [
+            ([0, 3, -1], "source 3 outside [0, 3)"),
+            ([-2, 7], "source -2 outside [0, 3)"),
+            ([9, 1.5], "source 1.5 is not an integer"),
+            (4, "source list 4 is not iterable"),
+            (np.int64(1), f"source list {np.int64(1)!r} is not iterable"),
+        ]:
+            with pytest.raises(GraphInputError, match=f"^{re.escape(named)}$"):
+                graphs.vertex_ids(values, "source", 3)
+
     def test_canonical_edge(self):
         assert canonical_edge(5, 2) == (2, 5)
         assert canonical_edge(2, 5) == (2, 5)
@@ -650,6 +666,19 @@ class TestDistanceRows:
             with pytest.raises(DisconnectedGraphError) as raised:
                 distance_rows(g, [first, n - 1 - first])
             assert str(raised.value) == str(expected.value)
+
+    def test_sources_checked_before_the_graph(self):
+        # Every source is checked first, so a bad later source on a
+        # disconnected graph is named, not the graph.
+        g = build_graph(4, [(0, 1), (2, 3)])
+        for sources, named in [
+            ([0, 9], "source 9 outside [0, 4)"),
+            ([1, "2"], "source '2' is not an integer"),
+        ]:
+            with pytest.raises(GraphInputError, match=f"^{re.escape(named)}$"):
+                distance_rows(g, sources)
+        with pytest.raises(DisconnectedGraphError, match="^vertex 2 is unreachable from 1;"):
+            distance_rows(g, [1, 3])
 
     @pytest.mark.parametrize("bad", [1.9, np.float64(0.0), "1"])
     def test_non_integral_source_rejected(self, bad):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -262,6 +263,19 @@ class TestReports:
         assert len(report["codes"]) == g.edge_count
         codes = {tuple(row["code"]) for row in report["codes"]}
         assert len(codes) == g.edge_count
+
+    def test_verification_report_of_numpy_landmarks(self):
+        # The landmarks are listed as Python ints, so the report serializes
+        # to the bytes of the equal list; a one-shot iterator gives them too.
+        g = family_graph(CHAIN, 3)
+        landmarks = [0, 1, 4, 5, 7, 8]
+        result = is_edge_resolving(g, landmarks)
+        expected = canonical_json_bytes(
+            verification_report(g, landmarks, "edge", result, include_codes=True)
+        )
+        for given_ids in (np.array(landmarks), iter(landmarks)):
+            report = verification_report(g, given_ids, "edge", result, include_codes=True)
+            assert canonical_json_bytes(report) == expected
 
     def test_certificate_report_is_stable_json(self):
         g = family_graph(CHAIN, 2)

@@ -76,7 +76,7 @@ class TestChain:
         assert s.private_vertices == ((0, 1, 2, 3),)
 
     def test_invalid_n(self):
-        with pytest.raises(GraphInputError):
+        with pytest.raises(GraphInputError, match=r"^chain silicate needs n >= 1, got 0$"):
             chain_silicate(0)
 
 
@@ -90,13 +90,19 @@ class TestSpec:
         assert canonical_json_bytes(report) == canonical_json_bytes(
             structure_report(chain_silicate(3), SilicateSpec(CHAIN, 3))
         )
+        assert chain_silicate(n) == chain_silicate(3)
+        assert cyclic_silicate(n) == cyclic_silicate(3)
 
     @pytest.mark.parametrize("family", [CHAIN, CYCLIC])
     @pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
     def test_non_integral_count_rejected(self, family, bad):
+        # The family builders take their count through the spec.
         message = f"tetrahedron count {bad!r} is not an integer"
+        builder = chain_silicate if family == CHAIN else cyclic_silicate
         with pytest.raises(GraphInputError, match=f"^{re.escape(message)}$"):
             SilicateSpec(family, bad)
+        with pytest.raises(GraphInputError, match=f"^{re.escape(message)}$"):
+            builder(bad)
 
 
 class TestCyclic:
@@ -128,8 +134,9 @@ class TestCyclic:
         assert s.shared_vertices == (0, 3, 6, 9, 12, 15, 18)
 
     def test_invalid_n(self):
-        for bad in (0, 1, 2):
-            with pytest.raises(GraphInputError):
+        for bad in (0, 1, np.int64(2)):
+            message = f"cyclic silicate needs n >= 3, got {bad}"
+            with pytest.raises(GraphInputError, match=f"^{re.escape(message)}$"):
                 cyclic_silicate(bad)
 
 

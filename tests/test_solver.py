@@ -6,6 +6,7 @@ import itertools
 import multiprocessing
 import os
 import random
+import re
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -20,6 +21,7 @@ from silires import (
     CHAIN,
     CYCLIC,
     SKELETON,
+    GraphInputError,
     SilicateSpec,
     SolveOptions,
     SolverInternalError,
@@ -27,6 +29,8 @@ from silires import (
     all_pairs_distances,
     build_graph,
     build_silicate,
+    canonical_json_bytes,
+    certificate_report,
     classify_silicate,
     construct_for_spec,
     dimension_lower_bound,
@@ -971,6 +975,45 @@ class TestSolveOptionsValidation:
         with pytest.raises(ValueError):
             SolveOptions(budget_subsets=-1)
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(start_size=3),
+            dict(max_size=6),
+            dict(start_size=2, max_size=7, budget_subsets=10**6, parallel_workers=1),
+        ],
+    )
+    def test_numpy_fields_give_the_certificate_of_ints(self, options):
+        opts = SolveOptions(**{k: np.int64(v) for k, v in options.items()})
+        assert opts == SolveOptions(**options)
+        assert all(type(getattr(opts, k)) is int for k in options)
+        g = family_graph(CHAIN, 3)
+        got = canonical_json_bytes(certificate_report(exact_edge_metric_dimension(g, opts)))
+        want = exact_edge_metric_dimension(g, SolveOptions(**options))
+        assert got == canonical_json_bytes(certificate_report(want))
+
+    @pytest.mark.parametrize(
+        "field", ["start_size", "max_size", "parallel_workers", "budget_subsets"]
+    )
+    @pytest.mark.parametrize("bad", [2.5, "3"])
+    def test_non_integral_field_named(self, field, bad):
+        message = f"{field} {bad!r} is not an integer"
+        with pytest.raises(GraphInputError, match=f"^{re.escape(message)}$"):
+            SolveOptions(**{field: bad})
+
+    def test_messages_kept(self):
+        for options, message in [
+            (dict(start_size=0), "start_size must be positive"),
+            (dict(max_size=np.int8(0)), "max_size must be positive"),
+            (dict(start_size=5, max_size=4), "start_size must not exceed max_size"),
+            (dict(parallel_workers=0), "parallel_workers must be positive"),
+            (dict(budget_subsets=-1), "budget_subsets must be non-negative"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                SolveOptions(**options)
+        with pytest.raises(GraphInputError, match=r"^parallel_workers None is not an integer$"):
+            SolveOptions(parallel_workers=None)
+
 
 class TestIsMinimal:
     def test_exact_witness_is_minimal(self):
@@ -979,8 +1022,12 @@ class TestIsMinimal:
         assert is_minimal(g, cert.witness)
 
     def test_full_set_is_not_minimal(self):
+        # A one-shot iterator gives the answer of the list: the landmarks
+        # are taken once, before the first check uses them.
         g = family_graph(CHAIN, 3)
         assert not is_minimal(g, range(g.vertex_count))
+        assert not is_minimal(g, list(range(g.vertex_count)))
+        assert not is_minimal(g, iter(range(g.vertex_count)))
 
     def test_non_resolving_set_rejected(self):
         g = family_graph(CHAIN, 2)

@@ -343,6 +343,14 @@ class TestDimensionLowerBound:
         for n, value in expected.items():
             assert dimension_lower_bound(SilicateSpec(family=CYCLIC, n=n)) == value
 
+    def test_one_floor_per_family_matches_the_parity_forms(self):
+        for n in range(1, 1001):
+            chain = 3 * n // 2 + 2 if n % 2 == 0 else 3 * (n + 1) // 2
+            assert dimension_lower_bound(SilicateSpec(family=CHAIN, n=n)) == chain
+        for n in range(3, 1001):
+            cyclic = 3 * n // 2 if n % 2 == 0 else 3 * (n + 1) // 2 - 1
+            assert dimension_lower_bound(SilicateSpec(family=CYCLIC, n=n)) == cyclic
+
     def test_skeleton_unsupported(self):
         spec = SilicateSpec(family=SKELETON, n=0, skeleton=star_graph(3))
         with pytest.raises(UnsupportedFamilyError):
