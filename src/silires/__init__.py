@@ -64,7 +64,6 @@ from .solver import (
 )
 from .structure import (
     classify_silicate,
-    dimension_lower_bound,
     find_tetrahedra,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "construct_ers",
     "construct_for_spec",
     "cyclic_silicate",
-    "dimension_lower_bound",
     "edge_code_table",
     "exact_edge_metric_dimension",
     "exact_metric_dimension",

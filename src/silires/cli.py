@@ -59,7 +59,6 @@ from .solver import (
     exact_edge_metric_dimension,
     exact_metric_dimension,
 )
-from .structure import dimension_lower_bound
 
 EXIT_OK = 0
 EXIT_NOT_RESOLVING = 1
@@ -123,8 +122,14 @@ def _write_json(path: str, obj) -> None:
 def _parse_id_list(text: str) -> list[int]:
     tokens = text.replace(",", " ").split()
     if not tokens:
-        raise ValueError("empty landmark list")
-    return [int(t) for t in tokens]
+        raise ValueError("--set: empty landmark list")
+    ids = []
+    for token in tokens:
+        try:
+            ids.append(int(token))
+        except ValueError:
+            raise ValueError(f"--set: landmark {token!r} is not an integer") from None
+    return ids
 
 
 def _load_graph(path: str):
@@ -235,10 +240,9 @@ def _cmd_solve(parser: _Parser, args) -> int:
 
 
 def _table_row(spec: SilicateSpec, budget_subsets: int, workers: int) -> dict:
-    lower = dimension_lower_bound(spec)
+    predicted = predicted_dimension(spec)  # the proven lower bound too
     silicate, constructed = construct_for_spec(spec)
     verified = is_edge_resolving(silicate.graph, constructed).resolving
-    predicted = predicted_dimension(spec)
     exact: Optional[int] = None
     if budget_subsets > 0:
         cert = exact_edge_metric_dimension(
@@ -247,11 +251,11 @@ def _table_row(spec: SilicateSpec, budget_subsets: int, workers: int) -> dict:
         )
         if cert.status == STATUS_OPTIMAL:
             exact = cert.dimension
-    present = [lower, len(constructed)] + ([exact] if exact is not None else [])
+    present = [len(constructed)] + ([exact] if exact is not None else [])
     return {
         "family": spec.family,
         "n": spec.n,
-        "lower_bound": lower,
+        "lower_bound": predicted,
         "constructed_size": len(constructed),
         "exact_dimension": exact,
         "predicted": predicted,

@@ -2,14 +2,25 @@
 
 Each tetrahedron of the network receives an integer label saying how many
 of its degree-3 (cubic) vertices join the landmark set.  The labelings
-satisfy the cubic sufficiency conditions and their totals match the family
-lower bounds, giving minimum edge resolving sets — with one genuine
-exception: in the smallest cyclic silicate (n = 3) no set of degree-3
-vertices resolves the edges at all (the three corner-corner edges receive
-identical codes from every degree-3 vertex), so the size-5 construction
-fails verification there and exhaustive search shows the true edge metric
-dimension is 7.  Callers should verify constructed sets; the table command
-does so and reports disagreements.
+satisfy the cubic sufficiency conditions and their totals meet the paper's
+lower bound, :func:`predicted_dimension`, giving minimum edge resolving
+sets — with one genuine exception: in the smallest cyclic silicate (n = 3)
+no set of degree-3 vertices resolves the edges at all (the three
+corner-corner edges receive identical codes from every degree-3 vertex),
+so the size-5 construction fails verification there and exhaustive search
+shows the true edge metric dimension is 7.  Callers should verify
+constructed sets; the table command does so and reports disagreements.
+
+The bound counts *cubic sets*: the degree-3 vertices of one tetrahedron,
+or of a *twin*, two tetrahedra sharing one hinge vertex.  An edge resolving
+set leaves out at most one member of each.  On chain and cyclic silicates
+the cubic sets with two or more members are exactly the edge masks of
+:func:`silires.solver.edge_infeasibility_masks`: the simplicial members of
+N[p] for a corner p, and of N[h] for a hinge h.  The solver proves the rule
+for the masks of every graph and prunes by it.  For a set of cubic vertices,
+leaving out at most one member of every mask is also sufficient on every
+chain silicate and on cyclic silicates with n >= 4 (checked by sampling,
+not proven), but not on the smallest cycle.
 """
 
 from __future__ import annotations
@@ -21,7 +32,6 @@ import numpy as np
 from .errors import ConstructionError, GraphInputError, UnsupportedFamilyError
 from .graphs import vertex_ids
 from .silicates import CHAIN, CYCLIC, LabeledSilicate, SilicateSpec, build_silicate
-from .structure import dimension_lower_bound
 
 
 @dataclass(frozen=True)
@@ -29,8 +39,8 @@ class Labeling:
     """Per-tetrahedron counts of cubic vertices to include as landmarks.
 
     Each label is taken through ``operator.index`` and ``labels`` is stored
-    as a tuple of Python ints; a label that is not integral raises
-    :class:`ConstructionError` naming it."""
+    as a tuple of Python ints; a label that is not integral, or the first
+    outside 1..3, raises :class:`ConstructionError` naming it."""
 
     spec: SilicateSpec
     labels: tuple[int, ...]
@@ -42,7 +52,10 @@ class Labeling:
             raise ConstructionError(str(exc)) from None
         object.__setattr__(self, "labels", labels)
         if labels and (min(labels) < 1 or max(labels) > 3):
-            raise ConstructionError("labels must lie in 1..3")
+            i = next(i for i, x in enumerate(labels) if not 1 <= x <= 3)
+            raise ConstructionError(
+                f"label {labels[i]} of tetrahedron {i} does not lie in 1..3"
+            )
 
     @property
     def total(self) -> int:
@@ -90,14 +103,25 @@ def labeling_for(spec: SilicateSpec) -> Labeling:
 
 
 def predicted_dimension(spec: SilicateSpec) -> int:
-    """The paper's dimension value for the family: the closed form of
-    :func:`~silires.structure.dimension_lower_bound`, which the labeling
-    totals meet.
+    """The paper's closed form for the family: the proven lower bound on
+    the edge metric dimension of CS_n / CC_n (module docstring) and the
+    total of :func:`labeling_for`, exact except for cyclic n = 3 (exact 7).
 
-    Matches the exact edge metric dimension except for cyclic n = 3, where
-    it undershoots (see module docstring).
+    The even and odd forms, 3n/2 + 2 and 3(n + 1)/2 for chains, 3n/2 and
+    3(n + 1)/2 - 1 for cycles, are one floor each: 3n // 2 and
+    (3n + 1) // 2 are 3n/2 for even n, and for odd n (3n - 1)/2 =
+    3(n + 1)/2 - 2 and (3n + 1)/2 = 3(n + 1)/2 - 1.  They cover the
+    degenerate chains n = 1 (a lone K4 needs 3) and n = 2 (one twin of six
+    cubic vertices needs 5) too.  Raises :class:`UnsupportedFamilyError`
+    for the skeleton family.
     """
-    return dimension_lower_bound(spec)
+    if spec.family == CHAIN:
+        return 3 * spec.n // 2 + 2
+    if spec.family == CYCLIC:
+        return (3 * spec.n + 1) // 2
+    raise UnsupportedFamilyError(
+        f"no proven lower bound for family {spec.family!r}"
+    )
 
 
 def construct_ers(

@@ -1,11 +1,12 @@
 """Generators for chain silicates, cyclic silicates, and skeleton expansions.
 
-All generators are deterministic: vertex ids are assigned in first-appearance
+All generators are deterministic, and their numbering is part of the public
+contract (documented in the README) so that landmark sets are meaningful
+across runs.  The chain and cyclic generators assign ids in first-appearance
 order while tetrahedra are emitted 1..n, each tetrahedron contributing its
 not-yet-seen vertices in the fixed order (shared-with-previous, private
-vertices, shared-with-next).  The resulting numbering is part of the public
-contract (documented in the README) so that landmark sets are meaningful
-across runs.
+vertices, shared-with-next).  A skeleton expansion keeps the base ids and
+gives base edge i, in edge order, the fresh ids |V| + 2i and |V| + 2i + 1.
 """
 
 from __future__ import annotations
@@ -158,10 +159,11 @@ def cyclic_silicate(n: int) -> LabeledSilicate:
 def silicate_of_skeleton(base: Graph) -> LabeledSilicate:
     """Expand every edge of a connected simple base graph into a tetrahedron.
 
-    Each base edge uv becomes a tetrahedron on {u, v, two fresh vertices};
-    the output has ``|V| + 2|E|`` vertices and ``6|E|`` edges.  Chain and
-    cyclic silicates are the path and cycle instances of this construction
-    (up to relabeling).  No dimension formulas are claimed for other bases.
+    Base edge i, uv in edge order, becomes the tetrahedron on {u, v,
+    |V| + 2i, |V| + 2i + 1}, and every base id is kept; the output has
+    ``|V| + 2|E|`` vertices and ``6|E|`` edges.  Chain and cyclic silicates
+    are the path and cycle instances of this construction (up to
+    relabeling).  No dimension formulas are claimed for other bases.
     """
     if base.vertex_count == 0 or base.edge_count == 0:
         raise GraphInputError("skeleton base must have at least one edge")

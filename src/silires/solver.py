@@ -1,11 +1,12 @@
 """Exact minimum edge / vertex metric dimension by pruned subset search.
 
 One loop walks over sizes, searching each in lexicographic order.  It
-starts at ``start_size`` (by default the family lower bound for an edge
-solve of a chain or cyclic silicate, else 1) and moves up while a size has
-no resolving set, refuting it; a witness at size k moves it down to k - 1,
-until it meets a refuted size.  The last witness is thus the
-lexicographically smallest set of its size, and the certificate is
+starts at ``start_size`` (by default, for an edge solve of a chain or
+cyclic silicate, the family's proven lower bound, the closed form of
+:func:`~silires.construction.predicted_dimension`; else 1) and moves up
+while a size has no resolving set, refuting it; a witness at size k moves
+it down to k - 1, until it meets a refuted size.  The last witness is thus
+the lexicographically smallest set of its size, and the certificate is
 ``optimal`` exactly when the refuted sizes reach ``dimension - 1``.  A
 budget trip ends the walk with what the sizes searched so far prove.
 
@@ -103,11 +104,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .construction import predicted_dimension
 from .errors import SolverInternalError
 from .graphs import Graph, all_pairs_distances, simplicial_vertices, vertex_id
 from .resolving import _edge_gather, is_edge_resolving, is_vertex_resolving, validate_landmarks
 from .silicates import SilicateSpec
-from .structure import classify_silicate, dimension_lower_bound
+from .structure import classify_silicate
 
 EDGE = "edge"
 VERTEX = "vertex"
@@ -122,7 +124,8 @@ class SolveOptions:
     """Search configuration.
 
     ``start_size`` seeds the first level (default: for an edge solve, the
-    family lower bound when the graph is a chain or cyclic silicate; else
+    closed form of :func:`~silires.construction.predicted_dimension`, a
+    proven lower bound, when the graph is a chain or cyclic silicate; else
     1); ``max_size`` caps the largest level searched; the vertex count caps
     both.  ``budget_subsets`` bounds the number of candidate sets
     evaluated, at block granularity, after which a non-optimal certificate
@@ -500,7 +503,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     # Every vertex together resolves a connected graph, so no level above
     # the vertex count is searched (it has no sets to refute).
     cap = min(opts.max_size or g.vertex_count, g.vertex_count)
-    family_start = dimension_lower_bound(spec) if spec and target == EDGE else 1
+    family_start = predicted_dimension(spec) if spec and target == EDGE else 1
     start = min(opts.start_size or family_start, cap)
 
     ctx = _context(rows, masks)

@@ -2,25 +2,12 @@
 
 A silicate network is a graph whose edges split into vertex-sharing
 complete graphs on four vertices (tetrahedra).  This module reads that
-decomposition off the cubic corners (:func:`find_tetrahedra`), recognizes
-chain and cyclic silicates (:func:`classify_silicate`), and gives the
-paper's lower bound on their edge metric dimension
-(:func:`dimension_lower_bound`).  A tetrahedron is the sorted 4-tuple of
-its vertex ids, as in :attr:`silires.silicates.LabeledSilicate.tetrahedra`,
-and its cubic corners are its members of degree 3.
-
-The bound counts *cubic sets*: the degree-3 vertices of one tetrahedron,
-or of a *twin*, two tetrahedra sharing one hinge vertex.  An edge resolving
-set leaves out at most one member of each.  On chain and cyclic silicates
-the cubic sets with two or more members are exactly the edge masks of
-:func:`silires.solver.edge_infeasibility_masks`: the simplicial members of
-N[p] for a corner p, and of N[h] for a hinge h.  The solver proves the rule
-for the masks of every graph and prunes by it.  For a set of cubic vertices,
-leaving out at most one member of every mask is also sufficient on every
-chain silicate and on cyclic silicates with n >= 4 (checked by sampling,
-not proven), but not on the smallest cycle (n = 3): its three
-corner-corner edges receive identical codes from every cubic vertex, so no
-cubic-only set resolves its edges.
+decomposition off the cubic corners (:func:`find_tetrahedra`) and
+recognizes chain and cyclic silicates (:func:`classify_silicate`).  A
+tetrahedron is the sorted 4-tuple of its vertex ids, as in
+:attr:`silires.silicates.LabeledSilicate.tetrahedra`, and its cubic corners
+are its members of degree 3.  The families' closed form is
+:func:`silires.construction.predicted_dimension`.
 """
 
 from __future__ import annotations
@@ -29,7 +16,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Optional
 
-from .errors import StructureError, UnsupportedFamilyError
+from .errors import StructureError
 from .graphs import Graph, is_connected
 from .silicates import CHAIN, CYCLIC, SilicateSpec
 
@@ -62,26 +49,6 @@ def find_tetrahedra(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     where = f"{uses[e]} corner tetrahedra" if uses[e] else "no corner tetrahedron"
     raise StructureError(
         f"edge {e} lies in {where}; the cover read off the cubic corners needs exactly one"
-    )
-
-
-def dimension_lower_bound(spec: SilicateSpec) -> int:
-    """Proven lower bound on the edge metric dimension of CS_n / CC_n.
-
-    Derived from packing twin tetrahedra and charging each cubic set all but
-    one of its vertices; the closed forms also cover the degenerate chain
-    sizes n=1 (a lone K4 needs 3, as the odd form gives) and n=2 (a single
-    twin with six cubic vertices needs 5).  The even and odd forms, 3n/2 + 2
-    and 3(n + 1)/2 for chains, 3n/2 and 3(n + 1)/2 - 1 for cycles, are one
-    floor each: 3n // 2 and (3n + 1) // 2 are 3n/2 for even n, and for odd n
-    (3n - 1)/2 = 3(n + 1)/2 - 2 and (3n + 1)/2 = 3(n + 1)/2 - 1.
-    """
-    if spec.family == CHAIN:
-        return 3 * spec.n // 2 + 2
-    if spec.family == CYCLIC:
-        return (3 * spec.n + 1) // 2
-    raise UnsupportedFamilyError(
-        f"no proven lower bound for family {spec.family!r}"
     )
 
 

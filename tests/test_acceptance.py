@@ -26,7 +26,6 @@ from silires import (
     canonical_json_bytes,
     certificate_report,
     construct_for_spec,
-    dimension_lower_bound,
     edge_code_table,
     exact_edge_metric_dimension,
     find_tetrahedra,
@@ -149,7 +148,7 @@ def test_criterion_05_sandwich_equality(solved):
     problems = []
     for family, n in ALL_INSTANCES:
         spec = SilicateSpec(family=family, n=n)
-        lower = dimension_lower_bound(spec)
+        lower = predicted_dimension(spec)
         exact = solved[(family, n)].dimension
         constructed = len(construct_for_spec(spec)[1])
         if (family, n) == EXCEPTION:

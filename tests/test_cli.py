@@ -162,6 +162,22 @@ class TestGenerate:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            (["--family", "skeleton"], "--family skeleton requires --skeleton BASE_PATH"),
+            (
+                ["--family", "chain", "-n", "2", "--skeleton", "b.txt"],
+                "--skeleton is not valid with --family chain",
+            ),
+        ],
+    )
+    def test_skeleton_option_mismatch_is_usage_error(self, tmp_path, capsys, monkeypatch, options, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "b.txt").write_text("p 2 1\n0 1\n")
+        code, out, err = run(capsys, "generate", *options)
+        assert (code, out, err) == (EXIT_USAGE, "", f"silires: error: {message}\n")
+
 
 class TestVerify:
     def test_resolving_exit_zero(self, chain2_file, capsys):
@@ -251,6 +267,19 @@ class TestVerify:
     def test_malformed_set_is_usage_error(self, chain2_file, capsys):
         code, _, _ = run(capsys, "verify", str(chain2_file), "--set", "0,x")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "landmarks,message",
+        [
+            ("0,1.5", "--set: landmark '1.5' is not an integer"),
+            ("0 x,2", "--set: landmark 'x' is not an integer"),
+            (",", "--set: empty landmark list"),
+            ("", "--set: empty landmark list"),
+        ],
+    )
+    def test_malformed_set_names_the_option_and_token(self, chain2_file, capsys, landmarks, message):
+        code, out, err = run(capsys, "verify", str(chain2_file), "--set", landmarks)
+        assert (code, out, err) == (EXIT_USAGE, "", f"silires: error: {message}\n")
 
     def test_repeated_pair_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "repeat.txt"
@@ -528,6 +557,25 @@ class TestTable:
         assert rows[0]["agree"] is False
         assert rows[1]["exact_dimension"] == 6
         assert rows[1]["agree"] is True
+
+    @pytest.mark.parametrize(
+        "options,digest",
+        [
+            (["chain", "--n-from", "1", "--n-to", "30"],
+             "2d39453134cc86d1b7810962721759dc7f11206e6f2ff2505d05946956c67f70"),
+            (["cyclic", "--n-from", "3", "--n-to", "30"],
+             "72d962bde85ca56886f46a1c5809f4ab7b550b01b67791d244ee556eb817435a"),
+            (["cyclic", "--n-from", "3", "--n-to", "6", "--budget-subsets", "100000"],
+             "25df7ac512f19db6ab49b7f8c99d1f90369f0434fd9b1e8578e4800131533036"),
+        ],
+        ids=["chain-1-30", "cyclic-3-30", "cyclic-3-6-exact"],
+    )
+    def test_json_report_bytes_are_pinned(self, capsys, options, digest):
+        # Every column of every row, byte for byte: the closed form as
+        # lower_bound and predicted, and agree, false only at cyclic 3.
+        code, out, err = run(capsys, "table", "--family", *options, "--json", "-")
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_bad_range_is_usage_error(self, capsys):
         code, _, _ = run(

@@ -86,11 +86,13 @@ class TestLabelings:
         assert labeling_cyclic(8).total == 12
 
     def test_label_range_validated(self):
+        # The first label outside 1..3 is named, with its tetrahedron.
         spec = SilicateSpec(family=CHAIN, n=2)
-        with pytest.raises(ConstructionError):
-            Labeling(spec=spec, labels=(0, 2))
-        with pytest.raises(ConstructionError):
-            Labeling(spec=spec, labels=(4, 2))
+        cases = [((0, 2), 0, 0), ((4, 2), 4, 0), ((3, 4), 4, 1), ((2, -1, 9), -1, 1)]
+        for labels, label, i in cases:
+            message = f"^label {label} of tetrahedron {i} does not lie in 1\\.\\.3$"
+            with pytest.raises(ConstructionError, match=message):
+                Labeling(spec=spec, labels=labels)
 
     def test_numpy_labels_become_python_ints(self):
         spec = SilicateSpec(family=CHAIN, n=2)
@@ -128,6 +130,21 @@ class TestPredictedDimension:
         assert [predicted_dimension(SilicateSpec(family=CYCLIC, n=n)) for n in range(3, 9)] == [
             5, 6, 8, 9, 11, 12,
         ]
+
+    def test_one_floor_per_family_matches_the_parity_forms(self):
+        for n in range(1, 1001):
+            chain = 3 * n // 2 + 2 if n % 2 == 0 else 3 * (n + 1) // 2
+            assert predicted_dimension(SilicateSpec(family=CHAIN, n=n)) == chain
+        for n in range(3, 1001):
+            cyclic = 3 * n // 2 if n % 2 == 0 else 3 * (n + 1) // 2 - 1
+            assert predicted_dimension(SilicateSpec(family=CYCLIC, n=n)) == cyclic
+
+    def test_skeleton_unsupported(self):
+        spec = SilicateSpec(family=SKELETON, n=0, skeleton=star_graph(3))
+        with pytest.raises(
+            UnsupportedFamilyError, match=r"^no proven lower bound for family 'skeleton'$"
+        ):
+            predicted_dimension(spec)
 
 
 class TestConstructErs:

@@ -63,6 +63,10 @@ class TestBuildGraph:
         assert g.edges == ((0, 1), (0, 2), (2, 3))
         assert all(u < v for u, v in g.edges)
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(GraphInputError, match=r"^vertex count must be non-negative, got -1$"):
+            build_graph(-1, [])
+
     def test_self_loop_rejected(self):
         with pytest.raises(GraphInputError):
             build_graph(3, [(0, 0), (0, 1), (1, 2)])

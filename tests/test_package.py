@@ -17,6 +17,7 @@ REMOVED = (
     "TwinTetrahedron",
     "check_necessary",
     "check_sufficient",
+    "dimension_lower_bound",
     "edge_code",
     "edge_vertex_distance",
     "find_twins",

@@ -56,6 +56,16 @@ class TestEdgeListFormat:
             parse_edge_list("q 3 2\n0 1\n1 2\n")
         assert "line 1" in str(excinfo.value)
 
+    @pytest.mark.parametrize("header", ["p -3 1", "p 3 -1"])
+    def test_negative_header_counts(self, header):
+        # Not the canonical shape, so the line loop reads and rejects it.
+        text = f"{header}\n0 1\n"
+        assert _parse_canonical(text) is None
+        message = f"line 1: negative counts in header '{header}'"
+        with pytest.raises(EdgeListFormatError) as excinfo:
+            parse_edge_list(text)
+        assert str(excinfo.value) == message
+
     def test_wrong_edge_count(self):
         with pytest.raises(EdgeListFormatError) as excinfo:
             parse_edge_list("p 3 5\n0 1\n1 2\n")

@@ -12,6 +12,7 @@ from silires import (
     SKELETON,
     GraphInputError,
     SilicateSpec,
+    build_graph,
     build_silicate,
     canonical_json_bytes,
     chain_silicate,
@@ -92,6 +93,14 @@ class TestSpec:
         )
         assert chain_silicate(n) == chain_silicate(3)
         assert cyclic_silicate(n) == cyclic_silicate(3)
+
+    @pytest.mark.parametrize(
+        "family,message",
+        [("bogus", "unknown silicate family 'bogus'"), (SKELETON, "skeleton family needs a base graph")],
+    )
+    def test_bad_family_or_missing_base_rejected(self, family, message):
+        with pytest.raises(GraphInputError, match=f"^{re.escape(message)}$"):
+            SilicateSpec(family)
 
     @pytest.mark.parametrize("family", [CHAIN, CYCLIC])
     @pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
@@ -236,10 +245,15 @@ class TestSkeleton:
         assert remapped == set(cy.graph.edges)
 
     def test_empty_base_rejected(self):
-        from silires import build_graph
-
         with pytest.raises(GraphInputError):
             silicate_of_skeleton(build_graph(3, []))
+
+    def test_disconnected_base_rejected(self):
+        base = build_graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(GraphInputError, match=r"^skeleton base must be connected$"):
+            silicate_of_skeleton(base)
+        with pytest.raises(GraphInputError, match=r"^skeleton base must be connected$"):
+            build_silicate(SilicateSpec(SKELETON, skeleton=base))
 
 
 class TestBuildSilicate:

@@ -33,7 +33,6 @@ from silires import (
     certificate_report,
     classify_silicate,
     construct_for_spec,
-    dimension_lower_bound,
     exact_edge_metric_dimension,
     exact_metric_dimension,
     find_tetrahedra,
@@ -121,7 +120,7 @@ def _reference_solve(g, opts, target=EDGE):
     start = opts.start_size
     if start is None:
         spec = classify_silicate(g) if target == EDGE else None
-        start = dimension_lower_bound(spec) if spec else 1
+        start = predicted_dimension(spec) if spec else 1
     start = min(start, cap)
     evaluated = 0
     proven = 0
@@ -182,7 +181,7 @@ def relabeled_instances(draw):
     else:
         n = draw(st.integers(1 if kind == CHAIN else 3, 6))
         spec = SilicateSpec(family=kind, n=n)
-        lower = dimension_lower_bound(spec)
+        lower = predicted_dimension(spec)
         start = draw(st.one_of(st.none(), st.integers(max(1, lower - 1), lower + 1)))
     g = relabeled(build_silicate(spec).graph, rng)
     opts = SolveOptions(
@@ -1037,3 +1036,9 @@ class TestIsMinimal:
     def test_vertex_target(self):
         g = complete_graph(4)
         assert is_minimal(g, [0, 1, 2], target="vertex")
+
+    def test_unknown_target_rejected(self):
+        g = family_graph(CHAIN, 2)
+        message = "target must be 'edge' or 'vertex', got 'mixed'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            is_minimal(g, [0, 1, 2, 4, 5], "mixed")

@@ -1,5 +1,5 @@
-"""Tetrahedron decomposition, cubic sets as edge masks, lower bounds, and
-family recognition."""
+"""Tetrahedron decomposition, cubic sets as edge masks, and family
+recognition."""
 
 import random
 from itertools import combinations
@@ -12,12 +12,10 @@ from silires import (
     SKELETON,
     SilicateSpec,
     StructureError,
-    UnsupportedFamilyError,
     build_graph,
     build_silicate,
     classify_silicate,
     construct_for_spec,
-    dimension_lower_bound,
     find_tetrahedra,
     is_connected,
     is_edge_resolving,
@@ -330,31 +328,6 @@ class TestCheckSufficient:
         cubics = cubic_vertices(g)
         assert short_masks(masks, cubics) == []
         assert not is_edge_resolving(g, cubics).resolving
-
-
-class TestDimensionLowerBound:
-    def test_chain_values(self):
-        expected = {1: 3, 2: 5, 3: 6, 4: 8, 5: 9, 6: 11, 7: 12}
-        for n, value in expected.items():
-            assert dimension_lower_bound(SilicateSpec(family=CHAIN, n=n)) == value
-
-    def test_cyclic_values(self):
-        expected = {3: 5, 4: 6, 5: 8, 6: 9, 7: 11, 8: 12}
-        for n, value in expected.items():
-            assert dimension_lower_bound(SilicateSpec(family=CYCLIC, n=n)) == value
-
-    def test_one_floor_per_family_matches_the_parity_forms(self):
-        for n in range(1, 1001):
-            chain = 3 * n // 2 + 2 if n % 2 == 0 else 3 * (n + 1) // 2
-            assert dimension_lower_bound(SilicateSpec(family=CHAIN, n=n)) == chain
-        for n in range(3, 1001):
-            cyclic = 3 * n // 2 if n % 2 == 0 else 3 * (n + 1) // 2 - 1
-            assert dimension_lower_bound(SilicateSpec(family=CYCLIC, n=n)) == cyclic
-
-    def test_skeleton_unsupported(self):
-        spec = SilicateSpec(family=SKELETON, n=0, skeleton=star_graph(3))
-        with pytest.raises(UnsupportedFamilyError):
-            dimension_lower_bound(spec)
 
 
 class TestClassifySilicate:
