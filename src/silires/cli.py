@@ -59,6 +59,7 @@ from .solver import (
     exact_edge_metric_dimension,
     exact_metric_dimension,
 )
+from .structure import classify_silicate
 
 EXIT_OK = 0
 EXIT_NOT_RESOLVING = 1
@@ -229,7 +230,7 @@ def _cmd_solve(parser: _Parser, args) -> int:
     else:
         cert = exact_metric_dimension(g, opts)
     if args.json is not None:
-        _write_json(args.json, certificate_report(cert))
+        _write_json(args.json, certificate_report(cert, classify_silicate(g)))
     if args.json != STDOUT:
         print(
             f"{args.target} metric dimension: {cert.dimension} "

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import EdgeListFormatError
 from .graphs import Graph, build_graph, canonical_edge, vertex_ids
 from .resolving import VerificationResult, edge_code_table, vertex_code_table
-from .silicates import LabeledSilicate, SilicateSpec
+from .silicates import SKELETON, LabeledSilicate, SilicateSpec
 from .solver import EDGE, Certificate
 
 EDGE_LIST_HEADER = "p"
@@ -173,13 +173,20 @@ def graph_descriptor(g: Graph) -> dict:
     return {"vertex_count": g.vertex_count, "edge_count": g.edge_count}
 
 
+def _family_fields(spec: Optional[SilicateSpec]) -> dict:
+    """The ``family`` and ``n`` of a report: both ``None`` without a spec,
+    and ``n`` ``None`` for a skeleton, whose base graph takes its place."""
+    if spec is None:
+        return {"family": None, "n": None}
+    return {"family": spec.family, "n": None if spec.family == SKELETON else spec.n}
+
+
 def structure_report(
     silicate: LabeledSilicate, spec: Optional[SilicateSpec] = None
 ) -> dict:
     return {
         "format": STRUCTURE_FORMAT,
-        "family": spec.family if spec is not None else None,
-        "n": spec.n if spec is not None and spec.n > 0 else None,
+        **_family_fields(spec),
         "graph": graph_descriptor(silicate.graph),
         "tetrahedra": [list(t) for t in silicate.tetrahedra],
         "shared_vertices": list(silicate.shared_vertices),
@@ -219,12 +226,12 @@ def verification_report(
     return report
 
 
-def certificate_report(cert: Certificate) -> dict:
-    spec = cert.spec
+def certificate_report(cert: Certificate, spec: Optional[SilicateSpec] = None) -> dict:
+    """The report of ``cert``, with the family of the solved graph named by
+    ``spec`` (the solver recognizes none), as ``silires solve`` passes it."""
     return {
         "format": CERTIFICATE_FORMAT,
-        "family": spec.family if spec is not None else None,
-        "n": spec.n if spec is not None else None,
+        **_family_fields(spec),
         "target": cert.target,
         "status": cert.status,
         "dimension": cert.dimension,

@@ -1,14 +1,15 @@
 """Exact minimum edge / vertex metric dimension by pruned subset search.
 
-One loop walks over sizes, searching each in lexicographic order.  It
-starts at ``start_size`` (by default, for an edge solve of a chain or
-cyclic silicate, the family's proven lower bound, the closed form of
-:func:`~silires.construction.predicted_dimension`; else 1) and moves up
-while a size has no resolving set, refuting it; a witness at size k moves
-it down to k - 1, until it meets a refuted size.  The last witness is thus
-the lexicographically smallest set of its size, and the certificate is
+One loop walks over sizes, searching each in lexicographic order.  Every
+size below the counting bound at the root (below) is refuted by that
+bound alone, so the walk starts at the bound, or at ``start_size`` when
+that is larger, for every graph and either target.  It moves up while a
+size has no resolving set, refuting it; a witness at size k moves it down
+to k - 1, until it meets a refuted size.  The last witness is thus the
+lexicographically smallest set of its size, and the certificate is
 ``optimal`` exactly when the refuted sizes reach ``dimension - 1``.  A
-budget trip ends the walk with what the sizes searched so far prove.
+budget trip ends the walk with what the bound and the sizes searched so far
+prove.
 
 Pruning rests on *masks*: vertex sets such that a landmark set leaving out
 two members of one mask cannot resolve, so it is skipped unevaluated.  Each
@@ -55,12 +56,13 @@ Every block of a level (the k-sets sharing a smallest member b, reached by
 excluding 0..b-1 and picking b) hangs off one root, the node that has
 picked and excluded nothing.  No mask is forced there and each slice is a
 whole mask, so the bound at the root is the greedy packing over all masks,
-whatever k is.  It is computed once per solve, with the search context, and
-a level of size k below it is cut at its root by the argument above: one
-node and one bound prune, no block searched and nothing submitted to a
-pool.  Vertex solves, and edge solves of graphs without a recognized
-family, start at size 1, so on graphs with many masks most of their sizes
-end there.
+whatever k is: the paper's counting argument, read off the graph.  It is
+computed once per solve, and every size below it holds no set that passes
+the mask check, so it is refuted without a search: no node, no block and
+nothing submitted to a pool.  With the canonical numbering the root bound
+equals the closed form of the paper on chain silicates and even cycles,
+and is one short on odd cycles, whose cycle of masks a disjoint packing
+cannot cover.
 
 A node whose bound equals ``need`` has no slack, so the walk steps over the
 vertices in no mask that come next without visiting them.  Such a vertex
@@ -104,12 +106,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .construction import predicted_dimension
 from .errors import SolverInternalError
 from .graphs import Graph, all_pairs_distances, simplicial_vertices, vertex_id
 from .resolving import _edge_gather, is_edge_resolving, is_vertex_resolving, validate_landmarks
-from .silicates import SilicateSpec
-from .structure import classify_silicate
 
 EDGE = "edge"
 VERTEX = "vertex"
@@ -123,20 +122,17 @@ STATUS_PARTIAL = "partial"
 class SolveOptions:
     """Search configuration.
 
-    ``start_size`` seeds the first level (default: for an edge solve, the
-    closed form of :func:`~silires.construction.predicted_dimension`, a
-    proven lower bound, when the graph is a chain or cyclic silicate; else
-    1); ``max_size`` caps the largest level searched; the vertex count caps
-    both.  ``budget_subsets`` bounds the number of candidate sets
+    The walk starts at the counting bound at the root (module docstring),
+    which proves every smaller size, or at ``start_size`` when that is
+    larger; ``max_size`` caps the largest level searched; the vertex count
+    caps both.  ``budget_subsets`` bounds the number of candidate sets
     evaluated, at block granularity, after which a non-optimal certificate
     is returned.  ``parallel_workers`` above 1 runs the blocks of each
     level (the k-sets sharing a smallest member) in a pool of that many
     processes, at most one per vertex (no level has more blocks).  The
     certificate and counters are those of one worker, the solve returns or
     raises only after every worker has exited, and a worker that dies
-    makes it raise ``BrokenProcessPool``.  A level below the counting bound
-    at its root is refuted without a block, so it submits nothing to the
-    pool.  The process-pool machinery
+    makes it raise ``BrokenProcessPool``.  The process-pool machinery
     (``concurrent.futures``, ``multiprocessing``) is imported only when
     such a pool starts, so a one-worker solve never loads it.  Each field
     is stored through :func:`~silires.graphs.vertex_id`.
@@ -177,8 +173,8 @@ class SolveStats:
     counting bound, a vertex stepped over at zero slack counting as the cut
     of its include branch.  The bound runs only at nodes with two or more
     members left to pick; the last level is decided by its exact mask test,
-    so no cut is counted there.  A size level below the bound at its root
-    counts one node and one prune, that root.  All three are identical for
+    so no cut is counted there.  Sizes below the bound at the root are
+    never searched and count nothing.  All three are identical for
     any worker count; only ``subsets_examined`` enters the serialized
     certificate.
     """
@@ -196,20 +192,20 @@ class Certificate:
     ``witness`` is the walk's last resolving set, the lexicographically
     smallest of its size (``None`` when none was found within budget or
     ``max_size``).  ``infeasible_size_checked`` is the largest size
-    proven, by an exhaustive search, to admit no resolving set; by
-    monotonicity every smaller size is then infeasible too.  ``spec`` is
-    the chain or cyclic family recognized in the graph (``None``
-    otherwise), which seeds the default start of an edge solve.  The
-    dimension, bounds and status are derived from these.  Elapsed time and
-    the search counters other than ``subsets_examined`` are informational
-    and excluded from serialized output.
+    proven to admit no resolving set, by the counting bound at the root or
+    by an exhaustive search; by monotonicity every smaller size is then
+    infeasible too.  ``start_size`` is the first size searched: the root
+    bound, or ``SolveOptions.start_size`` when larger, within the cap (0
+    when no item needs telling apart).  The dimension, bounds and status
+    are derived from these.  Elapsed time and the search counters other
+    than ``subsets_examined`` are informational and excluded from
+    serialized output.
     """
 
     target: str
     witness: Optional[tuple[int, ...]]
     infeasible_size_checked: int
     start_size: int
-    spec: Optional[SilicateSpec]
     stats: SolveStats
 
     @property
@@ -279,13 +275,11 @@ def _packing_bound(parts) -> int:
 
 def _context(rows: np.ndarray, masks: Sequence[int]):
     """Search context: (code rows, one per vertex; masks; the vertices in
-    some mask, as one bitmask; base; root bound).  Every code entry lies
-    below base; the root bound is the counting bound at the root of every
-    level, where nothing is picked, excluded or forced."""
+    some mask, as one bitmask; base).  Every code entry lies below base."""
     covered = 0
     for m in masks:
         covered |= m
-    return rows, tuple(masks), covered, int(rows.max()) + 1, _packing_bound(masks)
+    return rows, tuple(masks), covered, int(rows.max()) + 1
 
 
 def _search_block(ctx, k: int, block: int):
@@ -300,7 +294,7 @@ def _search_block(ctx, k: int, block: int):
     frame is popped and its exclude branch, the node one position on, comes
     next.
     """
-    rows, masks, covered, base, _ = ctx
+    rows, masks, covered, base = ctx
     n = len(rows)
     bit_count = int.bit_count
     evaluated = nodes = prunes = 0
@@ -412,10 +406,7 @@ def _search_level(ctx, k: int, pool, remaining: Optional[int]):
 
     Returns (witness, counts, budget_tripped), where counts sums
     (evaluated, nodes, bound prunes) over the blocks up to the one that
-    ended the level.  After the budget check, a level below the root bound
-    of ``ctx`` is cut at its root (module docstring): it counts one node and
-    one prune, searches no block and submits nothing to ``pool``.  One loop
-    consumes the block results in block order:
+    ended the level.  One loop consumes the block results in block order:
     without a pool they are computed one by one as the loop asks; with a
     pool every block of the level is submitted at once.  The budget is
     checked only at block boundaries, so the outcome and the counts are
@@ -424,14 +415,10 @@ def _search_level(ctx, k: int, pool, remaining: Optional[int]):
     is cancelled; blocks a worker has already taken run to completion and
     their results are dropped.
     """
-    rows, *_, root_bound = ctx
-    blocks = len(rows) - k + 1
+    blocks = len(ctx[0]) - k + 1
     counts = [0, 0, 0]
     if remaining is not None and remaining <= 0:
         return None, counts, True
-    if k < root_bound:
-        # Every block hangs off the level's root, and the bound cuts it.
-        return None, [0, 1, 1], False
     futures = []
     if pool is None:
         results = (_search_block(ctx, k, b) for b in range(blocks))
@@ -494,17 +481,18 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
         item_count = g.vertex_count
         rows = dist.T  # distances are symmetric: the matrix itself, in C order
         masks = vertex_infeasibility_masks(g)
-    spec = classify_silicate(g)
     if item_count <= 1:
         # The empty set resolves; no size below it is left to refute.
         stats = SolveStats(0, 0, 0, time.perf_counter() - t0)
-        return Certificate(target, (), -1, 0, spec, stats)
+        return Certificate(target, (), -1, 0, stats)
 
     # Every vertex together resolves a connected graph, so no level above
     # the vertex count is searched (it has no sets to refute).
     cap = min(opts.max_size or g.vertex_count, g.vertex_count)
-    family_start = predicted_dimension(spec) if spec and target == EDGE else 1
-    start = min(opts.start_size or family_start, cap)
+    # The root bound refutes every size below it (module docstring), and
+    # size 0 always fails with >= 2 items.
+    proven = min(max(_packing_bound(masks), 1), cap + 1) - 1
+    start = min(max(opts.start_size or 1, proven + 1), cap)
 
     ctx = _context(rows, masks)
     # No level has more blocks than vertices, so more workers would idle.
@@ -517,7 +505,6 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
             max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         )
     counted = [0, 0, 0]  # evaluated, nodes, bound prunes
-    proven = 0  # size 0 always fails with >= 2 items
     best: Optional[tuple[int, ...]] = None
     budget = opts.budget_subsets
     k = start
@@ -542,7 +529,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
             f"internal error: search returned a non-resolving witness {best!r}"
         )
     stats = SolveStats(*counted, elapsed_seconds=time.perf_counter() - t0)
-    return Certificate(target, best, proven, start, spec, stats)
+    return Certificate(target, best, proven, start, stats)
 
 
 def exact_edge_metric_dimension(

@@ -20,6 +20,7 @@ from silires import (
     build_graph,
     canonical_json_bytes,
     certificate_report,
+    classify_silicate,
     exact_edge_metric_dimension,
     exact_metric_dimension,
     format_edge_list,
@@ -504,7 +505,9 @@ class TestSolve:
                         argv += [flags[key], str(value)]
                     code, out, err = run(capsys, *argv)
                     cert = solve(g, SolveOptions(**options))
-                    library = canonical_json_bytes(certificate_report(cert))
+                    library = canonical_json_bytes(
+                        certificate_report(cert, classify_silicate(g))
+                    )
                     assert (out.encode(), err) == (library, ""), (name, target, options)
                     assert (code == EXIT_OK) == (cert.status == "optimal")
                     statuses.add(cert.status)

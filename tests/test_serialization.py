@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from silires import (
     CHAIN,
+    SKELETON,
     EdgeListFormatError,
     GraphInputError,
     SilicateSpec,
@@ -16,6 +17,7 @@ from silires import (
     build_silicate,
     canonical_json_bytes,
     certificate_report,
+    classify_silicate,
     exact_edge_metric_dimension,
     format_edge_list,
     is_edge_resolving,
@@ -290,7 +292,7 @@ class TestReports:
     def test_certificate_report_is_stable_json(self):
         g = family_graph(CHAIN, 2)
         cert = exact_edge_metric_dimension(g)
-        report = certificate_report(cert)
+        report = certificate_report(cert, classify_silicate(g))
         assert (report["family"], report["n"]) == (CHAIN, 2)
         assert report["status"] == "optimal"
         assert report["dimension"] == 5
@@ -299,6 +301,22 @@ class TestReports:
         flat = json.dumps(report)
         assert "elapsed" not in flat
         assert "workers" not in flat
+
+    def test_reports_name_the_family_alike(self):
+        # A chain or cyclic spec gives its family and n, a skeleton spec its
+        # family and no n (its base graph takes the place of n), and no spec
+        # neither, in the structure report and the certificate report alike.
+        skeleton = SilicateSpec(family=SKELETON, skeleton=path_graph(3))
+        silicate = build_silicate(skeleton)
+        cert = exact_edge_metric_dimension(silicate.graph)
+        cases = [
+            (SilicateSpec(family=CHAIN, n=2), (CHAIN, 2)),
+            (skeleton, (SKELETON, None)),
+            (None, (None, None)),
+        ]
+        for spec, fields in cases:
+            for report in (structure_report(silicate, spec), certificate_report(cert, spec)):
+                assert (report["family"], report["n"]) == fields
 
     def test_certificate_byte_identity_across_runs(self):
         g = family_graph(CHAIN, 2)

@@ -31,7 +31,6 @@ from silires import (
     build_silicate,
     canonical_json_bytes,
     certificate_report,
-    classify_silicate,
     construct_for_spec,
     exact_edge_metric_dimension,
     exact_metric_dimension,
@@ -104,11 +103,12 @@ def _reference_level(checker, masks, universe, k, remaining):
 
 
 def _reference_solve(g, opts, target=EDGE):
-    """The solver's level schedule over :func:`_reference_level`: an upward
-    sweep from the start size, then downward confirmation over every vertex.
-    Sets failing a mask of :func:`reference_masks` are skipped; the edge
-    target starts at the family lower bound, the vertex target at 1.
-    Returns the certificate fields compared by :func:`_outcome`.
+    """The solver's level schedule over :func:`_reference_level`: every size
+    below the packing bound over the masks of :func:`reference_masks` counts
+    as refuted, then an upward sweep from the start size (that bound, or
+    ``start_size`` when larger), then downward confirmation over every vertex.
+    Sets failing a mask are skipped.  Returns the certificate fields
+    compared by :func:`_outcome`.
     """
     masks = reference_masks(g, target)
     if target == EDGE:
@@ -117,13 +117,9 @@ def _reference_solve(g, opts, target=EDGE):
         checker = lambda combo: is_vertex_resolving(g, combo).resolving
     universe = tuple(range(g.vertex_count))
     cap = min(opts.max_size or g.vertex_count, g.vertex_count)
-    start = opts.start_size
-    if start is None:
-        spec = classify_silicate(g) if target == EDGE else None
-        start = predicted_dimension(spec) if spec else 1
-    start = min(start, cap)
+    proven = min(max(_packing_bound(masks), 1), cap + 1) - 1
+    start = min(max(opts.start_size or 1, proven + 1), cap)
     evaluated = 0
-    proven = 0
 
     def level(k):
         nonlocal evaluated
@@ -367,15 +363,19 @@ class TestRestrictedAndBudgeted:
         assert cert.upper_bound is None
 
     def test_budget_trip_during_confirmation_is_conditional(self):
-        g = family_graph(CHAIN, 2)
+        # Cyclic 3 has root bound 4 and dimension 7: from 8 the walk finds
+        # witnesses at 8 and 7, and the budget trips in level 6, so only the
+        # bound's 4 is proven.  (On chain 2 the root bound is the dimension
+        # 5, which leaves no level to confirm.)
+        g = family_graph(CYCLIC, 3)
         cert = exact_edge_metric_dimension(
-            g, SolveOptions(start_size=5, budget_subsets=1)
+            g, SolveOptions(start_size=8, budget_subsets=5)
         )
         assert cert.status == STATUS_CONDITIONAL
-        assert cert.dimension == 5
-        assert cert.witness == (0, 1, 2, 4, 5)
-        assert cert.upper_bound == 5
-        assert cert.lower_bound < 5
+        assert cert.dimension == 7
+        assert cert.witness == (0, 1, 2, 3, 4, 5, 7)
+        assert cert.upper_bound == 7
+        assert cert.lower_bound == 4
 
     def test_examined_counter_monotone_in_budget(self):
         g = family_graph(CYCLIC, 3)
@@ -440,11 +440,11 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "g,opts",
         [
-            # Levels 1-6 cut at their roots, the witness at 7.
+            # Root bound 7, the dimension: the walk starts at the witness.
             (family_graph(CHAIN, 5), SolveOptions()),
             # A spider whose three legs of length 1 (3, 4, 6) are false
-            # twins: root bound 2, so level 1 is cut; levels 2 and 3 are
-            # walked, and the budget trips in level 3.
+            # twins: root bound 2, so the walk starts at 2; levels 2 and 3
+            # are walked, and the budget trips in level 3.
             (
                 build_graph(
                     8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (1, 5), (2, 7)]
@@ -455,8 +455,8 @@ class TestDeterminism:
         ids=["chain-5", "spider-budget-10"],
     )
     def test_vertex_counters_identical_for_one_two_and_four_workers(self, g, opts):
-        # A root cut counts one node and one prune for any worker count, and
-        # a cut level submits nothing to the pool.
+        # Sizes below the root bound are never searched, so they count
+        # nothing and submit nothing to the pool, for any worker count.
         results = []
         for workers in (1, 2, 4):
             cert = exact_metric_dimension(
@@ -644,13 +644,31 @@ class TestPruningMasks:
         g, opts = case
         assert _outcome(exact_edge_metric_dimension(g, opts)) == _reference_solve(g, opts)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=st.one_of(relabeled_instances(), vertex_instances()),
+        target=st.sampled_from([EDGE, VERTEX]),
+    )
+    def test_walk_starts_at_the_root_bound(self, case, target):
+        # Every size below the root bound is refuted by the bound alone, so
+        # a walk asked to start lower starts at the bound too: the default
+        # solve and one from size 1 give one certificate, whatever the
+        # numbering or the family.
+        g, _ = case
+        assume(g.vertex_count >= 3)  # two or more items for either target
+        solve = exact_edge_metric_dimension if target == EDGE else exact_metric_dimension
+        default = solve(g)
+        assert _outcome(solve(g, SolveOptions(start_size=1))) == _outcome(default)
+        assert default.start_size == max(1, _packing_bound(self.masks_of[target](g)))
+
     def test_every_exit_of_the_size_walk(self):
-        # Chain 2 (7 vertices, dimension 5) under a grid of start, cap and
-        # budget leaves the walk over sizes by every way out.
-        g = family_graph(CHAIN, 2)
+        # Cyclic 3 (9 vertices, root bound 4, dimension 7) under a grid of
+        # start, cap and budget leaves the walk over sizes by every way out.
+        # (On chain 2 the root bound is the dimension, so no walk climbs.)
+        g = family_graph(CYCLIC, 3)
         exits = set()
         for start, cap, budget in itertools.product(
-            (None, 1, 4, 6, 7), (None, 4, 6), (None, 0, 1, 5)
+            (None, 1, 7, 8, 9), (None, 4, 6), (None, 0, 1, 5)
         ):
             if start and cap and start > cap:
                 continue
@@ -663,7 +681,7 @@ class TestPruningMasks:
             assert cert.upper_bound == cert.dimension == size
             status, dimension, _, proven, first, _ = outcome
             if status == STATUS_PARTIAL:
-                exits.add("cap" if proven == min(cap or 7, 7) else "trip going up")
+                exits.add("cap" if proven == (cap or 9) else "trip going up")
             elif status == STATUS_CONDITIONAL:
                 exits.add("trip going down")
             elif dimension >= first:
@@ -754,10 +772,11 @@ class TestExactKeys:
 
     def test_full_universe_shares_rows(self):
         rows = np.arange(12, dtype=np.int16).reshape(3, 4)
-        rows_of, masks, covered, base, root = _context(rows, [0b110, 0b1001])
+        rows_of, masks, covered, base = _context(rows, [0b110, 0b1001])
         assert rows_of is rows
+        assert (masks, covered, base) == ((0b110, 0b1001), 0b1111, 12)
         # Two disjoint pairs: each set passing both masks holds one of each.
-        assert (masks, covered, base, root) == ((0b110, 0b1001), 0b1111, 12, 2)
+        assert _packing_bound(masks) == 2
 
     def test_labels_that_cannot_fit_raise(self):
         labels = np.arange(5, dtype=np.int64)
@@ -841,15 +860,14 @@ def optimal_for_one_and_two_workers(solve, g):
 
 
 class TestSearchCounters:
-    # The counting bound and the zero-slack step bring chain 13 to 34 nodes
+    # The counting bound and the zero-slack step bring chain 13 to 33 nodes
     # and cyclic 13 to 58; without the bound the chain 13 proof walks 3.9
-    # million nodes.  The solve starts at the dimension d (21 and 20), whose
-    # walk takes 33 and 35 nodes, the last evaluating the witness.  Level
-    # d - 1 is the confirmation.  On chain 13 the root bound is 21, so it is
-    # one root cut: 33 + 1 (its walk took 21 nodes before the cut).  On
-    # cyclic 13 the root bound is 19, as the greedy packing of an odd cycle
-    # of masks is one short of d, so level 19 is still walked: 35 + 23.
-    @pytest.mark.parametrize("family,n,nodes", [(CHAIN, 13, 34), (CYCLIC, 13, 58)])
+    # million nodes.  The solve starts at the root bound.  On chain 13 it is
+    # the dimension 21, which the bound proves: the walk is level 21 alone,
+    # 33 nodes, the last evaluating the witness.  On cyclic 13 it is 19, as
+    # the greedy packing of an odd cycle of masks is one short of d = 20, so
+    # level 19 is walked and refuted (23 nodes) before level 20 (35).
+    @pytest.mark.parametrize("family,n,nodes", [(CHAIN, 13, 33), (CYCLIC, 13, 58)])
     def test_edge_solve_node_count(self, family, n, nodes):
         g = family_graph(family, n)
         cert = optimal_for_one_and_two_workers(exact_edge_metric_dimension, g)
@@ -861,13 +879,11 @@ class TestSearchCounters:
         # With no slack the walk steps over the hinges, which lie in no
         # mask, instead of visiting two nodes for each: level d takes 5n/2
         # nodes on chain n = 100 and 200 and 5n/2 - 1 on cyclic n.  At even
-        # n the root bound of both families is d, so the confirmation at
-        # d - 1 is one root cut: 5n/2 + 1 and 5n/2 nodes.  (Before the root
-        # cut that level walked 3n/2 + 1 and 3n/2 + 2 nodes, 4n + 1 in all;
-        # 6n - 1 when each hinge was visited.)
+        # n the root bound of both families is d, which proves d - 1, so
+        # level d is the whole walk.
         g = family_graph(family, n)
         cert = optimal_for_one_and_two_workers(exact_edge_metric_dimension, g)
-        assert cert.stats.nodes_visited == 5 * n // 2 + (family == CHAIN)
+        assert cert.stats.nodes_visited == 5 * n // 2 - (family == CYCLIC)
 
     @pytest.mark.parametrize("family,n,dimension", [(CHAIN, 340, 512), (CYCLIC, 340, 510)])
     def test_deep_walk_does_not_recurse_per_vertex(self, family, n, dimension):
@@ -894,43 +910,40 @@ class TestSearchCounters:
         # The benchmark's canonical vertex chain 5 and cyclic 7: the twin
         # masks and the bound leave one set to evaluate (16350 and 138504
         # without them), the witnesses are the same.  Both have dimension 7
-        # and root bound 7, so levels 1-6 are six root cuts, one node and
-        # one prune each, and level 7 walks 15 and 18 nodes with 7 and 10
-        # prunes: 21 and 24 nodes, 13 and 16 prunes (96 and 129 nodes when
-        # the six levels were walked block by block).
+        # and root bound 7, so the walk starts at 7 and is level 7 alone:
+        # 15 and 18 nodes with 7 and 10 prunes.
         cases = [
-            (CHAIN, 5, (0, 1, 4, 7, 10, 13, 14), 21, 13),
-            (CYCLIC, 7, (1, 4, 7, 10, 13, 16, 19), 24, 16),
+            (CHAIN, 5, (0, 1, 4, 7, 10, 13, 14), 15, 7),
+            (CYCLIC, 7, (1, 4, 7, 10, 13, 16, 19), 18, 10),
         ]
         for family, n, witness, nodes, prunes in cases:
             g = family_graph(family, n)
             cert = optimal_for_one_and_two_workers(exact_metric_dimension, g)
             assert cert.witness == witness
+            assert cert.start_size == 7
             stats = cert.stats
             assert stats.subsets_examined == 1
             assert (stats.nodes_visited, stats.bound_prunes) == (nodes, prunes)
 
     def test_skeleton_edge_solve_guard(self):
         # The benchmark's edge solve of the skeleton expansion of K4 (16
-        # vertices, no recognized family, so it starts at 1): the masks
-        # leave one set to evaluate (58604 without them).  Root bound 8, so
-        # levels 1-7 are seven root cuts, one node and one prune each;
-        # levels 8 and 9 walk 11 and 30 nodes with 7 and 23 prunes, and
-        # level 10 90 nodes with 46 prunes up to the witness: 138 nodes and
-        # 83 prunes.
+        # vertices, no recognized family): the masks leave one set to
+        # evaluate (58604 without them).  Root bound 8, so the walk starts
+        # at 8; levels 8 and 9 walk 11 and 30 nodes with 7 and 23 prunes,
+        # and level 10 90 nodes with 46 prunes up to the witness: 131 nodes
+        # and 76 prunes.
         g = silicate_of_skeleton(complete_graph(4)).graph
         cert = optimal_for_one_and_two_workers(exact_edge_metric_dimension, g)
         assert cert.witness == (4, 5, 6, 7, 8, 10, 12, 13, 14, 15)
-        assert (cert.start_size, cert.stats.subsets_examined) == (1, 1)
-        assert (cert.stats.nodes_visited, cert.stats.bound_prunes) == (138, 83)
+        assert (cert.start_size, cert.stats.subsets_examined) == (8, 1)
+        assert (cert.stats.nodes_visited, cert.stats.bound_prunes) == (131, 76)
 
     @pytest.mark.parametrize(
         "solve,family,n,searched",
         [
-            # Starts at 1; root bound 7, the dimension: levels 1-6 are cut.
+            # Root bound 7, the dimension: the walk starts there.
             (exact_metric_dimension, CHAIN, 5, [7]),
-            # Starts at the family bound 17, the dimension; root bound 17,
-            # so the confirmation at 16 is cut.
+            # Root bound 17, the dimension: no confirmation at 16 is walked.
             (exact_edge_metric_dimension, CHAIN, 10, [17]),
         ],
         ids=["vertex-chain-5", "edge-chain-10"],
