@@ -2,7 +2,6 @@
 minimum edge / vertex metric dimension with optimality certificates."""
 
 from .construction import (
-    Labeling,
     construct_ers,
     construct_for_spec,
     labeling_chain,
@@ -81,7 +80,6 @@ __all__ = [
     "Graph",
     "GraphInputError",
     "LabeledSilicate",
-    "Labeling",
     "SilicateSpec",
     "SolveOptions",
     "SolveStats",

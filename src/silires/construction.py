@@ -1,7 +1,10 @@
 """Constructive edge resolving sets for chain and cyclic silicates.
 
 Each tetrahedron of the network receives an integer label saying how many
-of its degree-3 (cubic) vertices join the landmark set.  The labelings
+of its degree-3 (cubic) vertices join the landmark set.  A labeling is a
+plain tuple of ints, one per tetrahedron in the order of
+``silicate.tetrahedra``, and :func:`construct_ers`, which reads it, is
+the one place that checks it.  The labelings
 satisfy the cubic sufficiency conditions and their totals meet the paper's
 lower bound, :func:`predicted_dimension`, giving minimum edge resolving
 sets — with one genuine exception: in the smallest cyclic silicate (n = 3)
@@ -25,7 +28,7 @@ not proven), but not on the smallest cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -34,65 +37,37 @@ from .graphs import vertex_ids
 from .silicates import CHAIN, CYCLIC, LabeledSilicate, SilicateSpec, build_silicate
 
 
-@dataclass(frozen=True)
-class Labeling:
-    """Per-tetrahedron counts of cubic vertices to include as landmarks.
-
-    Each label is taken through ``operator.index`` and ``labels`` is stored
-    as a tuple of Python ints; a label that is not integral, or the first
-    outside 1..3, raises :class:`ConstructionError` naming it."""
-
-    spec: SilicateSpec
-    labels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        try:
-            labels = tuple(vertex_ids(self.labels, "label"))
-        except GraphInputError as exc:
-            raise ConstructionError(str(exc)) from None
-        object.__setattr__(self, "labels", labels)
-        if labels and (min(labels) < 1 or max(labels) > 3):
-            i = next(i for i, x in enumerate(labels) if not 1 <= x <= 3)
-            raise ConstructionError(
-                f"label {labels[i]} of tetrahedron {i} does not lie in 1..3"
-            )
-
-    @property
-    def total(self) -> int:
-        return sum(self.labels)
-
-
-def labeling_chain(n: int) -> Labeling:
+def labeling_chain(n: int) -> tuple[int, ...]:
     """Label the n tetrahedra of a chain silicate.
 
     Degenerate sizes: a single tetrahedron needs 3 landmarks, a twin pair
     3 + 2.  For n >= 3 the two tetrahedra at each end get 2; interior
     positions 3..n-2 get 1 when odd and 2 when even, so every adjacent pair
-    of tetrahedra misses at most one cubic vertex.
+    of tetrahedra misses at most one cubic vertex.  ``n`` is checked as by
+    :class:`SilicateSpec`.
     """
-    spec = SilicateSpec(family=CHAIN, n=n)
+    n = SilicateSpec(CHAIN, n).n
     if n == 1:
-        return Labeling(spec=spec, labels=(3,))
+        return (3,)
     if n == 2:
-        return Labeling(spec=spec, labels=(3, 2))
+        return (3, 2)
     labels = [2] * n
     labels[2 : n - 2 : 2] = [1] * len(range(2, n - 2, 2))  # the odd ones of 3..n-2
-    return Labeling(spec=spec, labels=tuple(labels))
+    return tuple(labels)
 
 
-def labeling_cyclic(n: int) -> Labeling:
+def labeling_cyclic(n: int) -> tuple[int, ...]:
     """Label the n tetrahedra of a cyclic silicate.
 
     Positions alternate 1, 2, 1, 2, ...; when n is odd the last position is
     forced to 2 to keep the wrap-around pair from missing two cubic
-    vertices.
+    vertices.  ``n`` is checked as by :class:`SilicateSpec`.
     """
-    spec = SilicateSpec(family=CYCLIC, n=n)
-    labels = [1, 2] * (n // 2) + [2] * (n % 2)
-    return Labeling(spec=spec, labels=tuple(labels))
+    n = SilicateSpec(CYCLIC, n).n
+    return tuple([1, 2] * (n // 2) + [2] * (n % 2))
 
 
-def labeling_for(spec: SilicateSpec) -> Labeling:
+def labeling_for(spec: SilicateSpec) -> tuple[int, ...]:
     if spec.family == CHAIN:
         return labeling_chain(spec.n)
     if spec.family == CYCLIC:
@@ -125,25 +100,38 @@ def predicted_dimension(spec: SilicateSpec) -> int:
 
 
 def construct_ers(
-    silicate: LabeledSilicate, labeling: Labeling
+    silicate: LabeledSilicate, labels: Iterable[int]
 ) -> tuple[int, ...]:
     """Materialize a landmark set by picking labeled counts of cubic vertices.
 
     From tetrahedron i the first ``labels[i]`` ids of its degree-3
     vertices, ``silicate.private_vertices[i]`` (ascending, so the smallest
     ones), are taken, for every tetrahedron in one pass over the
-    silicate's tetrahedron array and its graph's degrees.  Raises
-    :class:`ConstructionError` naming the first tetrahedron with too few
-    cubic vertices.
+    silicate's tetrahedron array and its graph's degrees.
+
+    This is the one check of the labels.  Each is taken through
+    ``operator.index``, so numpy integers give the set of the equal ints.
+    Raises :class:`ConstructionError`, in this order, for labels that are
+    not iterable or not integral, for the first label outside 1..3 (naming
+    its tetrahedron), for a label count other than the tetrahedron count,
+    and for the first tetrahedron with too few cubic vertices.
     """
-    cells = silicate._cells
-    cubic = silicate.graph._arcs.degree[cells] == 3
-    if len(labeling.labels) != len(cells):
+    try:
+        labels = vertex_ids(labels, "label")
+    except GraphInputError as exc:
+        raise ConstructionError(str(exc)) from None
+    if labels and (min(labels) < 1 or max(labels) > 3):
+        i = next(i for i, x in enumerate(labels) if not 1 <= x <= 3)
         raise ConstructionError(
-            f"labeling has {len(labeling.labels)} entries for "
-            f"{len(cells)} tetrahedra"
+            f"label {labels[i]} of tetrahedron {i} does not lie in 1..3"
         )
-    labels = np.array(labeling.labels, dtype=np.intp)
+    cells = silicate._cells
+    if len(labels) != len(cells):
+        raise ConstructionError(
+            f"labeling has {len(labels)} entries for {len(cells)} tetrahedra"
+        )
+    cubic = silicate.graph._arcs.degree[cells] == 3
+    labels = np.array(labels, dtype=np.intp)
     have = cubic.sum(axis=1)
     short = (have < labels).nonzero()[0]
     if len(short):
@@ -164,5 +152,4 @@ def construct_for_spec(spec: SilicateSpec) -> tuple[LabeledSilicate, tuple[int, 
     module docstring).
     """
     silicate = build_silicate(spec)
-    labeling = labeling_for(spec)
-    return silicate, construct_ers(silicate, labeling)
+    return silicate, construct_ers(silicate, labeling_for(spec))

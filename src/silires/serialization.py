@@ -36,7 +36,7 @@ from .errors import EdgeListFormatError
 from .graphs import Graph, build_graph, canonical_edge, vertex_ids
 from .resolving import VerificationResult, edge_code_table, vertex_code_table
 from .silicates import SKELETON, LabeledSilicate, SilicateSpec
-from .solver import EDGE, Certificate
+from .solver import EDGE, Certificate, check_target
 
 EDGE_LIST_HEADER = "p"
 
@@ -201,6 +201,9 @@ def verification_report(
     result: VerificationResult,
     include_codes: bool = False,
 ) -> dict:
+    """The report of ``result`` for ``landmarks``; an unknown ``target``
+    raises ``ValueError``."""
+    check_target(target)
     landmarks = vertex_ids(landmarks, "landmark")
     report = {
         "format": VERIFICATION_FORMAT,

@@ -118,6 +118,13 @@ STATUS_CONDITIONAL = "upper-bound-conditional"
 STATUS_PARTIAL = "partial"
 
 
+def check_target(target: str) -> None:
+    """Raise ``ValueError`` unless ``target`` is :data:`EDGE` or
+    :data:`VERTEX`."""
+    if target not in (EDGE, VERTEX):
+        raise ValueError(f"target must be {EDGE!r} or {VERTEX!r}, got {target!r}")
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Search configuration.
@@ -490,7 +497,8 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     # the vertex count is searched (it has no sets to refute).
     cap = min(opts.max_size or g.vertex_count, g.vertex_count)
     # The root bound refutes every size below it (module docstring), and
-    # size 0 always fails with >= 2 items.
+    # size 0 always fails with >= 2 items.  When it refutes ``cap`` too,
+    # ``proven`` reaches ``cap`` and no size is left to walk.
     proven = min(max(_packing_bound(masks), 1), cap + 1) - 1
     start = min(max(opts.start_size or 1, proven + 1), cap)
 
@@ -509,7 +517,7 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     budget = opts.budget_subsets
     k = start
     with pool or nullcontext():
-        while (k <= cap) if best is None else (proven < k < len(best)):
+        while proven < k <= (cap if best is None else len(best) - 1):
             remaining = None if budget is None else budget - counted[0]
             witness, counts, tripped = _search_level(ctx, k, pool, remaining)
             for i, c in enumerate(counts):
@@ -549,8 +557,7 @@ def exact_metric_dimension(
 def is_minimal(g: Graph, landmarks: Sequence[int], target: str = EDGE) -> bool:
     """True when no single landmark can be dropped while staying resolving;
     the landmarks are taken once, through :func:`validate_landmarks`."""
-    if target not in (EDGE, VERTEX):
-        raise ValueError(f"target must be {EDGE!r} or {VERTEX!r}, got {target!r}")
+    check_target(target)
     landmarks = validate_landmarks(g, landmarks)
     checker = is_edge_resolving if target == EDGE else is_vertex_resolving
     if not checker(g, landmarks).resolving:

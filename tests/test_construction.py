@@ -11,7 +11,7 @@ from silires import (
     CYCLIC,
     SKELETON,
     ConstructionError,
-    Labeling,
+    GraphInputError,
     SilicateSpec,
     UnsupportedFamilyError,
     build_silicate,
@@ -28,16 +28,16 @@ from silires import (
 from conftest import GRAPH_VIEWS, SILICATE_VIEWS, random_connected_graph, star_graph
 
 
-def reference_construct_ers(silicate, labeling):
+def reference_construct_ers(silicate, labels):
     """The per-tetrahedron loop over ``private_vertices`` that the array
-    pass of :func:`construct_ers` replaces."""
-    if len(labeling.labels) != len(silicate.tetrahedra):
+    pass of :func:`construct_ers` replaces, for labels in 1..3."""
+    if len(labels) != len(silicate.tetrahedra):
         raise ConstructionError(
-            f"labeling has {len(labeling.labels)} entries for "
+            f"labeling has {len(labels)} entries for "
             f"{len(silicate.tetrahedra)} tetrahedra"
         )
     chosen = []
-    for i, (private, want) in enumerate(zip(silicate.private_vertices, labeling.labels)):
+    for i, (private, want) in enumerate(zip(silicate.private_vertices, labels)):
         if len(private) < want:
             raise ConstructionError(
                 f"tetrahedron {i} has {len(private)} cubic vertices, label requires {want}"
@@ -46,75 +46,99 @@ def reference_construct_ers(silicate, labeling):
     return tuple(sorted(chosen))
 
 
-def outcome(construct, silicate, labeling):
+def outcome(construct, silicate, labels):
     """The landmark set, or the message of the ConstructionError raised."""
     try:
-        return construct(silicate, labeling)
+        return construct(silicate, labels)
     except ConstructionError as e:
         return f"error: {e}"
 
 
 class TestLabelings:
+    """Labelings are plain tuples of Python ints; :func:`construct_ers`,
+    which reads them, is the one place that checks them."""
+
     def test_chain_small_cases(self):
-        assert labeling_chain(1).labels == (3,)
-        assert labeling_chain(2).labels == (3, 2)
-        assert labeling_chain(3).labels == (2, 2, 2)
+        assert labeling_chain(1) == (3,)
+        assert labeling_chain(2) == (3, 2)
+        assert labeling_chain(3) == (2, 2, 2)
 
     def test_chain_interior_alternation(self):
-        assert labeling_chain(6).labels == (2, 2, 1, 2, 2, 2)
-        assert labeling_chain(7).labels == (2, 2, 1, 2, 1, 2, 2)
+        assert labeling_chain(6) == (2, 2, 1, 2, 2, 2)
+        assert labeling_chain(7) == (2, 2, 1, 2, 1, 2, 2)
 
     def test_cyclic_alternation(self):
-        assert labeling_cyclic(8).labels == (1, 2, 1, 2, 1, 2, 1, 2)
-        assert labeling_cyclic(5).labels == (1, 2, 1, 2, 2)
-        assert labeling_cyclic(3).labels == (1, 2, 2)
+        assert labeling_cyclic(8) == (1, 2, 1, 2, 1, 2, 1, 2)
+        assert labeling_cyclic(5) == (1, 2, 1, 2, 2)
+        assert labeling_cyclic(3) == (1, 2, 2)
 
     def test_totals_match_predictions(self):
-        for n in range(1, 40):
-            spec = SilicateSpec(family=CHAIN, n=n)
-            assert labeling_for(spec).total == predicted_dimension(spec)
-        for n in range(3, 40):
-            spec = SilicateSpec(family=CYCLIC, n=n)
-            assert labeling_for(spec).total == predicted_dimension(spec)
+        for family, first in [(CHAIN, 1), (CYCLIC, 3)]:
+            for n in range(first, 40):
+                spec = SilicateSpec(family=family, n=n)
+                labels = labeling_for(spec)
+                assert type(labels) is tuple and len(labels) == n
+                assert all(type(x) is int for x in labels)
+                assert sum(labels) == predicted_dimension(spec)
 
     def test_frozen_sums(self):
-        assert labeling_chain(3).total == 6
-        assert labeling_chain(6).total == 11
-        assert labeling_chain(7).total == 12
-        assert labeling_cyclic(3).total == 5
-        assert labeling_cyclic(5).total == 8
-        assert labeling_cyclic(8).total == 12
+        assert sum(labeling_chain(3)) == 6
+        assert sum(labeling_chain(6)) == 11
+        assert sum(labeling_chain(7)) == 12
+        assert sum(labeling_cyclic(3)) == 5
+        assert sum(labeling_cyclic(5)) == 8
+        assert sum(labeling_cyclic(8)) == 12
+
+    def test_sizes_checked_as_by_the_spec(self):
+        for labeling, family, n in [
+            (labeling_chain, CHAIN, 0),
+            (labeling_cyclic, CYCLIC, 2),
+            (labeling_chain, CHAIN, 2.0),
+        ]:
+            with pytest.raises(GraphInputError) as expected:
+                SilicateSpec(family=family, n=n)
+            with pytest.raises(GraphInputError, match=f"^{re.escape(str(expected.value))}$"):
+                labeling(n)
+        assert labeling_chain(np.int64(6)) == labeling_chain(6)
 
     def test_label_range_validated(self):
-        # The first label outside 1..3 is named, with its tetrahedron.
-        spec = SilicateSpec(family=CHAIN, n=2)
+        # The first label outside 1..3 is named, with its tetrahedron,
+        # before the label count is compared with the tetrahedron count.
+        sil = build_silicate(SilicateSpec(family=CHAIN, n=2))
         cases = [((0, 2), 0, 0), ((4, 2), 4, 0), ((3, 4), 4, 1), ((2, -1, 9), -1, 1)]
         for labels, label, i in cases:
             message = f"^label {label} of tetrahedron {i} does not lie in 1\\.\\.3$"
             with pytest.raises(ConstructionError, match=message):
-                Labeling(spec=spec, labels=labels)
+                construct_ers(sil, labels)
 
     def test_numpy_labels_become_python_ints(self):
-        spec = SilicateSpec(family=CHAIN, n=2)
-        labeling = Labeling(spec=spec, labels=[np.int64(3), np.int8(2)])
-        assert labeling.labels == (3, 2)
-        assert all(type(x) is int for x in labeling.labels)
-        assert type(labeling.total) is int
-        assert labeling == labeling_chain(2)
+        # Numpy labels give the set of the equal Python ints, and a
+        # one-shot iterator is read once.
+        sil = build_silicate(SilicateSpec(family=CHAIN, n=4))
+        labels = labeling_chain(4)
+        expected = construct_ers(sil, labels)
+        for given in (
+            [np.int64(x) for x in labels],
+            [np.int8(x) for x in labels],
+            np.array(labels),
+            iter(labels),
+        ):
+            got = construct_ers(sil, given)
+            assert got == expected
+            assert all(type(v) is int for v in got)
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
     def test_non_integral_label_rejected(self, bad):
-        # Kept, a label of 2.5 would give a total of 2.5, and construct_ers
-        # would take 2 vertices for it.
-        spec = SilicateSpec(family=CHAIN, n=1)
+        # Unchecked, a label of 2.5 would take 2 vertices.
+        sil = build_silicate(SilicateSpec(family=CHAIN, n=1))
         message = f"label {bad!r} is not an integer"
         with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
-            Labeling(spec=spec, labels=(bad,))
+            construct_ers(sil, (bad,))
 
     def test_labels_that_are_not_iterable_rejected(self):
-        spec = SilicateSpec(family=CHAIN, n=1)
+        sil = build_silicate(SilicateSpec(family=CHAIN, n=1))
         with pytest.raises(ConstructionError, match=r"^label list 3 is not iterable$"):
-            Labeling(spec, 3)
+            construct_ers(sil, 3)
 
     def test_skeleton_has_no_labeling(self):
         spec = SilicateSpec(family=SKELETON, n=0, skeleton=star_graph(3))
@@ -158,11 +182,11 @@ class TestConstructErs:
     def test_members_are_cubic_and_per_tetrahedron(self):
         spec = SilicateSpec(family=CHAIN, n=5)
         sil, ers = construct_for_spec(spec)
-        labeling = labeling_for(spec)
+        labels = labeling_for(spec)
         chosen = set(ers)
         for i, tet in enumerate(sil.tetrahedra):
             privates = [v for v in tet if sil.graph.degree(v) == 3]
-            assert len(chosen & set(privates)) == labeling.labels[i]
+            assert len(chosen & set(privates)) == labels[i]
         assert all(sil.graph.degree(v) == 3 for v in ers)
 
     def test_smallest_ids_selected(self):
@@ -193,24 +217,23 @@ class TestConstructErs:
         sil = build_silicate(spec)
         # Label 3 would also overflow tetrahedron 1: the length is checked first.
         with pytest.raises(ConstructionError) as excinfo:
-            construct_ers(sil, Labeling(spec=SilicateSpec(family=CHAIN, n=2), labels=(3, 3)))
+            construct_ers(sil, (3, 3))
         assert str(excinfo.value) == "labeling has 2 entries for 3 tetrahedra"
 
     def test_label_exceeding_cubic_count_names_tetrahedron(self):
         spec = SilicateSpec(family=CHAIN, n=3)
         sil = build_silicate(spec)
-        bad = Labeling(spec=spec, labels=(2, 3, 2))
         with pytest.raises(ConstructionError) as excinfo:
-            construct_ers(sil, bad)
+            construct_ers(sil, (2, 3, 2))
         assert str(excinfo.value) == "tetrahedron 1 has 2 cubic vertices, label requires 3"
 
     @pytest.mark.parametrize("family, first", [(CHAIN, 1), (CYCLIC, 3)])
     def test_matches_per_tetrahedron_reference_on_families(self, family, first):
         for n in range(first, 301):
             spec = SilicateSpec(family=family, n=n)
-            sil, labeling = build_silicate(spec), labeling_for(spec)
-            got = construct_ers(sil, labeling)
-            assert got == reference_construct_ers(sil, labeling), (family, n)
+            sil, labels = build_silicate(spec), labeling_for(spec)
+            got = construct_ers(sil, labels)
+            assert got == reference_construct_ers(sil, labels), (family, n)
             assert all(type(v) is int for v in got)
 
     def test_matches_per_tetrahedron_reference_on_skeletons(self):
@@ -225,11 +248,10 @@ class TestConstructErs:
             sil = build_silicate(spec)
             for top in (2, 3):
                 labels = tuple(rng.randint(1, top) for _ in sil.tetrahedra)
-                labeling = Labeling(spec=spec, labels=labels)
-                got = outcome(construct_ers, sil, labeling)
-                assert got == outcome(reference_construct_ers, sil, labeling)
+                got = outcome(construct_ers, sil, labels)
+                assert got == outcome(reference_construct_ers, sil, labels)
                 errors += isinstance(got, str)
-            short = Labeling(spec=spec, labels=(1,) * (len(sil.tetrahedra) + 1))
+            short = (1,) * (len(sil.tetrahedra) + 1)
             assert outcome(construct_ers, sil, short) == outcome(reference_construct_ers, sil, short)
         assert 0 < errors < 50
 
@@ -241,11 +263,11 @@ class TestConstructErs:
         for family, n in rng.sample(cases, 12):
             spec = SilicateSpec(family=family, n=n)
             sil = build_silicate(spec)
-            labeling = labeling_for(spec)
+            labels = labeling_for(spec)
             chosen = []
             for i, tet in enumerate(sil.tetrahedra):
                 privates = [v for v in tet if sil.graph.degree(v) == 3]
-                chosen.extend(rng.sample(privates, labeling.labels[i]))
+                chosen.extend(rng.sample(privates, labels[i]))
             assert is_edge_resolving(sil.graph, sorted(chosen)).resolving, (family, n)
 
 

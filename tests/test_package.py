@@ -1,6 +1,7 @@
 """The public names of the package."""
 
 import silires
+import silires.construction
 import silires.graphs
 import silires.resolving
 import silires.structure
@@ -8,10 +9,12 @@ import silires.structure
 # Names that would state the cubic-set rule a second time (the solver's
 # edge masks state it for every graph), the tetrahedron cover a second
 # time (a tetrahedron is a sorted 4-tuple, its cubic corners its degree-3
-# members), or a code rule a second time, read from a caller's matrix (the
-# code tables gather every code from the graph).
+# members), a code rule a second time, read from a caller's matrix (the
+# code tables gather every code from the graph), or the label checks a
+# second time (a labeling is a tuple, checked by ``construct_ers``).
 REMOVED = (
     "ConditionReport",
+    "Labeling",
     "Tetrahedron",
     "TetrahedronKind",
     "TwinTetrahedron",
@@ -42,5 +45,10 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in silires.__all__
         assert not hasattr(silires, name), name
-        for module in (silires.graphs, silires.resolving, silires.structure):
+        for module in (
+            silires.construction,
+            silires.graphs,
+            silires.resolving,
+            silires.structure,
+        ):
             assert not hasattr(module, name), (module.__name__, name)

@@ -1,6 +1,7 @@
 """Edge-list format, JSON reports, canonical byte encoding."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -288,6 +289,16 @@ class TestReports:
         for given_ids in (np.array(landmarks), iter(landmarks)):
             report = verification_report(g, given_ids, "edge", result, include_codes=True)
             assert canonical_json_bytes(report) == expected
+
+    @pytest.mark.parametrize("target", ["edges", "mixed", None])
+    def test_verification_report_rejects_unknown_target(self, target):
+        # An unknown target would be written into the report beside a
+        # witness of the other shape.
+        g = family_graph(CHAIN, 2)
+        result = is_edge_resolving(g, [0, 3])
+        message = f"target must be 'edge' or 'vertex', got {target!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verification_report(g, [0, 3], target, result)
 
     def test_certificate_report_is_stable_json(self):
         g = family_graph(CHAIN, 2)

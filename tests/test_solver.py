@@ -963,6 +963,36 @@ class TestSearchCounters:
         assert cert.status == STATUS_OPTIMAL
         assert sorted(set(sizes)) == searched == [cert.dimension]
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(complete_graph(4), id="k4"),
+            pytest.param(family_graph(CHAIN, 5), id="chain-5"),
+            pytest.param(family_graph(CHAIN, 12), id="chain-12"),
+            pytest.param(family_graph(CYCLIC, 7), id="cyclic-7"),
+            pytest.param(silicate_of_skeleton(complete_graph(4)).graph, id="skeleton-k4"),
+        ],
+    )
+    def test_max_size_below_the_root_bound_walks_nothing(self, g):
+        # The root bound refutes every size up to a smaller max_size, so
+        # the solve is partial at max_size without visiting a node.  The
+        # certificate is that of a walk over level max_size, which
+        # evaluates no set there.
+        solves = [(EDGE, exact_edge_metric_dimension), (VERTEX, exact_metric_dimension)]
+        checked = 0
+        for target, solve in solves:
+            bound = _packing_bound(reference_masks(g, target))
+            for max_size in range(1, bound):
+                opts = SolveOptions(max_size=max_size)
+                cert = solve(g, opts)
+                assert _outcome(cert) == (
+                    STATUS_PARTIAL, None, None, max_size, max_size, 0
+                ), (target, max_size)
+                stats = cert.stats
+                assert (stats.nodes_visited, stats.bound_prunes) == (0, 0), (target, max_size)
+                checked += 1
+        assert checked
+
     def test_vertex_target_prunes(self):
         # The twin masks {0, 1, 2} and {4, 5, 6} need 4 landmarks, so the
         # bound cuts the smaller levels and only the witness is evaluated.
