@@ -24,7 +24,9 @@ it could see an empty or short file instead), and after a crash or power
 loss the file may hold old and new bytes mixed, or old bytes at the new
 length, which the writeback ext4 starts on ``close`` of a truncated file
 guarded against.  To replace a file atomically, write to a new path and
-rename it.  ``-`` writes to standard output.
+rename it.  ``-`` writes to ``sys.stdout`` as text, for every kind of
+output, JSON included: all output is ASCII, so the bytes are those a file
+gets, and a caller may redirect ``sys.stdout`` to an ``io.StringIO``.
 """
 
 from __future__ import annotations
@@ -104,18 +106,9 @@ def _write_file(path: str, data: bytes) -> None:
         os.close(fd)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(path: str, data: bytes) -> None:
     if path == STDOUT:
-        sys.stdout.write(text)
-    else:
-        _write_file(path, text.encode("utf-8"))
-
-
-def _write_json(path: str, obj) -> None:
-    data = canonical_json_bytes(obj)
-    if path == STDOUT:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+        sys.stdout.write(data.decode("utf-8"))
     else:
         _write_file(path, data)
 
@@ -184,12 +177,12 @@ def _cmd_generate(parser: _Parser, args) -> int:
         parser.error("-o/--output and --sidecar cannot name the same file")
     spec = _spec_from_args(parser, args)
     silicate = build_silicate(spec)
-    _write_text(args.output, format_edge_list(silicate.graph))
+    _write(args.output, format_edge_list(silicate.graph).encode("utf-8"))
     sidecar = args.sidecar
     if sidecar is None and args.output != STDOUT:
         sidecar = args.output + ".json"
     if sidecar is not None:
-        _write_json(sidecar, structure_report(silicate, spec))
+        _write(sidecar, canonical_json_bytes(structure_report(silicate, spec)))
     if STDOUT not in (args.output, sidecar):
         g = silicate.graph
         print(
@@ -208,7 +201,7 @@ def _cmd_verify(parser: _Parser, args) -> int:
         report = verification_report(
             g, landmarks, args.target, result, include_codes=args.codes
         )
-        _write_json(args.json, report)
+        _write(args.json, canonical_json_bytes(report))
     if args.json != STDOUT:
         if result.resolving:
             print(f"resolving ({args.target} target, {len(landmarks)} landmarks)")
@@ -230,7 +223,8 @@ def _cmd_solve(parser: _Parser, args) -> int:
     else:
         cert = exact_metric_dimension(g, opts)
     if args.json is not None:
-        _write_json(args.json, certificate_report(cert, classify_silicate(g)))
+        report = certificate_report(cert, classify_silicate(g))
+        _write(args.json, canonical_json_bytes(report))
     if args.json != STDOUT:
         print(
             f"{args.target} metric dimension: {cert.dimension} "
@@ -240,16 +234,13 @@ def _cmd_solve(parser: _Parser, args) -> int:
     return EXIT_OK if cert.status == STATUS_OPTIMAL else EXIT_NOT_OPTIMAL
 
 
-def _table_row(spec: SilicateSpec, budget_subsets: int, workers: int) -> dict:
+def _table_row(spec: SilicateSpec, opts: SolveOptions) -> dict:
     predicted = predicted_dimension(spec)  # the proven lower bound too
     silicate, constructed = construct_for_spec(spec)
     verified = is_edge_resolving(silicate.graph, constructed).resolving
     exact: Optional[int] = None
-    if budget_subsets > 0:
-        cert = exact_edge_metric_dimension(
-            silicate.graph,
-            SolveOptions(budget_subsets=budget_subsets, parallel_workers=workers),
-        )
+    if opts.budget_subsets:
+        cert = exact_edge_metric_dimension(silicate.graph, opts)
         if cert.status == STATUS_OPTIMAL:
             exact = cert.dimension
     present = [len(constructed)] + ([exact] if exact is not None else [])
@@ -267,22 +258,17 @@ def _table_row(spec: SilicateSpec, budget_subsets: int, workers: int) -> dict:
 def _cmd_table(parser: _Parser, args) -> int:
     if args.n_from > args.n_to:
         parser.error("--n-from must not exceed --n-to")
-    if args.budget_subsets < 0:
-        parser.error("--budget-subsets must be non-negative")
-    if args.workers < 1:
-        parser.error("--workers must be positive")
+    opts = SolveOptions(
+        budget_subsets=args.budget_subsets, parallel_workers=args.workers
+    )
     rows = [
-        _table_row(
-            SilicateSpec(family=args.family, n=n),
-            args.budget_subsets,
-            args.workers,
-        )
+        _table_row(SilicateSpec(family=args.family, n=n), opts)
         for n in range(args.n_from, args.n_to + 1)
     ]
     if args.json is not None:
-        _write_json(args.json, table_report(rows))
+        _write(args.json, canonical_json_bytes(table_report(rows)))
     if args.json != STDOUT:
-        sys.stdout.write(format_table_text(rows))
+        _write(STDOUT, format_table_text(rows).encode("utf-8"))
     return EXIT_OK
 
 
@@ -374,9 +360,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)

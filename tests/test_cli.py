@@ -1,7 +1,9 @@
 """Command-line interface: commands, formats, exit codes."""
 
 import collections
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -586,21 +588,32 @@ class TestTable:
         )
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize(
-        "option,value,message",
-        [
-            ("--budget-subsets", "-1", "--budget-subsets must be non-negative"),
-            ("--workers", "0", "--workers must be positive"),
-        ],
-    )
-    def test_bad_solve_options_are_usage_errors(self, capsys, option, value, message):
-        code, out, err = run(
+    @pytest.mark.parametrize("option,value", [("--budget-subsets", "-1"), ("--workers", "0")])
+    def test_bad_solve_option_reads_as_in_solve(self, chain2_file, capsys, option, value):
+        # SolveOptions checks both options, for table as for solve.
+        table = run(
             capsys,
             "table", "--family", "chain", "--n-from", "1", "--n-to", "2",
             option, value,
         )
-        assert code == EXIT_USAGE
-        assert out == "" and message in err
+        solve = run(capsys, "solve", str(chain2_file), option, value)
+        assert table == solve
+        code, out, err = table
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("silires: error: ") and err.count("\n") == 1
+
+    def test_json_bytes_do_not_depend_on_workers(self, capsys):
+        outputs = []
+        for workers in ("1", "2"):
+            code, out, err = run(
+                capsys,
+                "table", "--family", "cyclic", "--n-from", "3", "--n-to", "6",
+                "--budget-subsets", "100000", "--workers", workers, "--json", "-",
+            )
+            assert (code, err) == (EXIT_OK, "")
+            assert all(r["exact_dimension"] is not None for r in json.loads(out)["rows"])
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
 
 def output_argv(command, graph, outputs):
@@ -694,6 +707,53 @@ class TestOutputFiles:
         code, out, err = run(capsys, *output_argv(command, chain2_file, outputs))
         assert (code, out, err) == (EXIT_USAGE, "", expected)
         assert not (tmp_path / "missing").exists()
+
+
+class TestRedirectedStdout:
+    """``main`` with ``sys.stdout`` redirected to an ``io.StringIO``, as a
+    caller in the same process may run it: ``-`` is written as text, so
+    every command returns its exit code and writes there the bytes that
+    it writes to a file."""
+
+    @staticmethod
+    def redirected(*argv):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = main(list(argv))
+        return code, stdout.getvalue()
+
+    @pytest.mark.parametrize(
+        "argv,exit_code",
+        [
+            (["generate", "--family", "chain", "-n", "3", "-o", "{out}"], EXIT_OK),
+            (["generate", "--family", "chain", "-n", "3", "-o", "{tmp}/g.txt",
+              "--sidecar", "{out}"], EXIT_OK),
+            (["verify", "{graph}", "--set", "0,4", "--codes", "--json", "{out}"],
+             EXIT_NOT_RESOLVING),
+            (["solve", "{graph}", "--json", "{out}"], EXIT_OK),
+            (["table", "--family", "cyclic", "--n-from", "3", "--n-to", "5",
+              "--json", "{out}"], EXIT_OK),
+        ],
+        ids=["generate", "sidecar", "verify", "solve", "table"],
+    )
+    def test_stdout_gets_the_file_bytes(
+        self, chain2_file, tmp_path, capsys, argv, exit_code
+    ):
+        path = tmp_path / "out"
+        fill = {"graph": chain2_file, "tmp": tmp_path}
+        assert run(capsys, *(a.format(out=path, **fill) for a in argv))[0] == exit_code
+        code, out = self.redirected(*(a.format(out="-", **fill) for a in argv))
+        assert code == exit_code
+        assert out.encode("utf-8") == path.read_bytes()
+        assert capsys.readouterr() == ("", "")
+
+    def test_table_text(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        argv = ["table", "--family", "chain", "--n-from", "1", "--n-to", "4"]
+        assert run(capsys, *argv, "--json", str(path))[0] == EXIT_OK
+        code, out = self.redirected(*argv)
+        assert code == EXIT_OK
+        rows = json.loads(path.read_bytes())["rows"]
+        assert out == silires.serialization.format_table_text(rows)
 
 
 class TestTopLevel:
