@@ -71,8 +71,27 @@ unchanged and spends a landmark the bound has already spent: its include
 branch would be cut, and each vertex stepped over counts as that cut in
 ``bound_prunes``.  On chain and cyclic silicates the vertices in no edge
 mask are the hinges.  The walk keeps one explicit stack of the nodes whose
-include branch is open, each with the labels of its picks, so it never
-recurses, however many members it picks.
+include branch is open, so it never recurses, however many members it
+picks.
+
+A node costs what the masks at its position cost.  Each frame carries its
+node's forced set.  Picking a vertex excludes only the vertices in no mask
+stepped over before it, so the child's forced set is the parent's without
+what lies behind the pick; the exclude branch of a pick re-checks only the
+masks that hold it (each vertex lists them), and only a block's root, which
+excludes everything before the block, scans every mask.  A mask lying
+wholly behind the node's position p, one below 2**p, has an empty slice
+and, at a node no mask has ended, at most one member missing; the masks
+are stored ascending, so the packing and the last level skip those masks
+by bisection.  The bound at a node is ``|forced|`` plus
+the packing of the slices ``M & F`` minus the forced set, and F is every
+vertex from the node's position on: it depends on that position and the
+forced set alone, whatever was picked, whatever the level.  So each solve
+caches it in a dict keyed by the pair, shared by every block and level of
+that solve and dropped with it, and a cached bound is exactly the one the
+node would compute.  Each pool worker fills a cache of its own; the values
+do not depend on which node first stored them, so the counters do not
+depend on the worker count.
 
 The last level of the walk is one batch.  A node with one member left to
 pick checks every completion S + {v}, v among the candidates still to
@@ -85,24 +104,28 @@ passes it, so the bound is not computed at such a node, and
 label per item, and the candidates' keys ``label * base + code`` form a
 (candidates x items) array whose rows are sorted; the first row without
 equal neighbours is the witness, and every row up to it counts as
-evaluated, exactly as when the leaves were checked one by one.
+evaluated, exactly as when the leaves were checked one by one.  Labels are
+built only for a batch: the walk keeps the labels of each prefix of its
+picks that some batch has needed, and a batch extends the longest one
+still valid.
 
 The keys are exact.  ``base`` exceeds every distance, so ``label * base +
 code`` is injective on (label, code) pairs, and equal labels mark exactly
-the items whose codes on S agree.  Labels grow one landmark at a time, as
-the walk picks it, and a bound on them grows by a factor of ``base`` with
-each; before a step would take that bound past 2**62, the labels are
-replaced by their ranks among the distinct labels (fewer than the number of
-items).  Keys are computed in int64 whatever the dtype of the distance
-rows (int16 for most graphs), so no product ever wraps.
+the items whose codes on S agree.  Labels grow one landmark at a time,
+and a bound on them grows by a factor of ``base`` with each; before a step
+would take that bound past 2**62, the labels are replaced by their ranks
+among the distinct labels (fewer than the number of items).  Keys are
+computed in int64 whatever the dtype of the distance rows (int16 for most
+graphs), so no product ever wraps.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -280,51 +303,83 @@ def _packing_bound(parts) -> int:
     return bound
 
 
-def _context(rows: np.ndarray, masks: Sequence[int]):
-    """Search context: (code rows, one per vertex; masks; the vertices in
-    some mask, as one bitmask; base).  Every code entry lies below base."""
+class _Context(NamedTuple):
+    """What every block of a solve shares (:func:`_context`)."""
+
+    rows: np.ndarray  # code rows, one per vertex
+    masks: tuple[int, ...]  # ascending, distinct, two or more members each
+    holding: list[list[int]]  # the masks that hold each vertex
+    covered: int  # the vertices in some mask
+    base: int  # above every code entry
+    bounds: dict[tuple[int, int], int]  # counting bound per (pos, forced)
+
+
+def _context(rows: np.ndarray, masks: Sequence[int]) -> _Context:
+    """Search context of one solve, with an empty cache of counting bounds
+    (module docstring).  The set-up visits each member of each mask once."""
+    masks = tuple(_mask_list(masks))
+    holding: list[list[int]] = [[] for _ in range(len(rows))]
     covered = 0
     for m in masks:
         covered |= m
-    return rows, tuple(masks), covered, int(rows.max()) + 1
+        rest = m
+        while rest:
+            low = rest & -rest
+            holding[low.bit_length() - 1].append(m)
+            rest ^= low
+    return _Context(rows, masks, holding, covered, int(rows.max()) + 1, {})
 
 
-def _search_block(ctx, k: int, block: int):
+def _search_block(ctx: _Context, k: int, block: int):
     """Lexicographic search of all k-sets whose smallest member is vertex
     ``block``.  Returns (first resolving set or None, sets evaluated,
     nodes visited, nodes cut by the counting bound).
 
-    One loop walks the nodes depth first.  A node has picked the members
-    of ``smask``, whose exact column labels and their span are ``labels``,
-    and picks ``need`` more from ``pos`` on.  Its include branch pushes the
-    frame ``(pick, smask, need, labels)``; when a branch ends, the innermost
-    frame is popped and its exclude branch, the node one position on, comes
-    next.
+    One loop walks the nodes depth first.  A node has picked ``members``
+    (their bitmask ``smask``), picks ``need`` more from ``pos`` on, and
+    carries its ``forced`` set, None when a mask has lost two members,
+    which ends the node.  Its include branch pushes the frame
+    ``(pick, smask, need, forced)`` and appends ``pick`` to ``members``;
+    when a branch ends, the innermost frame is popped and its exclude
+    branch, the node one position on, comes next.  ``labels[i]`` holds the
+    exact column labels of ``members[:i]`` and their span, extended only
+    when a batch needs them and cut back on a pop.
     """
-    rows, masks, covered, base = ctx
+    rows, masks, holding, covered, base, bounds = ctx
     n = len(rows)
-    bit_count = int.bit_count
     evaluated = nodes = prunes = 0
 
-    def include(pos: int, smask: int, need: int) -> Optional[int]:
-        """The vertex the include branch of a node with ``need`` >= 2 picks,
-        or None when the node is exhausted or cut."""
+    def settle(changed, smask: int, pos: int, forced: int) -> Optional[int]:
+        """The forced set of the node at ``pos`` that has picked ``smask``,
+        from the ``forced`` set of a node behind it, the masks outside
+        ``changed`` having lost no member in between; None when a mask has
+        lost two members, which ends the node."""
+        fut = (1 << n) - (1 << pos)
+        reach = smask | fut
+        forced &= fut
+        for m in changed:
+            out = m & ~reach
+            if out:
+                if out & (out - 1):
+                    return None
+                forced |= m & fut
+        return forced
+
+    def include(pos: int, forced: int, need: int) -> Optional[int]:
+        """The vertex the include branch of a live node with ``need`` >= 2
+        picks, or None when the node is exhausted or cut."""
         nonlocal prunes
         if n - pos < need:
             return None
         if not masks:  # nothing is forced or packed
             return pos
-        fut = (1 << n) - (1 << pos)
-        reachable = smask | fut
-        forced = 0
-        for m in masks:
-            out = m & ~reachable
-            if out:
-                if out & (out - 1):
-                    return None
-                forced |= m & fut
-        free = fut & ~forced
-        bound = bit_count(forced) + _packing_bound([m & free for m in masks])
+        bound = bounds.get((pos, forced))
+        if bound is None:
+            # Masks below 2**pos lie behind pos: their slices are empty.
+            free = ((1 << n) - (1 << pos)) & ~forced
+            ahead = masks[bisect_left(masks, 1 << pos) :]
+            bound = forced.bit_count() + _packing_bound([m & free for m in ahead])
+            bounds[pos, forced] = bound
         if bound > need:
             prunes += 1
             return None
@@ -340,16 +395,18 @@ def _search_block(ctx, k: int, block: int):
 
     def last_level(lo: int, hi: int, smask: int, labels) -> tuple[Optional[int], int]:
         """Evaluate S + {v} for every vertex v in range(lo, hi), in order, as
-        one batch, S being the members of ``smask``.  Returns (the first v
-        whose set resolves or None, sets evaluated)."""
+        one batch, S being the members of ``smask`` at a live node.  Returns
+        (the first v whose set resolves or None, sets evaluated)."""
         picks = range(lo, hi)
         cand_rows = rows[lo:hi]
-        if masks:
+        # A mask behind lo misses at most one member at a live node.
+        ahead = masks[bisect_left(masks, 1 << lo) :]
+        if ahead:
             allowed = every = (1 << hi) - (1 << lo)
-            for m in masks:
+            for m in ahead:
                 miss = m & ~smask
                 if miss & (miss - 1):  # two or more members of m are missing
-                    if bit_count(miss) > 2:
+                    if miss.bit_count() > 2:
                         return None, 0
                     allowed &= miss
             if allowed != every:
@@ -365,35 +422,44 @@ def _search_block(ctx, k: int, block: int):
             return picks[i], i + 1
         return None, len(collide)
 
-    labels = (np.zeros(rows.shape[1], dtype=np.int64), 1)
     if k == 1:  # the block's one set is a batch of one
-        pos, smask, need, hi = block, 0, 1, block + 1
+        pos, members, need, hi = block, [], 1, block + 1
     else:
-        pos, smask, need, hi = block + 1, 1 << block, k - 1, n
-        labels = _extend_labels(*labels, rows[block], base)
-    frames: list[tuple[int, int, int, tuple[np.ndarray, int]]] = []
+        pos, members, need, hi = block + 1, [block], k - 1, n
+    smask = sum(1 << v for v in members)
+    forced = settle(masks, smask, pos, 0)  # the root excludes 0..block-1
+    labels = [(np.zeros(rows.shape[1], dtype=np.int64), 1)]
+    frames: list[tuple[int, int, int, int]] = []
     while True:
         nodes += 1
-        if need > 1:
-            pick = include(pos, smask, need)
+        if forced is not None and need > 1:
+            pick = include(pos, forced, need)
             if pick is not None:
-                frames.append((pick, smask, need, labels))
-                labels = _extend_labels(*labels, rows[pick], base)
+                # A push excludes only vertices in no mask, so no mask
+                # loses a member: the forced set just drops what is behind.
+                frames.append((pick, smask, need, forced))
+                members.append(pick)
                 pos, smask, need = pick + 1, smask | 1 << pick, need - 1
+                forced &= -1 << pos
                 continue
-        else:
+        elif forced is not None and pos < hi:
             # The batch's exact mask test implies the counting bound, so
             # the bound is not computed here (module docstring).
-            pick, count = last_level(pos, hi, smask, labels)
+            for i in range(len(labels) - 1, len(members)):
+                labels.append(_extend_labels(*labels[i], rows[members[i]], base))
+            pick, count = last_level(pos, hi, smask, labels[-1])
             evaluated += count
             nodes += count
             if pick is not None:
-                members = [v for v in range(pos) if smask >> v & 1]
                 return (*members, pick), evaluated, nodes, prunes
         if not frames:
             return None, evaluated, nodes, prunes
-        pos, smask, need, labels = frames.pop()
-        pos += 1
+        pick, smask, need, forced = frames.pop()
+        members.pop()
+        del labels[len(members) + 1 :]
+        pos = pick + 1
+        # The exclude branch loses ``pick``: only the masks holding it change.
+        forced = settle(holding[pick], smask, pos, forced)
 
 
 _WORKER_CTX = None
@@ -422,7 +488,7 @@ def _search_level(ctx, k: int, pool, remaining: Optional[int]):
     is cancelled; blocks a worker has already taken run to completion and
     their results are dropped.
     """
-    blocks = len(ctx[0]) - k + 1
+    blocks = len(ctx.rows) - k + 1
     counts = [0, 0, 0]
     if remaining is not None and remaining <= 0:
         return None, counts, True

@@ -403,20 +403,34 @@ class TestDeterminism:
         assert strip(base) == strip(multi)
 
     @pytest.mark.parametrize(
-        "family,n,opts",
+        "family,n,opts,perm_seed",
         [
-            (CHAIN, 7, SolveOptions()),
-            (CYCLIC, 7, SolveOptions()),
-            (CYCLIC, 3, SolveOptions(start_size=1)),
+            pytest.param(CHAIN, 7, SolveOptions(), None, id="chain-7-opts0"),
+            pytest.param(CYCLIC, 7, SolveOptions(), None, id="cyclic-7-opts1"),
+            pytest.param(CYCLIC, 3, SolveOptions(start_size=1), None, id="cyclic-3-opts2"),
             # Budget trips mid-level: level 6 of the sweep (partial), and
             # level 6 of the confirmation below the witness at 7 (conditional).
-            (CYCLIC, 3, SolveOptions(start_size=1, budget_subsets=10)),
-            (CYCLIC, 3, SolveOptions(start_size=8, budget_subsets=5)),
+            pytest.param(
+                CYCLIC, 3, SolveOptions(start_size=1, budget_subsets=10), None,
+                id="cyclic-3-opts3",
+            ),
+            pytest.param(
+                CYCLIC, 3, SolveOptions(start_size=8, budget_subsets=5), None,
+                id="cyclic-3-opts4",
+            ),
+            # Relabeled chain 25 walks levels 38 and 39, and its blocks
+            # read bounds cached by other blocks and by the other level
+            # (TestSearchCounters); each worker fills a cache of its own.
+            pytest.param(CHAIN, 25, SolveOptions(), 25001, id="relabeled-chain-25"),
         ],
     )
-    def test_search_counters_identical_for_one_and_two_workers(self, family, n, opts):
+    def test_search_counters_identical_for_one_and_two_workers(
+        self, family, n, opts, perm_seed
+    ):
         # Four workers too: more blocks are in flight when a level ends.
         g = family_graph(family, n)
+        if perm_seed is not None:
+            g = relabeled(g, random.Random(perm_seed))
         results = []
         for workers in (1, 2, 4):
             cert = exact_edge_metric_dimension(
@@ -726,6 +740,70 @@ def _label_classes(labels):
     return sorted(classes.values())
 
 
+def _reference_block(rows, masks, k, block):
+    """The block walk of :func:`_search_block` with no state carried between
+    nodes: every node recomputes the mask check, the forced set and the
+    packing bound from scratch over all masks, and every set is checked on
+    its own.
+    Returns (witness, evaluated, nodes, prunes)."""
+    n, items = rows.shape
+    covered = 0
+    for m in masks:
+        covered |= m
+    counts = [0, 0, 0]  # evaluated, nodes, prunes
+
+    def include(pos, smask, need):
+        if n - pos < need:
+            return None
+        if not masks:
+            return pos
+        fut = (1 << n) - (1 << pos)
+        forced = 0
+        for m in masks:
+            out = m & ~(smask | fut)
+            if out.bit_count() >= 2:
+                return None
+            if out:
+                forced |= m & fut
+        free = fut & ~forced
+        bound = forced.bit_count() + _packing_bound([m & free for m in masks])
+        if bound > need:
+            counts[2] += 1
+            return None
+        if bound == need:
+            while not covered >> pos & 1:
+                counts[2] += 1
+                pos += 1
+        return pos
+
+    def node(pos, members, need, hi):
+        counts[1] += 1
+        smask = sum(1 << v for v in members)
+        if need == 1:
+            for v in range(pos, hi):
+                bits = smask | 1 << v
+                if any((m & ~bits).bit_count() >= 2 for m in masks):
+                    continue
+                counts[0] += 1
+                counts[1] += 1
+                if len(set(zip(*rows[members + [v]].tolist()))) == items:
+                    return (*members, v)
+            return None
+        pick = include(pos, smask, need)
+        if pick is None:
+            return None
+        # The include branch, then the exclude branch one position on.
+        return node(pick + 1, members + [pick], need - 1, hi) or node(
+            pick + 1, members, need, hi
+        )
+
+    if k == 1:
+        witness = node(block, [], 1, block + 1)
+    else:
+        witness = node(block + 1, [block], k - 1, n)
+    return (witness, *counts)
+
+
 class TestExactKeys:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -771,12 +849,16 @@ class TestExactKeys:
         assert keys.dtype == np.int64 and keys.shape == matrix.shape
 
     def test_full_universe_shares_rows(self):
-        rows = np.arange(12, dtype=np.int16).reshape(3, 4)
-        rows_of, masks, covered, base = _context(rows, [0b110, 0b1001])
-        assert rows_of is rows
-        assert (masks, covered, base) == ((0b110, 0b1001), 0b1111, 12)
+        # Four vertices, three items; the masks come in unsorted and are
+        # stored ascending, with the masks each vertex lies in.
+        rows = np.arange(12, dtype=np.int16).reshape(4, 3)
+        ctx = _context(rows, [0b1001, 0b110])
+        assert ctx.rows is rows
+        assert (ctx.masks, ctx.covered, ctx.base) == ((0b110, 0b1001), 0b1111, 12)
+        assert ctx.holding == [[0b1001], [0b110], [0b110], [0b1001]]
+        assert ctx.bounds == {}
         # Two disjoint pairs: each set passing both masks holds one of each.
-        assert _packing_bound(masks) == 2
+        assert _packing_bound(ctx.masks) == 2
 
     def test_labels_that_cannot_fit_raise(self):
         labels = np.arange(5, dtype=np.int64)
@@ -825,6 +907,38 @@ class TestExactKeys:
             found, count, nodes, _ = _search_block(ctx, k, block)
             assert (found, count) == (witness, evaluated)
             assert nodes >= count
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vertices=st.integers(1, 12),
+        items=st.integers(2, 10),
+        k=st.integers(1, 5),
+        mask_count=st.integers(0, 6),
+    )
+    def test_block_search_counts_match_the_reference_walk(
+        self, seed, vertices, items, k, mask_count
+    ):
+        # Random code rows from a tiny alphabet (so most sets fail and the
+        # walk runs long) and random sorted masks of 2-4 members: every
+        # block's witness and all three counters against the walk that
+        # recomputes every node's mask check and bound from scratch.
+        rng = random.Random(seed)
+        rows = np.array(
+            [[rng.randrange(3) for _ in range(items)] for _ in range(vertices)],
+            dtype=np.int64,
+        )
+        masks = sorted(
+            {
+                sum(1 << v for v in rng.sample(range(vertices), rng.randint(2, 4)))
+                for _ in range(mask_count if vertices >= 4 else 0)
+            }
+        )
+        ctx = _context(rows, masks)
+        assert ctx.masks == tuple(masks)
+        for block in range(vertices - k + 1):
+            expected = _reference_block(rows, masks, k, block)
+            assert _search_block(ctx, k, block) == expected, block
 
     def test_vertex_solve_with_ranked_prefix(self):
         # Base 100: the keys of a 12-set would reach 100**12 > 2**63, so
@@ -937,6 +1051,99 @@ class TestSearchCounters:
         assert cert.witness == (4, 5, 6, 7, 8, 10, 12, 13, 14, 15)
         assert (cert.start_size, cert.stats.subsets_examined) == (8, 1)
         assert (cert.stats.nodes_visited, cert.stats.bound_prunes) == (131, 76)
+
+    @pytest.mark.parametrize(
+        "family,n,perm_seed,witness,start,nodes,prunes",
+        [
+            (
+                CHAIN, 25, 25001,
+                (2, 4, 8, 9, 10, 11, 12, 13, 14, 19, 20, 21, 22, 24, 27, 28, 29, 30, 32, 33,
+                 34, 35, 37, 39, 41, 42, 43, 44, 45, 48, 54, 55, 58, 62, 65, 66, 68, 72, 73),
+                38, 7718, 4606,
+            ),
+            (
+                CYCLIC, 25, 25002,
+                (2, 3, 4, 5, 6, 7, 8, 11, 13, 14, 15, 17, 18, 19, 20, 21, 22, 24, 28, 29,
+                 30, 31, 32, 33, 34, 35, 37, 38, 44, 47, 48, 49, 50, 51, 52, 56, 62, 70),
+                36, 61855, 28983,
+            ),
+        ],
+        ids=["chain-25", "cyclic-25"],
+    )
+    def test_relabeled_solve_counts(self, family, n, perm_seed, witness, start, nodes, prunes):
+        # Uniformly relabeled, the root bound falls short of the dimension
+        # and the walk refutes whole levels: counts and witnesses pinned
+        # from the walk that recomputed every node's bound from scratch.
+        g = relabeled(family_graph(family, n), random.Random(perm_seed))
+        cert = optimal_for_one_and_two_workers(exact_edge_metric_dimension, g)
+        assert cert.witness == witness
+        assert (cert.start_size, cert.infeasible_size_checked) == (start, len(witness) - 1)
+        stats = cert.stats
+        assert (stats.subsets_examined, stats.nodes_visited, stats.bound_prunes) == (1, nodes, prunes)
+
+    def test_bound_cache_lives_in_the_solve(self, monkeypatch):
+        # Each solve makes one context with an empty cache, and every block
+        # of every level reads that one; a second solve starts empty again.
+        # The skeleton of K4 walks 131 nodes over 22 distinct keys.
+        made, seen = [], set()
+        context, block_search = silires.solver._context, silires.solver._search_block
+
+        def recorded_context(rows, masks):
+            ctx = context(rows, masks)
+            assert ctx.bounds == {}
+            made.append(ctx)
+            return ctx
+
+        def recorded_block(ctx, k, block):
+            seen.add(id(ctx))
+            return block_search(ctx, k, block)
+
+        monkeypatch.setattr(silires.solver, "_context", recorded_context)
+        monkeypatch.setattr(silires.solver, "_search_block", recorded_block)
+        g = silicate_of_skeleton(complete_graph(4)).graph
+        for _ in range(2):
+            assert exact_edge_metric_dimension(g).stats.nodes_visited == 131
+        assert [len(ctx.bounds) for ctx in made] == [22, 22]
+        assert made[0].bounds is not made[1].bounds
+        assert seen == {id(ctx) for ctx in made}
+
+    def test_bound_cache_is_hit_across_blocks_and_levels(self, monkeypatch):
+        # Relabeled chain 25 (perm seed 25001) walks levels 38 and 39: some
+        # bounds a block reads were cached by another block of its level,
+        # and some by the other level.
+        where = [None]
+        hits = {"block": 0, "level": 0, "same": 0}
+
+        class Cache(dict):
+            def get(self, key, default=None):
+                if key in self:
+                    k, block = self.origin[key]
+                    if k != where[0][0]:
+                        hits["level"] += 1
+                    else:
+                        hits["block" if block != where[0][1] else "same"] += 1
+                return super().get(key, default)
+
+            def __setitem__(self, key, value):
+                self.origin[key] = where[0]
+                super().__setitem__(key, value)
+
+        context, block_search = silires.solver._context, silires.solver._search_block
+
+        def cached_context(rows, masks):
+            cache = Cache()
+            cache.origin = {}
+            return context(rows, masks)._replace(bounds=cache)
+
+        def located_block(ctx, k, block):
+            where[0] = (k, block)
+            return block_search(ctx, k, block)
+
+        monkeypatch.setattr(silires.solver, "_context", cached_context)
+        monkeypatch.setattr(silires.solver, "_search_block", located_block)
+        g = relabeled(family_graph(CHAIN, 25), random.Random(25001))
+        assert exact_edge_metric_dimension(g).stats.nodes_visited == 7718
+        assert all(hits.values()), hits
 
     @pytest.mark.parametrize(
         "solve,family,n,searched",
