@@ -213,7 +213,6 @@ def _cmd_verify(parser: _Parser, args) -> int:
 def _cmd_solve(parser: _Parser, args) -> int:
     g = _load_graph(args.graph)
     opts = SolveOptions(
-        start_size=args.start_size,
         max_size=args.max_size,
         parallel_workers=args.workers,
         budget_subsets=args.budget_subsets,
@@ -323,7 +322,6 @@ def build_parser() -> _Parser:
     )
     p_solve.add_argument("graph", help="edge-list file")
     p_solve.add_argument("--target", choices=(EDGE, VERTEX), default=EDGE)
-    p_solve.add_argument("--start-size", type=int, default=None)
     p_solve.add_argument("--max-size", type=int, default=None)
     p_solve.add_argument("--workers", type=int, default=1)
     p_solve.add_argument("--budget-subsets", type=int, default=None)

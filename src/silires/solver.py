@@ -1,15 +1,14 @@
 """Exact minimum edge / vertex metric dimension by pruned subset search.
 
-One loop walks over sizes, searching each in lexicographic order.  Every
+One climb runs over sizes, searching each in lexicographic order.  Every
 size below the counting bound at the root (below) is refuted by that
-bound alone, so the walk starts at the bound, or at ``start_size`` when
-that is larger, for every graph and either target.  It moves up while a
-size has no resolving set, refuting it; a witness at size k moves it down
-to k - 1, until it meets a refuted size.  The last witness is thus the
-lexicographically smallest set of its size, and the certificate is
-``optimal`` exactly when the refuted sizes reach ``dimension - 1``.  A
-budget trip ends the walk with what the bound and the sizes searched so far
-prove.
+bound alone, so the climb starts at the bound, for every graph and either
+target.  It refutes each size that has no resolving set and stops at the
+first size that has one: that size is the dimension, the set found there
+is the lexicographically smallest of its size, and the size below it is
+refuted, so the certificate is ``optimal``.  A budget trip or the size cap
+ends the climb first, with a ``partial`` certificate of what the bound and
+the sizes searched so far prove.
 
 Pruning rests on *masks*: vertex sets such that a landmark set leaving out
 two members of one mask cannot resolve, so it is skipped unevaluated.  Each
@@ -137,7 +136,6 @@ EDGE = "edge"
 VERTEX = "vertex"
 
 STATUS_OPTIMAL = "optimal"
-STATUS_CONDITIONAL = "upper-bound-conditional"
 STATUS_PARTIAL = "partial"
 
 
@@ -152,12 +150,12 @@ def check_target(target: str) -> None:
 class SolveOptions:
     """Search configuration.
 
-    The walk starts at the counting bound at the root (module docstring),
-    which proves every smaller size, or at ``start_size`` when that is
-    larger; ``max_size`` caps the largest level searched; the vertex count
-    caps both.  ``budget_subsets`` bounds the number of candidate sets
-    evaluated, at block granularity, after which a non-optimal certificate
-    is returned.  ``parallel_workers`` above 1 runs the blocks of each
+    The climb starts at the counting bound at the root (module docstring),
+    which proves every smaller size, and stops at its first witness;
+    ``max_size`` caps the largest level searched, and the vertex count caps
+    it.  ``budget_subsets`` bounds the number of candidate sets evaluated,
+    at block granularity, after which a ``partial`` certificate is
+    returned.  ``parallel_workers`` above 1 runs the blocks of each
     level (the k-sets sharing a smallest member) in a pool of that many
     processes, at most one per vertex (no level has more blocks).  The
     certificate and counters are those of one worker, the solve returns or
@@ -168,7 +166,6 @@ class SolveOptions:
     is stored through :func:`~silires.graphs.vertex_id`.
     """
 
-    start_size: Optional[int] = None
     max_size: Optional[int] = None
     parallel_workers: int = 1
     budget_subsets: Optional[int] = None
@@ -177,16 +174,8 @@ class SolveOptions:
         for f in fields(self):  # None stays only where it is the default
             if getattr(self, f.name) is not None or f.default is not None:
                 object.__setattr__(self, f.name, vertex_id(getattr(self, f.name), f.name))
-        if self.start_size is not None and self.start_size < 1:
-            raise ValueError("start_size must be positive")
         if self.max_size is not None and self.max_size < 1:
             raise ValueError("max_size must be positive")
-        if (
-            self.start_size is not None
-            and self.max_size is not None
-            and self.start_size > self.max_size
-        ):
-            raise ValueError("start_size must not exceed max_size")
         if self.parallel_workers < 1:
             raise ValueError("parallel_workers must be positive")
         if self.budget_subsets is not None and self.budget_subsets < 0:
@@ -217,19 +206,18 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of a dimension search: what the walk over sizes decided.
+    """Outcome of a dimension search: what the climb over sizes decided.
 
-    ``witness`` is the walk's last resolving set, the lexicographically
-    smallest of its size (``None`` when none was found within budget or
-    ``max_size``).  ``infeasible_size_checked`` is the largest size
-    proven to admit no resolving set, by the counting bound at the root or
-    by an exhaustive search; by monotonicity every smaller size is then
-    infeasible too.  ``start_size`` is the first size searched: the root
-    bound, or ``SolveOptions.start_size`` when larger, within the cap (0
-    when no item needs telling apart).  The dimension, bounds and status
-    are derived from these.  Elapsed time and the search counters other
-    than ``subsets_examined`` are informational and excluded from
-    serialized output.
+    ``witness`` is the resolving set the climb stopped at, the
+    lexicographically smallest of its size (``None`` when none was found
+    within budget or ``max_size``).  ``infeasible_size_checked`` is the
+    largest size proven to admit no resolving set, by the counting bound at
+    the root or by an exhaustive search; by monotonicity every smaller size
+    is then infeasible too.  ``start_size`` is the first size searched: the
+    size above the root bound, within the cap (0 when no item needs telling
+    apart).  The dimension, bounds and status are derived from these.
+    Elapsed time and the search counters other than ``subsets_examined``
+    are informational and excluded from serialized output.
     """
 
     target: str
@@ -252,13 +240,9 @@ class Certificate:
 
     @property
     def status(self) -> str:
-        """``partial`` without a witness; ``optimal`` when the refuted sizes
-        reach ``dimension - 1``; ``upper-bound-conditional`` otherwise."""
-        if self.witness is None:
-            return STATUS_PARTIAL
-        if self.infeasible_size_checked >= len(self.witness) - 1:
-            return STATUS_OPTIMAL
-        return STATUS_CONDITIONAL
+        """``partial`` without a witness, ``optimal`` with one: the climb
+        stops at its first witness, whose size minus one it has refuted."""
+        return STATUS_PARTIAL if self.witness is None else STATUS_OPTIMAL
 
 
 # Keys of the batched last level stay below this, so int64 never wraps.
@@ -564,9 +548,9 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
     cap = min(opts.max_size or g.vertex_count, g.vertex_count)
     # The root bound refutes every size below it (module docstring), and
     # size 0 always fails with >= 2 items.  When it refutes ``cap`` too,
-    # ``proven`` reaches ``cap`` and no size is left to walk.
+    # ``proven`` reaches ``cap`` and no size is left to climb.
     proven = min(max(_packing_bound(masks), 1), cap + 1) - 1
-    start = min(max(opts.start_size or 1, proven + 1), cap)
+    start = min(proven + 1, cap)
 
     ctx = _context(rows, masks)
     # No level has more blocks than vertices, so more workers would idle.
@@ -579,31 +563,25 @@ def _solve(g: Graph, opts: SolveOptions, target: str) -> Certificate:
             max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         )
     counted = [0, 0, 0]  # evaluated, nodes, bound prunes
-    best: Optional[tuple[int, ...]] = None
+    witness = None
     budget = opts.budget_subsets
-    k = start
     with pool or nullcontext():
-        while proven < k <= (cap if best is None else len(best) - 1):
+        for k in range(proven + 1, cap + 1):
             remaining = None if budget is None else budget - counted[0]
             witness, counts, tripped = _search_level(ctx, k, pool, remaining)
             for i, c in enumerate(counts):
                 counted[i] += c
-            if witness is not None:
-                best = witness
-                k -= 1
-            elif tripped:
+            if witness is not None or tripped:
                 break
-            else:
-                proven = k
-                k += 1
+            proven = k
 
     checker = is_edge_resolving if target == EDGE else is_vertex_resolving
-    if best is not None and not checker(g, best).resolving:
+    if witness is not None and not checker(g, witness).resolving:
         raise SolverInternalError(
-            f"internal error: search returned a non-resolving witness {best!r}"
+            f"internal error: search returned a non-resolving witness {witness!r}"
         )
     stats = SolveStats(*counted, elapsed_seconds=time.perf_counter() - t0)
-    return Certificate(target, best, proven, start, stats)
+    return Certificate(target, witness, proven, start, stats)
 
 
 def exact_edge_metric_dimension(

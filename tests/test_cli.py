@@ -394,14 +394,49 @@ class TestSolve:
         )
         assert code == EXIT_NOT_OPTIMAL
 
-    @pytest.mark.parametrize("start", ["8", "20"])
-    def test_start_above_the_vertex_count(self, chain2_file, capsys, start):
+    @pytest.mark.parametrize("cap", ["8", "20"])
+    def test_max_size_above_the_vertex_count(self, chain2_file, capsys, cap):
         code, out, _ = run(
-            capsys, "solve", str(chain2_file), "--start-size", start, "--json", "-"
+            capsys, "solve", str(chain2_file), "--max-size", cap, "--json", "-"
         )
         assert code == EXIT_OK
         report = json.loads(out)
         assert (report["status"], report["dimension"]) == ("optimal", 5)
+
+    def test_start_size_is_a_usage_error(self, chain2_file, capsys):
+        # Every solve climbs from the graph's counting bound; the removed
+        # option fails loudly instead of being ignored.
+        code, out, err = run(capsys, "solve", str(chain2_file), "--start-size", "5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "silires: error: unrecognized arguments: --start-size 5\n"
+
+    @pytest.mark.parametrize(
+        "target,report",
+        [
+            (
+                "edge",
+                '{"dimension":0,"family":null,"format":"silires-certificate/2",'
+                '"infeasible_size_checked":-1,"lower_bound":0,"n":null,'
+                '"start_size":0,"stats":{"subsets_examined":0},"status":"optimal",'
+                '"target":"edge","upper_bound":0,"witness":[]}',
+            ),
+            (
+                "vertex",
+                '{"dimension":1,"family":null,"format":"silires-certificate/2",'
+                '"infeasible_size_checked":0,"lower_bound":1,"n":null,'
+                '"start_size":1,"stats":{"subsets_examined":1},"status":"optimal",'
+                '"target":"vertex","upper_bound":1,"witness":[0]}',
+            ),
+        ],
+    )
+    def test_single_edge_certificates(self, tmp_path, capsys, target, report):
+        # K_2: the empty set resolves its one edge, so its edge dimension
+        # is 0; telling its two vertices apart takes one landmark.
+        path = tmp_path / "k2.txt"
+        path.write_text("p 2 1\n0 1\n")
+        code, out, err = run(capsys, "solve", str(path), "--target", target, "--json", "-")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == report + "\n"
 
     def test_failed_witness_check_exits_seventy(self, chain2_file, capsys, monkeypatch):
         # A witness the resolving check rejects is a solver defect: one
@@ -424,9 +459,7 @@ class TestSolve:
         monkeypatch.setattr(silires.solver, "all_pairs_distances", wrong_path_matrix)
         path = tmp_path / "path4.txt"
         path.write_text("p 4 3\n0 1\n1 2\n2 3\n")
-        code, out, err = run(
-            capsys, "solve", str(path), "--target", "vertex", "--start-size", "1"
-        )
+        code, out, err = run(capsys, "solve", str(path), "--target", "vertex")
         assert (code, out) == (EXIT_INTERNAL, "")
         assert err == "silires: internal error: search returned a non-resolving witness (1,)\n"
 
@@ -484,11 +517,9 @@ class TestSolve:
             {"budget_subsets": 0},
             {"budget_subsets": 1},
             {"max_size": 2},
-            {"start_size": 12, "budget_subsets": 3},
-            {"start_size": 1, "parallel_workers": 2},
+            {"parallel_workers": 2},
         ]
         flags = {
-            "start_size": "--start-size",
             "max_size": "--max-size",
             "budget_subsets": "--budget-subsets",
             "parallel_workers": "--workers",
@@ -513,7 +544,7 @@ class TestSolve:
                     assert (out.encode(), err) == (library, ""), (name, target, options)
                     assert (code == EXIT_OK) == (cert.status == "optimal")
                     statuses.add(cert.status)
-        assert statuses == {"optimal", "upper-bound-conditional", "partial"}
+        assert statuses == {"optimal", "partial"}
 
     def test_worker_json_byte_identity(self, chain2_file, capsys):
         outputs = []

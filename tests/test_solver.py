@@ -43,7 +43,6 @@ from silires import (
 from silires.construction import predicted_dimension
 from silires.solver import (
     EDGE,
-    STATUS_CONDITIONAL,
     STATUS_OPTIMAL,
     STATUS_PARTIAL,
     VERTEX,
@@ -103,12 +102,11 @@ def _reference_level(checker, masks, universe, k, remaining):
 
 
 def _reference_solve(g, opts, target=EDGE):
-    """The solver's level schedule over :func:`_reference_level`: every size
-    below the packing bound over the masks of :func:`reference_masks` counts
-    as refuted, then an upward sweep from the start size (that bound, or
-    ``start_size`` when larger), then downward confirmation over every vertex.
-    Sets failing a mask are skipped.  Returns the certificate fields
-    compared by :func:`_outcome`.
+    """The solver's climb over :func:`_reference_level`: every size below
+    the packing bound over the masks of :func:`reference_masks` counts as
+    refuted, then each size from the next one up to the cap is searched
+    until one has a witness or the budget trips.  Sets failing a mask are
+    skipped.  Returns the certificate fields compared by :func:`_outcome`.
     """
     masks = reference_masks(g, target)
     if target == EDGE:
@@ -118,37 +116,20 @@ def _reference_solve(g, opts, target=EDGE):
     universe = tuple(range(g.vertex_count))
     cap = min(opts.max_size or g.vertex_count, g.vertex_count)
     proven = min(max(_packing_bound(masks), 1), cap + 1) - 1
-    start = min(max(opts.start_size or 1, proven + 1), cap)
-    evaluated = 0
-
-    def level(k):
-        nonlocal evaluated
-        budget = opts.budget_subsets
+    start = min(proven + 1, cap)
+    budget, evaluated = opts.budget_subsets, 0
+    for k in range(proven + 1, cap + 1):
         remaining = None if budget is None else budget - evaluated
         witness, count, tripped = _reference_level(
             checker, masks, universe, k, remaining
         )
         evaluated += count
-        return witness, tripped
-
-    for k in range(start, cap + 1):
-        witness, tripped = level(k)
         if witness is not None:
-            break
+            return STATUS_OPTIMAL, k, witness, proven, start, evaluated
         if tripped:
-            return STATUS_PARTIAL, None, None, proven, start, evaluated
-        proven = k
-    else:
-        return STATUS_PARTIAL, None, None, proven, start, evaluated
-    while k - 1 > max(proven, 0):
-        below, tripped = level(k - 1)
-        if below is None:
-            if tripped:
-                return STATUS_CONDITIONAL, k, witness, proven, start, evaluated
-            proven = k - 1
             break
-        k, witness = k - 1, below
-    return STATUS_OPTIMAL, k, witness, proven, start, evaluated
+        proven = k
+    return STATUS_PARTIAL, None, None, proven, start, evaluated
 
 
 def _outcome(cert):
@@ -167,21 +148,18 @@ def _outcome(cert):
 @st.composite
 def relabeled_instances(draw):
     """Chain / cyclic n <= 6 or a skeleton expansion of a small random base,
-    under a random relabeling, with random start and budget."""
+    under a random relabeling, with random cap and budget."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from([CHAIN, CYCLIC, SKELETON]))
     if kind == SKELETON:
         base = random_connected_graph(rng, draw(st.integers(2, 4)))
         spec = SilicateSpec(family=SKELETON, skeleton=base)
-        start = draw(st.one_of(st.none(), st.integers(1, 4)))
     else:
         n = draw(st.integers(1 if kind == CHAIN else 3, 6))
         spec = SilicateSpec(family=kind, n=n)
-        lower = predicted_dimension(spec)
-        start = draw(st.one_of(st.none(), st.integers(max(1, lower - 1), lower + 1)))
     g = relabeled(build_silicate(spec).graph, rng)
     opts = SolveOptions(
-        start_size=start,
+        max_size=draw(st.one_of(st.none(), st.integers(1, g.vertex_count))),
         budget_subsets=draw(st.one_of(st.none(), st.integers(0, 8))),
     )
     return g, opts
@@ -190,7 +168,7 @@ def relabeled_instances(draw):
 @st.composite
 def vertex_instances(draw):
     """Chain / cyclic n <= 4 under a random relabeling, or a random connected
-    graph on 2-9 vertices, with random start and budget."""
+    graph on 2-9 vertices, with random cap and budget."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from([CHAIN, CYCLIC, None]))
     if kind is None:
@@ -199,7 +177,7 @@ def vertex_instances(draw):
         n = draw(st.integers(1 if kind == CHAIN else 3, 4))
         g = relabeled(build_silicate(SilicateSpec(family=kind, n=n)).graph, rng)
     opts = SolveOptions(
-        start_size=draw(st.one_of(st.none(), st.integers(1, 5))),
+        max_size=draw(st.one_of(st.none(), st.integers(1, g.vertex_count))),
         budget_subsets=draw(st.one_of(st.none(), st.integers(0, 60))),
     )
     return g, opts
@@ -276,7 +254,7 @@ class TestOptimalCertificates:
         # its input's: the witness it leads to fails the check from the graph.
         monkeypatch.setattr(silires.solver, "all_pairs_distances", wrong_path_matrix)
         with pytest.raises(SolverInternalError, match=r"non-resolving witness \(1,\)"):
-            exact_metric_dimension(path_graph(4), SolveOptions(start_size=1))
+            exact_metric_dimension(path_graph(4))
 
     def test_path_dimension_one(self):
         cert = exact_edge_metric_dimension(path_graph(7))
@@ -302,19 +280,12 @@ class TestOptimalCertificates:
         assert cert.dimension == 4
         assert is_vertex_resolving(g, cert.witness).resolving
 
-    def test_seeding_above_true_dimension_descends(self):
-        g = family_graph(CHAIN, 2)
-        cert = exact_edge_metric_dimension(g, SolveOptions(start_size=7))
-        assert cert.status == STATUS_OPTIMAL
-        assert cert.dimension == 5
-        assert cert.infeasible_size_checked == 4
-
     @pytest.mark.parametrize(
         "opts",
         [
-            SolveOptions(start_size=8),
-            SolveOptions(start_size=20),
-            SolveOptions(start_size=8, max_size=10),
+            SolveOptions(max_size=8),
+            SolveOptions(max_size=20),
+            SolveOptions(max_size=8, parallel_workers=2),
             SolveOptions(max_size=10),
         ],
     )
@@ -325,13 +296,15 @@ class TestOptimalCertificates:
         cert = exact_edge_metric_dimension(g, opts)
         assert cert.status == STATUS_OPTIMAL
         assert (cert.dimension, cert.infeasible_size_checked) == (5, 4)
-        assert cert.start_size == min(opts.start_size or 5, g.vertex_count)
+        assert cert.start_size == 5
 
     def test_seeding_below_sweeps_up(self):
+        # Cyclic 3 has root bound 4 and dimension 7: the climb starts at 4
+        # and refutes 4, 5 and 6 before its witness at 7.
         g = family_graph(CYCLIC, 3)
-        cert = exact_edge_metric_dimension(g, SolveOptions(start_size=1))
+        cert = exact_edge_metric_dimension(g)
         assert cert.status == STATUS_OPTIMAL
-        assert cert.dimension == 7
+        assert (cert.start_size, cert.infeasible_size_checked, cert.dimension) == (4, 6, 7)
 
     def test_matches_naive_oracle_on_families(self):
         for family, n in [(CHAIN, 2), (CHAIN, 3), (CYCLIC, 3), (CYCLIC, 4)]:
@@ -352,9 +325,7 @@ class TestRestrictedAndBudgeted:
 
     def test_budget_trip_mid_sweep_reports_bounds(self):
         g = family_graph(CYCLIC, 3)
-        cert = exact_edge_metric_dimension(
-            g, SolveOptions(start_size=1, budget_subsets=10)
-        )
+        cert = exact_edge_metric_dimension(g, SolveOptions(budget_subsets=10))
         assert cert.status == STATUS_PARTIAL
         assert cert.dimension is None
         # Sizes up to five are fully refuted before the budget trips.
@@ -362,24 +333,9 @@ class TestRestrictedAndBudgeted:
         assert cert.lower_bound == 6
         assert cert.upper_bound is None
 
-    def test_budget_trip_during_confirmation_is_conditional(self):
-        # Cyclic 3 has root bound 4 and dimension 7: from 8 the walk finds
-        # witnesses at 8 and 7, and the budget trips in level 6, so only the
-        # bound's 4 is proven.  (On chain 2 the root bound is the dimension
-        # 5, which leaves no level to confirm.)
-        g = family_graph(CYCLIC, 3)
-        cert = exact_edge_metric_dimension(
-            g, SolveOptions(start_size=8, budget_subsets=5)
-        )
-        assert cert.status == STATUS_CONDITIONAL
-        assert cert.dimension == 7
-        assert cert.witness == (0, 1, 2, 3, 4, 5, 7)
-        assert cert.upper_bound == 7
-        assert cert.lower_bound == 4
-
     def test_examined_counter_monotone_in_budget(self):
         g = family_graph(CYCLIC, 3)
-        opts = lambda b: SolveOptions(start_size=1, budget_subsets=b)
+        opts = lambda b: SolveOptions(budget_subsets=b)
         counts = [
             exact_edge_metric_dimension(g, opts(b)).stats.subsets_examined
             for b in (0, 6, 10)
@@ -407,16 +363,10 @@ class TestDeterminism:
         [
             pytest.param(CHAIN, 7, SolveOptions(), None, id="chain-7-opts0"),
             pytest.param(CYCLIC, 7, SolveOptions(), None, id="cyclic-7-opts1"),
-            pytest.param(CYCLIC, 3, SolveOptions(start_size=1), None, id="cyclic-3-opts2"),
-            # Budget trips mid-level: level 6 of the sweep (partial), and
-            # level 6 of the confirmation below the witness at 7 (conditional).
+            pytest.param(CYCLIC, 3, SolveOptions(), None, id="cyclic-3-opts2"),
+            # The budget trips mid-level, in level 6 of the climb.
             pytest.param(
-                CYCLIC, 3, SolveOptions(start_size=1, budget_subsets=10), None,
-                id="cyclic-3-opts3",
-            ),
-            pytest.param(
-                CYCLIC, 3, SolveOptions(start_size=8, budget_subsets=5), None,
-                id="cyclic-3-opts4",
+                CYCLIC, 3, SolveOptions(budget_subsets=10), None, id="cyclic-3-opts3"
             ),
             # Relabeled chain 25 walks levels 38 and 39, and its blocks
             # read bounds cached by other blocks and by the other level
@@ -449,7 +399,7 @@ class TestDeterminism:
         assert results[1:] == results[:1] * 2
         assert results[0][4] > 0
         if opts.budget_subsets is not None:
-            assert results[0][0] in (STATUS_PARTIAL, STATUS_CONDITIONAL)
+            assert results[0][0] == STATUS_PARTIAL
 
     @pytest.mark.parametrize(
         "g,opts",
@@ -538,9 +488,9 @@ class TestWorkerPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(silires.solver, "_WORKER_CTX", None)
         g = family_graph(CHAIN, 2)
-        one = exact_edge_metric_dimension(g, SolveOptions(start_size=1))
+        one = exact_edge_metric_dimension(g)
         for workers in (2, 16):
-            opts = SolveOptions(start_size=1, parallel_workers=workers)
+            opts = SolveOptions(parallel_workers=workers)
             assert _outcome(exact_edge_metric_dimension(g, opts)) == _outcome(one)
         assert sizes == [2, 7]
 
@@ -665,52 +615,39 @@ class TestPruningMasks:
     )
     def test_walk_starts_at_the_root_bound(self, case, target):
         # Every size below the root bound is refuted by the bound alone, so
-        # a walk asked to start lower starts at the bound too: the default
-        # solve and one from size 1 give one certificate, whatever the
-        # numbering or the family.
+        # the climb starts at the bound, whatever the numbering or the
+        # family, and its witness lies one size above the refuted ones.
         g, _ = case
         assume(g.vertex_count >= 3)  # two or more items for either target
         solve = exact_edge_metric_dimension if target == EDGE else exact_metric_dimension
-        default = solve(g)
-        assert _outcome(solve(g, SolveOptions(start_size=1))) == _outcome(default)
-        assert default.start_size == max(1, _packing_bound(self.masks_of[target](g)))
+        cert = solve(g)
+        assert cert.start_size == max(1, _packing_bound(self.masks_of[target](g)))
+        assert cert.status == STATUS_OPTIMAL
+        assert cert.start_size - 1 <= cert.infeasible_size_checked == cert.dimension - 1
 
     def test_every_exit_of_the_size_walk(self):
-        # Cyclic 3 (9 vertices, root bound 4, dimension 7) under a grid of
-        # start, cap and budget leaves the walk over sizes by every way out.
-        # (On chain 2 the root bound is the dimension, so no walk climbs.)
-        g = family_graph(CYCLIC, 3)
+        # Chain 2 (7 vertices, root bound 5 = dimension) and cyclic 3 (9
+        # vertices, root bound 4, dimension 7) under a grid of cap and
+        # budget leave the climb over sizes by every way out.
         exits = set()
-        for start, cap, budget in itertools.product(
-            (None, 1, 7, 8, 9), (None, 4, 6), (None, 0, 1, 5)
-        ):
-            if start and cap and start > cap:
-                continue
-            opts = SolveOptions(start_size=start, max_size=cap, budget_subsets=budget)
-            outcome = _reference_solve(g, opts)
-            cert = exact_edge_metric_dimension(g, opts)
-            assert _outcome(cert) == outcome
-            assert cert.lower_bound == cert.infeasible_size_checked + 1
-            size = None if cert.witness is None else len(cert.witness)
-            assert cert.upper_bound == cert.dimension == size
-            status, dimension, _, proven, first, _ = outcome
-            if status == STATUS_PARTIAL:
-                exits.add("cap" if proven == (cap or 9) else "trip going up")
-            elif status == STATUS_CONDITIONAL:
-                exits.add("trip going down")
-            elif dimension >= first:
-                exits.add("witness at start" if dimension == first else "climb")
-            else:
-                exits.add("one level down" if dimension == first - 1 else "descent")
-        assert exits == {
-            "cap",
-            "trip going up",
-            "trip going down",
-            "witness at start",
-            "climb",
-            "one level down",
-            "descent",
-        }
+        for family, n in ((CHAIN, 2), (CYCLIC, 3)):
+            g = family_graph(family, n)
+            for cap, budget in itertools.product((None, 4, 6, 7), (None, 0, 1, 5)):
+                opts = SolveOptions(max_size=cap, budget_subsets=budget)
+                outcome = _reference_solve(g, opts)
+                cert = exact_edge_metric_dimension(g, opts)
+                assert _outcome(cert) == outcome
+                assert cert.lower_bound == cert.infeasible_size_checked + 1
+                size = None if cert.witness is None else len(cert.witness)
+                assert cert.upper_bound == cert.dimension == size
+                status, dimension, _, proven, first, _ = outcome
+                if status == STATUS_PARTIAL:
+                    cap_reached = proven == (cap or g.vertex_count)
+                    exits.add("cap" if cap_reached else "trip going up")
+                else:
+                    assert proven == dimension - 1
+                    exits.add("witness at start" if dimension == first else "climb")
+        assert exits == {"cap", "trip going up", "witness at start", "climb"}
 
 
 class TestVertexTarget:
@@ -940,14 +877,29 @@ class TestExactKeys:
             expected = _reference_block(rows, masks, k, block)
             assert _search_block(ctx, k, block) == expected, block
 
-    def test_vertex_solve_with_ranked_prefix(self):
-        # Base 100: the keys of a 12-set would reach 100**12 > 2**63, so
-        # the labels of its prefix are ranked on the way.
-        g = path_graph(100)
-        opts = SolveOptions(start_size=12)
-        cert = exact_metric_dimension(g, opts)
-        assert _outcome(cert) == _reference_solve(g, opts, VERTEX)
-        assert cert.dimension == 1
+    def test_vertex_solve_with_ranked_prefix(self, monkeypatch):
+        # A path 14..111 with 7 pendant false twins at each end, 0-5 and 12
+        # at 14, 6-11 and 13 at 111: diameter 99, so base 100.  Root bound
+        # 6 + 6 = 12 is the dimension, and (0, ..., 11) the first witness;
+        # its keys would reach 100**12 > 2**63, so the labels of its prefix
+        # are ranked on the way.
+        edges = [(v, v + 1) for v in range(14, 111)]
+        edges += [(v, 14) for v in (0, 1, 2, 3, 4, 5, 12)]
+        edges += [(v, 111) for v in (6, 7, 8, 9, 10, 11, 13)]
+        g = build_graph(112, edges)
+        ranked = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            ranked.append(len(args[0]))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(silires.solver.np, "unique", spy)
+        cert = exact_metric_dimension(g)
+        monkeypatch.undo()
+        assert _outcome(cert) == _reference_solve(g, SolveOptions(), VERTEX)
+        assert (cert.dimension, cert.witness) == (12, tuple(range(12)))
+        assert ranked and set(ranked) == {g.vertex_count}
 
     def test_edge_solve_with_ranked_prefix(self):
         # Chain 13 evaluates one 21-set whose keys pass 2**63 many times over.
@@ -1150,7 +1102,7 @@ class TestSearchCounters:
         [
             # Root bound 7, the dimension: the walk starts there.
             (exact_metric_dimension, CHAIN, 5, [7]),
-            # Root bound 17, the dimension: no confirmation at 16 is walked.
+            # Root bound 17, the dimension: level 16 is refuted unwalked.
             (exact_edge_metric_dimension, CHAIN, 10, [17]),
         ],
         ids=["vertex-chain-5", "edge-chain-10"],
@@ -1215,10 +1167,18 @@ class TestSolveOptionsValidation:
             SolveOptions(parallel_workers=0)
 
     def test_bad_sizes(self):
-        with pytest.raises(ValueError):
-            SolveOptions(start_size=0)
-        with pytest.raises(ValueError):
-            SolveOptions(start_size=5, max_size=4)
+        for size in (0, -1):
+            with pytest.raises(ValueError):
+                SolveOptions(max_size=size)
+
+    def test_start_size_is_gone(self):
+        # Every solve climbs from the root counting bound: the removed
+        # option is an unknown keyword, not a silently ignored one.
+        with pytest.raises(TypeError, match="start_size"):
+            SolveOptions(start_size=5)
+        assert [f.name for f in dataclasses.fields(SolveOptions)] == [
+            "max_size", "parallel_workers", "budget_subsets"
+        ]
 
     def test_negative_budget(self):
         with pytest.raises(ValueError):
@@ -1227,9 +1187,9 @@ class TestSolveOptionsValidation:
     @pytest.mark.parametrize(
         "options",
         [
-            dict(start_size=3),
+            dict(budget_subsets=3),
             dict(max_size=6),
-            dict(start_size=2, max_size=7, budget_subsets=10**6, parallel_workers=1),
+            dict(max_size=7, budget_subsets=10**6, parallel_workers=1),
         ],
     )
     def test_numpy_fields_give_the_certificate_of_ints(self, options):
@@ -1242,7 +1202,7 @@ class TestSolveOptionsValidation:
         assert got == canonical_json_bytes(certificate_report(want))
 
     @pytest.mark.parametrize(
-        "field", ["start_size", "max_size", "parallel_workers", "budget_subsets"]
+        "field", ["max_size", "parallel_workers", "budget_subsets"]
     )
     @pytest.mark.parametrize("bad", [2.5, "3"])
     def test_non_integral_field_named(self, field, bad):
@@ -1252,9 +1212,7 @@ class TestSolveOptionsValidation:
 
     def test_messages_kept(self):
         for options, message in [
-            (dict(start_size=0), "start_size must be positive"),
             (dict(max_size=np.int8(0)), "max_size must be positive"),
-            (dict(start_size=5, max_size=4), "start_size must not exceed max_size"),
             (dict(parallel_workers=0), "parallel_workers must be positive"),
             (dict(budget_subsets=-1), "budget_subsets must be non-negative"),
         ]:
